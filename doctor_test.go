@@ -95,7 +95,13 @@ func computeHeavyConfig() core.Config {
 }
 
 // diagnoseHybrid runs a traced 2-rank hybrid trainer on the given link
-// for a few steps and returns the doctor's report.
+// and returns the doctor's report. The first step sizes every rank's
+// arenas — one-off, rank-skewed work the doctor would read as a straggler
+// — so it runs before the measurement window opens. The window and the
+// batch are sized for the imbalance index to settle well under the
+// straggler threshold even on two contended vCPUs: at batch 64 the
+// per-step rendezvous cost, which falls on whichever rank arrives last,
+// keeps the index near 1.2 however long the run.
 func diagnoseHybrid(t *testing.T, cfg core.Config, link collective.Link) telemetry.DoctorReport {
 	t.Helper()
 	hc := hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1, Overlap: true, Link: link}
@@ -107,11 +113,17 @@ func diagnoseHybrid(t *testing.T, cfg core.Config, link collective.Link) telemet
 		t.Fatal(err)
 	}
 	defer ht.Close()
-	batch := NewGenerator(cfg, 2).NextBatch(64)
-	for i := 0; i < 10; i++ {
+	batch := NewGenerator(cfg, 2).NextBatch(256)
+	step := func() {
 		if _, _, err := ht.Step(batch); err != nil {
 			t.Fatal(err)
 		}
+	}
+	step() // warm-up, then a fresh tracer/registry window
+	hc.Trace.Reset()
+	reg.Reset()
+	for i := 0; i < 40; i++ {
+		step()
 	}
 	return telemetry.Diagnose(telemetry.DoctorInput{Snap: hc.Trace.Snapshot(), Metrics: reg.Snapshot()})
 }

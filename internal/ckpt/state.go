@@ -72,8 +72,8 @@ func (st *ModelState) ownerOf(ti int) int {
 	return 0
 }
 
-// sparseAccum returns table ti's optimizer accumulator, or nil.
-func (st *ModelState) sparseAccum(ti int) []float32 {
+// rowAccum returns table ti's optimizer accumulator, or nil.
+func (st *ModelState) rowAccum(ti int) []float32 {
 	if ti < len(st.SparseAccum) {
 		return st.SparseAccum[ti]
 	}
@@ -95,7 +95,7 @@ func (st *ModelState) validate() error {
 		}
 	}
 	for ti, tab := range st.Tables {
-		if acc := st.sparseAccum(ti); acc != nil && len(acc) != tab.HashSize {
+		if acc := st.rowAccum(ti); acc != nil && len(acc) != tab.HashSize {
 			return fmt.Errorf("ckpt: table %d accumulator length %d != %d rows", ti, len(acc), tab.HashSize)
 		}
 	}

@@ -481,7 +481,7 @@ func encodeTableFull(e *enc, st *ModelState, ti int) {
 	e.u32(uint32(tab.Dim))
 	e.u8(uint8(tab.DType))
 	e.f32s(tab.Weights.Data)
-	if acc := st.sparseAccum(ti); acc != nil {
+	if acc := st.rowAccum(ti); acc != nil {
 		e.u8(1)
 		e.f32s(acc)
 	} else {
@@ -502,7 +502,7 @@ func encodeTableDelta(e *enc, st *ModelState, ti int, d *Dirty) {
 	e.u32(uint32(d.Count()))
 	d.ForEach(func(row int32) { e.i32(row) })
 	d.ForEach(func(row int32) { e.f32s(tab.Weights.Row(int(row))) })
-	if acc := st.sparseAccum(ti); acc != nil {
+	if acc := st.rowAccum(ti); acc != nil {
 		e.u8(1)
 		d.ForEach(func(row int32) { e.f32s(acc[row : row+1]) })
 	} else {
@@ -548,7 +548,7 @@ func decodeTable(d *dec, st *ModelState, wantTable int) error {
 		return fmt.Errorf("ckpt: shard %s stores dtype %s, table %d is %s",
 			d.file, tensor.DType(dtByte), ti, tab.DType)
 	}
-	acc := st.sparseAccum(ti)
+	acc := st.rowAccum(ti)
 	if magic == magicTableFull {
 		if err := d.f32s(tab.Weights.Data); err != nil {
 			return err
@@ -644,6 +644,16 @@ func (s *Store) save(st *ModelState, dirty []*Dirty, full bool) (SaveInfo, error
 	if err := st.validate(); err != nil {
 		return SaveInfo{}, err
 	}
+	// One checkpoint per step: a second save at the latest step would
+	// either chain a delta to itself or replace a directory its successor
+	// pins by Merkle root, and both leave a store that no longer restores.
+	baseName, base, err := s.Latest()
+	if err != nil {
+		return SaveInfo{}, err
+	}
+	if base != nil && base.Step == st.Step {
+		return SaveInfo{}, fmt.Errorf("ckpt: step %d is already checkpointed as %s; refusing a second save at the same step", st.Step, baseName)
+	}
 	kind := KindFull
 	if !full {
 		kind = KindDelta
@@ -655,10 +665,6 @@ func (s *Store) save(st *ModelState, dirty []*Dirty, full bool) (SaveInfo, error
 	if !full {
 		if len(dirty) != len(st.Tables) {
 			return SaveInfo{}, fmt.Errorf("ckpt: %d dirty trackers for %d tables", len(dirty), len(st.Tables))
-		}
-		baseName, base, err := s.Latest()
-		if err != nil {
-			return SaveInfo{}, err
 		}
 		if base == nil {
 			return SaveInfo{}, fmt.Errorf("ckpt: delta checkpoint needs a base; store is empty")

@@ -265,6 +265,72 @@ func TestDeltaChainRestore(t *testing.T) {
 	assertEqualSnapshot(t, want, st)
 }
 
+// TestSecondSaveAtSameStepRefused: a delta saved twice at one step used
+// to name itself as its own base and replace the real link, after which
+// Restore and Verify both failed on the pinned base root. The second save
+// must be refused before touching disk, naming the existing checkpoint,
+// and the store must still restore bit-exactly.
+func TestSecondSaveAtSameStepRefused(t *testing.T) {
+	st := testState(11)
+	dirty := newDirtySet(st)
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Step = 10
+	if _, err := store.SaveFull(st, dirty); err != nil {
+		t.Fatal(err)
+	}
+	mutate(st, dirty, 0.5)
+	st.Step = 20
+	first, err := store.SaveDelta(st, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapshot(st)
+	before, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mutate(st, dirty, 0.25) // the refused save must not consume these marks
+	for _, save := range []func(*ModelState, []*Dirty) (SaveInfo, error){store.SaveDelta, store.SaveFull} {
+		if _, err := save(st, dirty); err == nil || !strings.Contains(err.Error(), first.Name) {
+			t.Fatalf("second save at step 20 = %v, want an error naming %s", err, first.Name)
+		}
+	}
+	for ti, d := range dirty {
+		if d.Count() == 0 {
+			t.Fatalf("refused save reset dirty tracker %d", ti)
+		}
+	}
+	after, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(after, ",") != strings.Join(before, ",") {
+		t.Fatalf("refused save changed the store: %v -> %v", before, after)
+	}
+	des, err := os.ReadDir(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != len(before) {
+		t.Fatalf("refused save left %d entries on disk, want %d", len(des), len(before))
+	}
+	if err := store.Verify(); err != nil {
+		t.Fatalf("verify after refused save: %v", err)
+	}
+	scramble(st)
+	if _, err := store.Restore(st); err != nil {
+		t.Fatalf("restore after refused save: %v", err)
+	}
+	if st.Step != 20 {
+		t.Fatalf("restored step %d, want 20", st.Step)
+	}
+	assertEqualSnapshot(t, want, st)
+}
+
 // TestDeltaCompactionRootEquivalence pins the acceptance property: a
 // full checkpoint written from a state rebuilt off a delta chain has the
 // same Merkle root as a full checkpoint written from the live state —

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/embedding"
 	"repro/internal/tensor"
 )
 
@@ -237,6 +238,25 @@ func (c *Config) TableStats() []TableStatView {
 		}
 	}
 	return stats
+}
+
+// ShardTables assigns every table to one of n owners with the §III-A2
+// greedy partitioner (bytes and lookups weighted equally) and returns each
+// table's owner and each owner's tables, ascending. It is deterministic in
+// (config, n), so a rebuilt or resized trainer re-derives it on restore.
+func (c *Config) ShardTables(n int) (owner []int, owned [][]int) {
+	stats := make([]embedding.TableStat, c.NumSparse())
+	for i, s := range c.TableStats() {
+		stats[i] = embedding.TableStat{Index: s.Index, Bytes: s.Bytes, MeanPooled: s.MeanPooled}
+	}
+	asg, _ := embedding.TableWiseGreedy(stats, n, 0.5)
+	owner = make([]int, len(stats))
+	owned = make([][]int, n)
+	for ti := range owner {
+		owner[ti] = asg[ti]
+		owned[asg[ti]] = append(owned[asg[ti]], ti)
+	}
+	return owner, owned
 }
 
 // TableStatView is the per-table summary used by placement and

@@ -96,13 +96,12 @@ type Model struct {
 	dZ      *tensor.Matrix
 	dOut    *tensor.Matrix // B×1 logit-gradient column
 
-	// reusable arenas: per-row vector views for the interaction, the
-	// per-table sparse-gradient accumulators handed to optimizers, and
-	// the per-worker embedding-lookup scratch. Together they make
-	// steady-state Forward/Backward allocation-free.
+	// reusable arenas: per-row vector views for the interaction, and the
+	// sparse step with the per-table gradient accumulators and the lookup
+	// scratch — scatter-only until a Trainer installs its own. Together
+	// they make steady-state Forward/Backward allocation-free.
 	vecs, dvecs []([]float32)
-	sparseGrads []*embedding.SparseGrad
-	embScratch  *embedding.Scratch
+	sparse      *SparseStep
 
 	// Trace, when non-nil, records phase spans (embedding lookup, dense
 	// forward/backward, sparse scatter) onto TraceShard. The model must
@@ -118,36 +117,39 @@ func NewModel(cfg Config, rng *xrand.RNG) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Model{Cfg: cfg, embScratch: embedding.NewScratch()}
-	m.Bottom = nn.NewMLP(cfg.BottomDims(), rng)
-	m.Top = nn.NewMLP(cfg.TopDims(), rng)
+	bottom := nn.NewMLP(cfg.BottomDims(), rng)
+	top := nn.NewMLP(cfg.TopDims(), rng)
+	tables := make([]*embedding.Table, len(cfg.Sparse))
 	for i, s := range cfg.Sparse {
-		m.Tables = append(m.Tables,
-			embedding.NewTableTyped(s.Name, s.HashSize, cfg.EmbeddingDim, cfg.DTypeOf(i), rng))
+		tables[i] = embedding.NewTableTyped(s.Name, s.HashSize, cfg.EmbeddingDim, cfg.DTypeOf(i), rng)
 	}
-	return m
+	return AssembleModel(cfg, bottom, top, tables)
+}
+
+// AssembleModel builds a model over existing parameters with private
+// activation/gradient buffers: the view hybrid ranks, Hogwild workers and
+// evaluation compose. tables may be nil for a dense-only replica driven
+// through ForwardPooled/BackwardPooled.
+func AssembleModel(cfg Config, bottom, top *nn.MLP, tables []*embedding.Table) *Model {
+	return &Model{Cfg: cfg, Bottom: bottom, Top: top, Tables: tables,
+		sparse: NewSparseStep(tables, nil, nil, 0)}
 }
 
 // ShareWeights returns a model aliasing this model's parameters (MLP
 // weights and embedding tables) with private activation/gradient buffers.
 // This is the worker view for Hogwild! training.
 func (m *Model) ShareWeights() *Model {
-	return &Model{
-		Cfg:        m.Cfg,
-		Bottom:     m.Bottom.ShareWeights(),
-		Top:        m.Top.ShareWeights(),
-		Tables:     m.Tables, // embedding rows are updated lock-free in place
-		embScratch: embedding.NewScratch(),
-	}
+	// Embedding rows are updated lock-free in place.
+	return AssembleModel(m.Cfg, m.Bottom.ShareWeights(), m.Top.ShareWeights(), m.Tables)
 }
 
 // Clone returns a deep copy with independent parameters.
 func (m *Model) Clone() *Model {
-	c := &Model{Cfg: m.Cfg, Bottom: m.Bottom.Clone(), Top: m.Top.Clone(), embScratch: embedding.NewScratch()}
-	for _, t := range m.Tables {
-		c.Tables = append(c.Tables, t.Clone())
+	tables := make([]*embedding.Table, len(m.Tables))
+	for i, t := range m.Tables {
+		tables[i] = t.Clone()
 	}
-	return c
+	return AssembleModel(m.Cfg, m.Bottom.Clone(), m.Top.Clone(), tables)
 }
 
 // Forward computes logits for the batch and caches activations for
@@ -157,9 +159,6 @@ func (m *Model) Forward(b *MiniBatch) []float32 {
 	d := m.Cfg.EmbeddingDim
 	s := m.Cfg.NumSparse()
 
-	if m.embScratch == nil {
-		m.embScratch = embedding.NewScratch()
-	}
 	if len(m.pooled) != s || (s > 0 && m.pooled[0].Rows != B) {
 		m.pooled = make([]*tensor.Matrix, s)
 		for i := range m.pooled {
@@ -167,12 +166,8 @@ func (m *Model) Forward(b *MiniBatch) []float32 {
 		}
 	}
 	tok := m.Trace.Begin(telemetry.PhaseEmbLookup)
-	for i, tab := range m.Tables {
-		if dd := b.DedupFor(i); dd != nil {
-			tab.BagForwardDedup(b.Bags[i], dd, m.pooled[i], m.embScratch)
-		} else {
-			tab.BagForwardInto(b.Bags[i], m.pooled[i], m.embScratch)
-		}
+	for i := range m.Tables {
+		m.sparse.Lookup(b, i, m.pooled[i])
 	}
 	m.Trace.End(m.TraceShard, tok)
 	logits := m.ForwardPooled(b.Dense, m.pooled)
@@ -277,27 +272,12 @@ func (m *Model) Backward(dLogits []float32) []*embedding.SparseGrad {
 	b := m.batch
 	dPooled := m.BackwardPooled(dLogits)
 
-	// Persistent per-table accumulators: Reset retains their slabs, so
-	// the scatter is allocation-free at steady state. The returned slice
-	// is valid until the next Backward call.
-	s := m.Cfg.NumSparse()
-	if len(m.sparseGrads) != s {
-		m.sparseGrads = make([]*embedding.SparseGrad, s)
-		for i := range m.sparseGrads {
-			m.sparseGrads[i] = embedding.NewSparseGrad(m.Cfg.EmbeddingDim)
-		}
-	}
 	tok := m.Trace.Begin(telemetry.PhaseSparseScatter)
-	for i, tab := range m.Tables {
-		m.sparseGrads[i].Reset()
-		if dd := b.DedupFor(i); dd != nil {
-			tab.BagBackwardDedup(b.Bags[i], dd, dPooled[i], m.sparseGrads[i], m.embScratch)
-		} else {
-			tab.BagBackward(b.Bags[i], dPooled[i], m.sparseGrads[i])
-		}
+	for i := range m.Tables {
+		m.sparse.Scatter(b, i, dPooled[i])
 	}
 	m.Trace.End(m.TraceShard, tok)
-	return m.sparseGrads
+	return m.sparse.grads
 }
 
 // BackwardPooled propagates per-example logit gradients through the top

@@ -5,21 +5,17 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/ckpt"
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/telemetry"
 )
 
-// OptimizerKind selects the dense-side optimizer.
-type OptimizerKind string
+// OptimizerKind selects the optimizer family of a trainer.
+type OptimizerKind = optim.Kind
 
 const (
-	// OptSGD uses plain SGD for MLPs and embeddings.
-	OptSGD OptimizerKind = "sgd"
-	// OptAdagrad uses AdaGrad for MLPs and row-wise AdaGrad for
-	// embeddings, the production default.
-	OptAdagrad OptimizerKind = "adagrad"
+	OptSGD     = optim.KindSGD
+	OptAdagrad = optim.KindAdagrad // the production default
 )
 
 // TrainerConfig holds the hyper-parameters of a single-node trainer.
@@ -35,14 +31,11 @@ type Trainer struct {
 	Model *Model
 	cfg   TrainerConfig
 
-	sgd     *optim.SGD
-	adagrad *optim.Adagrad
-	sparseS []*optim.SparseSGD
-	sparseA []*optim.RowWiseAdagrad
+	dense   optim.Dense
+	sparse  *SparseStep // shared with Model: owns every table
 	sched   optim.WarmupSchedule
 	iter    int
-	gradBuf []float32     // reusable logit-gradient buffer
-	dirty   []*ckpt.Dirty // per-table touched rows since the last checkpoint
+	gradBuf []float32 // reusable logit-gradient buffer
 
 	trace      *telemetry.Tracer
 	traceShard int
@@ -61,23 +54,14 @@ func NewTrainer(m *Model, cfg TrainerConfig) *Trainer {
 		cfg.Optimizer = OptAdagrad
 	}
 	t := &Trainer{Model: m, cfg: cfg, sched: optim.WarmupSchedule{Base: cfg.LR, WarmupIters: cfg.WarmupIters}}
-	switch cfg.Optimizer {
-	case OptSGD:
-		t.sgd = optim.NewSGD(m.DenseParams(), float32(cfg.LR))
-		for _, tab := range m.Tables {
-			t.sparseS = append(t.sparseS, &optim.SparseSGD{LR: float32(cfg.SparseLR), Table: tab})
-		}
-	case OptAdagrad:
-		t.adagrad = optim.NewAdagrad(m.DenseParams(), float32(cfg.LR))
-		for _, tab := range m.Tables {
-			t.sparseA = append(t.sparseA, optim.NewRowWiseAdagrad(tab, float32(cfg.SparseLR)))
-		}
-	default:
-		panic(fmt.Sprintf("core: unknown optimizer %q", cfg.Optimizer))
+	_, owned := m.Cfg.ShardTables(1) // the single-process trainer is the one-owner case
+	dense, sparse, err := optim.New(cfg.Optimizer, m.DenseParams(), float32(cfg.LR), m.Tables, owned[0], float32(cfg.SparseLR))
+	if err != nil {
+		panic(fmt.Sprintf("core: %v", err))
 	}
-	for _, tab := range m.Tables {
-		t.dirty = append(t.dirty, ckpt.NewDirty(tab.HashSize))
-	}
+	t.dense = dense
+	t.sparse = NewSparseStep(m.Tables, owned[0], sparse, float32(cfg.SparseLR))
+	m.sparse = t.sparse
 	return t
 }
 
@@ -127,25 +111,11 @@ func (t *Trainer) Step(b *MiniBatch) float64 {
 	lr := t.sched.At(t.iter)
 	scale := float32(lr / t.cfg.LR)
 	tok = t.trace.Begin(telemetry.PhaseOptimizer)
-	switch t.cfg.Optimizer {
-	case OptSGD:
-		t.sgd.LR = float32(lr)
-		t.sgd.Step()
-		tok = t.trace.Next(t.traceShard, tok, telemetry.PhaseSparseScatter)
-		for i, s := range t.sparseS {
-			s.LR = float32(t.cfg.SparseLR) * scale
-			s.Apply(sparseGrads[i])
-			t.dirty[i].Mark(sparseGrads[i].RowIDs())
-		}
-	case OptAdagrad:
-		t.adagrad.LR = float32(lr)
-		t.adagrad.Step()
-		tok = t.trace.Next(t.traceShard, tok, telemetry.PhaseSparseScatter)
-		for i, s := range t.sparseA {
-			s.LR = float32(t.cfg.SparseLR) * scale
-			s.Apply(sparseGrads[i])
-			t.dirty[i].Mark(sparseGrads[i].RowIDs())
-		}
+	t.dense.SetLR(float32(lr))
+	t.dense.Step()
+	tok = t.trace.Next(t.traceShard, tok, telemetry.PhaseSparseScatter)
+	for i, sg := range sparseGrads {
+		t.sparse.Apply(i, sg, scale)
 	}
 	t.trace.End(t.traceShard, tok)
 	t.iter++

@@ -63,23 +63,30 @@ func (ps *DensePS) BytesTransferred() int64 { return ps.bytes.Load() }
 // Syncs returns the number of elastic exchanges served.
 func (ps *DensePS) Syncs() int64 { return ps.syncs.Load() }
 
-// SparsePS is one shard of the sharded sparse parameter servers: it owns
-// a subset of the embedding tables and applies row-wise AdaGrad updates.
+// SparsePS is one shard of the sharded sparse parameter servers: its
+// sparse step owns a subset of the embedding tables and applies row-wise
+// AdaGrad to the gradients Hogwild workers scatter in their own arenas
+// and push here, lock-free.
 type SparsePS struct {
 	Shard  int
-	tables map[int]*embedding.Table // feature index -> table
-	opts   map[int]*optim.RowWiseAdagrad
+	tables map[int]*embedding.Table // feature index -> owned table
+	step   *core.SparseStep
 	bytes  atomic.Int64
 	reqs   atomic.Int64
 }
 
-// Lookup pools the bag for feature f into out and meters response bytes.
-func (ps *SparsePS) Lookup(f int, bag embedding.Bag, out *tensor.Matrix) {
+// table returns feature f's table; the wrong shard is a routing bug.
+func (ps *SparsePS) table(f int) *embedding.Table {
 	t, ok := ps.tables[f]
 	if !ok {
 		panic(fmt.Sprintf("distrib: shard %d does not own feature %d", ps.Shard, f))
 	}
-	t.Forward(bag, out)
+	return t
+}
+
+// Lookup pools the bag for feature f into out and meters response bytes.
+func (ps *SparsePS) Lookup(f int, bag embedding.Bag, out *tensor.Matrix) {
+	ps.table(f).Forward(bag, out)
 	ps.bytes.Add(int64(len(bag.Indices))*4 + int64(out.Rows*out.Cols)*4)
 	ps.reqs.Add(1)
 }
@@ -87,11 +94,8 @@ func (ps *SparsePS) Lookup(f int, bag embedding.Bag, out *tensor.Matrix) {
 // ApplyGrad applies a sparse gradient to the shard's table and meters
 // request bytes.
 func (ps *SparsePS) ApplyGrad(f int, sg *embedding.SparseGrad) {
-	opt, ok := ps.opts[f]
-	if !ok {
-		panic(fmt.Sprintf("distrib: shard %d does not own feature %d", ps.Shard, f))
-	}
-	opt.Apply(sg)
+	ps.table(f)
+	ps.step.Apply(f, sg, 1)
 	ps.bytes.Add(int64(sg.NumRows()) * int64(sg.Dim+1) * 4)
 	ps.reqs.Add(1)
 }
@@ -111,7 +115,6 @@ type Cluster struct {
 	owner []int
 
 	reference *core.Model // architecture template for worker replicas
-	sparseLR  float32
 }
 
 // ClusterConfig sizes a deployment.
@@ -166,27 +169,21 @@ func NewCluster(cfg core.Config, cc ClusterConfig, seed int64) (*Cluster, error)
 	rng := xrand.New(seed)
 	ref := core.NewModel(cfg, rng)
 
-	cl := &Cluster{Cfg: cfg, reference: ref, sparseLR: float32(cc.SparseLR)}
+	cl := &Cluster{Cfg: cfg, reference: ref}
 	cl.DensePS = NewDensePS(ref)
 
-	stats := make([]embedding.TableStat, cfg.NumSparse())
-	for i, s := range cfg.TableStats() {
-		stats[i] = embedding.TableStat{Index: s.Index, Bytes: s.Bytes, MeanPooled: s.MeanPooled}
-	}
-	asg, _ := embedding.TableWiseGreedy(stats, cc.SparsePS, 0.5)
-	cl.owner = make([]int, cfg.NumSparse())
-	cl.SparsePS = make([]*SparsePS, cc.SparsePS)
-	for i := range cl.SparsePS {
-		cl.SparsePS[i] = &SparsePS{
-			Shard:  i,
-			tables: map[int]*embedding.Table{},
-			opts:   map[int]*optim.RowWiseAdagrad{},
+	owner, owned := cfg.ShardTables(cc.SparsePS)
+	cl.owner = owner
+	lr := float32(cc.SparseLR)
+	for i, feats := range owned {
+		ps := &SparsePS{Shard: i, tables: map[int]*embedding.Table{}}
+		opts := make([]optim.Sparse, len(feats))
+		for oi, f := range feats {
+			ps.tables[f] = ref.Tables[f]
+			opts[oi] = optim.NewRowWiseAdagrad(ref.Tables[f], lr)
 		}
-	}
-	for f, shard := range asg {
-		cl.owner[f] = shard
-		cl.SparsePS[shard].tables[f] = ref.Tables[f]
-		cl.SparsePS[shard].opts[f] = optim.NewRowWiseAdagrad(ref.Tables[f], float32(cc.SparseLR))
+		ps.step = core.NewSparseStep(ref.Tables, feats, opts, lr)
+		cl.SparsePS = append(cl.SparsePS, ps)
 	}
 	return cl, nil
 }
@@ -218,7 +215,7 @@ func (cl *Cluster) Train(cc ClusterConfig, gen func(trainer, thread int) *data.G
 	for t := 0; t < cc.Trainers; t++ {
 		// Each trainer holds a local dense replica; Hogwild threads
 		// share it without locks (the paper's intra-trainer mode).
-		local := cl.newWorkerModel(int64(t))
+		local := cl.newWorkerModel()
 		for h := 0; h < cc.Hogwild; h++ {
 			wg.Add(1)
 			go func(t, h int) {
@@ -227,12 +224,14 @@ func (cl *Cluster) Train(cc ClusterConfig, gen func(trainer, thread int) *data.G
 				g := gen(t, h)
 				opt := optim.NewSGD(worker.DenseParams(), float32(cc.LR))
 				// Per-worker arena: one recycled MiniBatch and one
-				// gradient buffer per Hogwild thread, so the steady-state
-				// loop stops churning the heap.
-				var ar workerArena
+				// gradient buffer per Hogwild thread (the scatter arenas
+				// live in the worker model's sparse step), so the
+				// steady-state loop stops churning the heap.
+				var batch *core.MiniBatch
+				grad := make([]float32, cc.BatchSize)
 				for it := 0; it < iters; it++ {
-					ar.batch = g.NextBatchInto(cc.BatchSize, ar.batch)
-					loss := cl.step(worker, opt, ar.batch, &ar)
+					batch = g.NextBatchInto(cc.BatchSize, batch)
+					loss := cl.step(worker, opt, batch, grad)
 					examples.Add(int64(cc.BatchSize))
 					lossSum.Add(int64(loss * 1e6))
 					lossN.Add(1)
@@ -260,40 +259,23 @@ func (cl *Cluster) Train(cc ClusterConfig, gen func(trainer, thread int) *data.G
 
 // newWorkerModel creates a trainer-local model: private dense parameters
 // initialized from the center, shared (remote) embedding tables.
-func (cl *Cluster) newWorkerModel(seed int64) *core.Model {
-	_ = seed // replicas start from the center; seed reserved for future perturbation
-	return &core.Model{
-		Cfg:    cl.Cfg,
-		Bottom: cl.reference.Bottom.Clone(),
-		Top:    cl.reference.Top.Clone(),
-		Tables: cl.reference.Tables, // embedding rows stay remote/shared
-	}
-}
-
-// workerArena holds the per-Hogwild-thread reusable buffers: the recycled
-// mini-batch and the logit-gradient slice.
-type workerArena struct {
-	batch *core.MiniBatch
-	grad  []float32
+func (cl *Cluster) newWorkerModel() *core.Model {
+	// Embedding rows stay remote/shared.
+	return core.AssembleModel(cl.Cfg, cl.reference.Bottom.Clone(), cl.reference.Top.Clone(), cl.reference.Tables)
 }
 
 // step runs forward/backward on the worker, routing pooled lookups and
 // gradient pushes through the owning shards. Because the worker model
 // shares table storage with the shards, Forward reads the same rows the
 // shard would serve; the shard's meters account the would-be wire bytes.
-func (cl *Cluster) step(worker *core.Model, opt *optim.SGD, b *core.MiniBatch, ar *workerArena) float64 {
+func (cl *Cluster) step(worker *core.Model, opt *optim.SGD, b *core.MiniBatch, grad []float32) float64 {
 	// Meter the lookups on the owning shards.
 	for f, bag := range b.Bags {
 		ps := cl.SparsePS[cl.owner[f]]
 		ps.bytes.Add(int64(len(bag.Indices))*4 + int64(bag.Batch()*worker.Cfg.EmbeddingDim)*4)
 		ps.reqs.Add(1)
 	}
-	logits := worker.Forward(b)
-	if cap(ar.grad) < len(logits) {
-		ar.grad = make([]float32, len(logits))
-	}
-	grad := ar.grad[:len(logits)]
-	loss := nn.BCEWithLogits(logits, b.Labels, grad)
+	loss := nn.BCEWithLogits(worker.Forward(b), b.Labels, grad)
 	worker.ZeroGrad()
 	sparse := worker.Backward(grad)
 	opt.Step()
@@ -306,12 +288,7 @@ func (cl *Cluster) step(worker *core.Model, opt *optim.SGD, b *core.MiniBatch, a
 // EvalModel materializes a model holding the center dense parameters and
 // the shard tables, for held-out evaluation.
 func (cl *Cluster) EvalModel() *core.Model {
-	m := &core.Model{
-		Cfg:    cl.Cfg,
-		Bottom: cl.reference.Bottom.Clone(),
-		Top:    cl.reference.Top.Clone(),
-		Tables: cl.reference.Tables,
-	}
+	m := cl.newWorkerModel()
 	dst := m.DenseParams()
 	src := cl.DensePS.Center()
 	for i := range dst {

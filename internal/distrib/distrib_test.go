@@ -214,8 +214,8 @@ func TestNewClusterRejectsInvalidConfig(t *testing.T) {
 
 func TestWorkerModelSharesTablesOnly(t *testing.T) {
 	cl := newTestCluster(t, ClusterConfig{})
-	w1 := cl.newWorkerModel(0)
-	w2 := cl.newWorkerModel(1)
+	w1 := cl.newWorkerModel()
+	w2 := cl.newWorkerModel()
 	// Tables shared with the shards.
 	if &w1.Tables[0].Weights.Data[0] != &cl.reference.Tables[0].Weights.Data[0] {
 		t.Error("worker tables must alias shard tables")

@@ -108,10 +108,3 @@ func MaxOverMean(loads []float64) float64 {
 	}
 	return max / (sum / float64(len(loads)))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

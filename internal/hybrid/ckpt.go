@@ -21,26 +21,9 @@ func (t *Trainer) SetFaults(fs *collective.FaultSchedule) { t.world.SetFaults(fs
 // each owner's row-wise accumulator. Slices alias live memory — call
 // only between steps.
 func (t *Trainer) CkptState() *ckpt.ModelState {
-	st := &ckpt.ModelState{
-		Step:      t.iter,
-		Optimizer: string(t.HC.Optimizer),
-		Tables:    t.tables,
-		Owner:     t.owner,
-		Ranks:     t.HC.Ranks,
-	}
 	r0 := t.ranks[0]
-	for _, p := range r0.params {
-		st.Dense = append(st.Dense, p.Value)
-	}
-	if r0.adagrad != nil {
-		st.DenseAccum = r0.adagrad.Accum()
-		st.SparseAccum = make([][]float32, len(t.tables))
-		for _, r := range t.ranks {
-			for oi, ti := range r.owned {
-				st.SparseAccum[ti] = r.sparseA[oi].Accum()
-			}
-		}
-	}
+	st := core.CkptStateOf(t.iter, t.HC.Optimizer, r0.params, r0.dense, t.tables, t.steps...)
+	st.Owner, st.Ranks = t.owner, t.HC.Ranks
 	return st
 }
 
@@ -95,15 +78,13 @@ func (t *Trainer) RestoreCheckpoint(store *ckpt.Store) (ckpt.RestoreInfo, error)
 // control thread between steps.
 func (t *Trainer) syncReplicas() {
 	r0 := t.ranks[0]
+	a0 := r0.dense.Accum()
 	for _, r := range t.ranks[1:] {
 		for pi, p := range r.params {
 			copy(p.Value, r0.params[pi].Value)
 		}
-		if r.adagrad != nil {
-			a0 := r0.adagrad.Accum()
-			for ai, acc := range r.adagrad.Accum() {
-				copy(acc, a0[ai])
-			}
+		for ai, acc := range r.dense.Accum() {
+			copy(acc, a0[ai])
 		}
 	}
 }

@@ -47,8 +47,6 @@ import (
 )
 
 // Config holds the hyper-parameters of the synchronous hybrid trainer.
-// The optimizer fields mirror core.TrainerConfig so that a hybrid run is
-// comparable with the single-process trainer it parallelizes.
 type Config struct {
 	// Ranks is the number of synchronous workers (default 2).
 	Ranks     int
@@ -57,9 +55,6 @@ type Config struct {
 	SparseLR  float64 // embedding learning rate (defaults to LR)
 	// WarmupIters is the linear LR warmup length.
 	WarmupIters int
-	// BucketBytes chunks the dense-gradient all-reduce into buckets
-	// (default 256 KiB), the granularity at which overlap can hide it.
-	BucketBytes int
 	// Overlap runs the bucketed all-reduce concurrently with the
 	// sparse-gradient all-to-all and scatter. The math is identical; only
 	// the exposed communication time changes.
@@ -94,6 +89,10 @@ type Config struct {
 	Recorder *telemetry.FlightRecorder
 }
 
+// bucketBytes chunks the dense-gradient all-reduce into buckets, the
+// granularity at which overlap can hide it.
+const bucketBytes = 256 << 10
+
 // ShardCount returns how many tracer shards a trainer with this config
 // records onto (after defaults).
 func (c Config) ShardCount() int {
@@ -119,9 +118,6 @@ func (c *Config) defaults() {
 	}
 	if c.SparseLR <= 0 {
 		c.SparseLR = c.LR
-	}
-	if c.BucketBytes == 0 {
-		c.BucketBytes = 256 << 10
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -161,6 +157,7 @@ type Trainer struct {
 	owner   []int   // table index -> owning rank
 	ownedBy [][]int // rank -> owned table indices, ascending
 	ranks   []*rank
+	steps   []*core.SparseStep // each rank's sparse step, for checkpoint export
 
 	sched  optim.WarmupSchedule
 	iter   int
@@ -169,7 +166,7 @@ type Trainer struct {
 	wg     sync.WaitGroup
 	closed bool
 	failed error         // sticky first step error; Step refuses afterwards
-	dirty  []*ckpt.Dirty // per-table touched rows since the last checkpoint
+	dirty  []*ckpt.Dirty // per-table touched rows, each the owning rank's tracker
 
 	// registry-backed step counters (critical-path ns, accumulated per
 	// Step) — the StepBreakdown return stays the per-step view, these
@@ -244,21 +241,8 @@ func New(cfg core.Config, hc Config) (*Trainer, error) {
 		}
 	}
 
-	stats := make([]embedding.TableStat, cfg.NumSparse())
-	for i, s := range cfg.TableStats() {
-		stats[i] = embedding.TableStat{Index: s.Index, Bytes: s.Bytes, MeanPooled: s.MeanPooled}
-	}
-	asg, _ := embedding.TableWiseGreedy(stats, hc.Ranks, 0.5)
-	t.owner = make([]int, cfg.NumSparse())
-	t.ownedBy = make([][]int, hc.Ranks)
-	for ti := 0; ti < cfg.NumSparse(); ti++ { // ascending: fixes packing order
-		rk := asg[ti]
-		t.owner[ti] = rk
-		t.ownedBy[rk] = append(t.ownedBy[rk], ti)
-	}
-	for _, tab := range t.tables {
-		t.dirty = append(t.dirty, ckpt.NewDirty(tab.HashSize))
-	}
+	t.owner, t.ownedBy = cfg.ShardTables(hc.Ranks) // ascending ownedBy fixes the packing order
+	t.dirty = make([]*ckpt.Dirty, cfg.NumSparse())
 
 	main, side, ar := t.world.NewGroup(), t.world.NewGroup(), t.world.NewGroup()
 	main.SetWire(hc.WireA2A)
@@ -276,21 +260,15 @@ func New(cfg core.Config, hc Config) (*Trainer, error) {
 	}
 	for id := 0; id < hc.Ranks; id++ {
 		r := &rank{
-			t:    t,
-			id:   id,
-			main: main,
-			side: side,
-			ar:   ar,
-			model: &core.Model{
-				Cfg:    cfg,
-				Bottom: ref.Bottom.Clone(),
-				Top:    ref.Top.Clone(),
-			},
-			scratch:      embedding.NewScratch(),
+			t:            t,
+			id:           id,
+			main:         main,
+			side:         side,
+			ar:           ar,
+			model:        core.AssembleModel(cfg, ref.Bottom.Clone(), ref.Top.Clone(), nil),
 			owned:        t.ownedBy[id],
 			pooledOwned:  make([]*tensor.Matrix, cfg.NumSparse()),
 			dPooledOwned: make([]*tensor.Matrix, cfg.NumSparse()),
-			sparseGrad:   make([]*embedding.SparseGrad, cfg.NumSparse()),
 			sendF:        make([][]float32, hc.Ranks),
 			recvF:        make([][]float32, hc.Ranks),
 			sendB:        make([][]float32, hc.Ranks),
@@ -307,23 +285,16 @@ func New(cfg core.Config, hc Config) (*Trainer, error) {
 			flatLen += len(p.Value)
 		}
 		r.flat = make([]float32, flatLen)
-		switch hc.Optimizer {
-		case core.OptSGD:
-			r.sgd = optim.NewSGD(r.params, float32(hc.LR))
-			for _, ti := range r.owned {
-				r.sparseS = append(r.sparseS, &optim.SparseSGD{LR: float32(hc.SparseLR), Table: t.tables[ti]})
-			}
-		case core.OptAdagrad:
-			r.adagrad = optim.NewAdagrad(r.params, float32(hc.LR))
-			for _, ti := range r.owned {
-				r.sparseA = append(r.sparseA, optim.NewRowWiseAdagrad(t.tables[ti], float32(hc.SparseLR)))
-			}
-		default:
-			return nil, fmt.Errorf("hybrid: unknown optimizer %q", hc.Optimizer)
+		dense, sparse, err := optim.New(hc.Optimizer, r.params, float32(hc.LR), t.tables, r.owned, float32(hc.SparseLR))
+		if err != nil {
+			return nil, fmt.Errorf("hybrid: %w", err)
 		}
+		r.dense = dense
+		r.sparse = core.NewSparseStep(t.tables, r.owned, sparse, float32(hc.SparseLR))
 		for _, ti := range r.owned {
-			r.sparseGrad[ti] = embedding.NewSparseGrad(cfg.EmbeddingDim)
+			t.dirty[ti] = r.sparse.Dirty()[ti]
 		}
+		t.steps = append(t.steps, r.sparse)
 		t.ranks = append(t.ranks, r)
 		go r.loop()
 	}
@@ -520,12 +491,8 @@ func (t *Trainer) TrainFrom(src core.BatchSource, iters int) (meanLoss float64, 
 // aliases the trainer's parameters; do not evaluate concurrently with
 // Step.
 func (t *Trainer) EvalModel() *core.Model {
-	return &core.Model{
-		Cfg:    t.Cfg,
-		Bottom: t.ranks[0].model.Bottom.ShareWeights(),
-		Top:    t.ranks[0].model.Top.ShareWeights(),
-		Tables: t.tables,
-	}
+	m0 := t.ranks[0].model
+	return core.AssembleModel(t.Cfg, m0.Bottom.ShareWeights(), m0.Top.ShareWeights(), t.tables)
 }
 
 // Close stops the rank goroutines. The trainer must not be stepped again.
@@ -539,9 +506,9 @@ func (t *Trainer) Close() {
 	}
 }
 
-// rank is one synchronous worker: a full MLP replica, the owned table
-// shard with its sparse optimizers, and every scratch arena the step
-// needs (pooled matrices, pack/unpack wires, flattened gradients).
+// rank is one synchronous worker: a full MLP replica, the sparse step
+// over the owned table shard, and every scratch arena the step needs
+// (pooled matrices, pack/unpack wires, flattened gradients).
 type rank struct {
 	t    *Trainer
 	id   int
@@ -549,20 +516,16 @@ type rank struct {
 	side *collective.Group // backward all-to-all (overlappable)
 	ar   *collective.Group // bucketed dense all-reduce
 
-	model   *core.Model // dense replica (no tables)
-	params  []nn.Param
-	sgd     *optim.SGD
-	adagrad *optim.Adagrad
-	sparseS []*optim.SparseSGD      // aligned with owned
-	sparseA []*optim.RowWiseAdagrad // aligned with owned
-	owned   []int                   // owned table indices, ascending
-	scratch *embedding.Scratch
+	model  *core.Model // dense replica (no tables)
+	params []nn.Param
+	dense  optim.Dense
+	owned  []int            // owned table indices, ascending
+	sparse *core.SparseStep // lookup, scatter and update of the owned tables
 
 	// arenas, resized only when the global batch size changes
 	curB         int
 	pooledOwned  []*tensor.Matrix // owned ti -> B×d pooled rows (global batch)
 	dPooledOwned []*tensor.Matrix // owned ti -> B×d pooled grads (global batch)
-	sparseGrad   []*embedding.SparseGrad
 	pooledLocal  []*tensor.Matrix // every ti -> bs×d rows for this rank's examples
 	sendF, recvF [][]float32      // forward pooled-row wires, per peer
 	sendB, recvB [][]float32      // backward pooled-grad wires, per peer
@@ -646,14 +609,9 @@ func (r *rank) step(lr float64) error {
 	r.ensure(B)
 
 	// 1. Model-parallel lookups: pool the owned tables over the whole
-	// global batch. Batches carrying a RecD dedup view (internal/ingest)
-	// take the unique-row kernels — identical math, fewer table reads.
+	// global batch.
 	for _, ti := range r.owned {
-		if dd := b.DedupFor(ti); dd != nil {
-			t.tables[ti].BagForwardDedup(b.Bags[ti], dd, r.pooledOwned[ti], r.scratch)
-		} else {
-			t.tables[ti].BagForwardInto(b.Bags[ti], r.pooledOwned[ti], r.scratch)
-		}
+		r.sparse.Lookup(b, ti, r.pooledOwned[ti])
 	}
 
 	// 2. Pack pooled rows per destination: rank j receives its examples'
@@ -725,8 +683,8 @@ func (r *rank) step(lr float64) error {
 	// identical math, less exposed communication. The rank shard records
 	// only the *exposed* wait; the background shard gets the full
 	// all-reduce duration (the hidden part of the paper's overlap win).
-	var tOptStart int64
-	if t.HC.Overlap && n > 1 {
+	overlap := t.HC.Overlap && n > 1
+	if overlap {
 		go func() {
 			t0 := telemetry.Now()
 			err := r.allReduceBuckets()
@@ -736,49 +694,41 @@ func (r *rank) step(lr float64) error {
 			r.arDone <- err
 		}()
 		ts = telemetry.Now()
-		sideErr := r.side.AllToAllV(r.id, r.sendB, r.recvB)
-		te = telemetry.Now()
-		a2a += te - ts
-		trace.Emit(r.shard, telemetry.PhaseAllToAll, ts, te)
-		if sideErr == nil {
-			r.applySparse(lr)
-		}
-		ts = telemetry.Now()
-		trace.Emit(r.shard, telemetry.PhaseSparseScatter, te, ts)
-		// Always drain the background all-reduce; an abort unblocks it,
-		// so the send happens even on a torn step.
-		arErr := <-r.arDone
-		te = telemetry.Now()
-		arWait = te - ts
-		trace.Emit(r.shard, telemetry.PhaseAllReduce, ts, te)
-		ar = int64(r.tARBg)
-		tOptStart = te
-		if sideErr != nil {
-			return sideErr
-		}
-		if arErr != nil {
-			return arErr
-		}
 	} else {
 		ts = telemetry.Now()
 		arErr := r.allReduceBuckets()
 		te = telemetry.Now()
-		ar = te - ts
-		arWait = ar
+		ar, arWait = te-ts, te-ts
 		trace.Emit(r.shard, telemetry.PhaseAllReduce, ts, te)
 		if arErr != nil {
 			return arErr
 		}
-		ts = telemetry.Now()
-		if err := r.side.AllToAllV(r.id, r.sendB, r.recvB); err != nil {
-			return err
-		}
-		te = telemetry.Now()
-		a2a += te - ts
-		trace.Emit(r.shard, telemetry.PhaseAllToAll, ts, te)
+		ts = te
+	}
+	stepErr := r.side.AllToAllV(r.id, r.sendB, r.recvB)
+	te = telemetry.Now()
+	a2a += te - ts
+	trace.Emit(r.shard, telemetry.PhaseAllToAll, ts, te)
+	if stepErr == nil {
 		r.applySparse(lr)
-		tOptStart = telemetry.Now()
-		trace.Emit(r.shard, telemetry.PhaseSparseScatter, te, tOptStart)
+	}
+	tOptStart := telemetry.Now()
+	trace.Emit(r.shard, telemetry.PhaseSparseScatter, te, tOptStart)
+	if overlap {
+		// Always drain the background all-reduce; an abort unblocks it,
+		// so the send happens even on a torn step.
+		arErr := <-r.arDone
+		te = telemetry.Now()
+		arWait = te - tOptStart
+		trace.Emit(r.shard, telemetry.PhaseAllReduce, tOptStart, te)
+		ar = int64(r.tARBg)
+		tOptStart = te
+		if stepErr == nil {
+			stepErr = arErr
+		}
+	}
+	if stepErr != nil {
+		return stepErr
 	}
 
 	// 8. Dense update: every rank applies the identical summed gradient,
@@ -788,14 +738,8 @@ func (r *rank) step(lr float64) error {
 		copy(p.Grad, r.flat[off:off+len(p.Grad)])
 		off += len(p.Grad)
 	}
-	switch {
-	case r.sgd != nil:
-		r.sgd.LR = float32(lr)
-		r.sgd.Step()
-	default:
-		r.adagrad.LR = float32(lr)
-		r.adagrad.Step()
-	}
+	r.dense.SetLR(float32(lr))
+	r.dense.Step()
 
 	end := telemetry.Now()
 	trace.Emit(r.shard, telemetry.PhaseOptimizer, tOptStart, end)
@@ -809,17 +753,11 @@ func (r *rank) step(lr float64) error {
 }
 
 // allReduceBuckets ring-all-reduces the flattened dense gradients in
-// BucketBytes chunks.
+// bucketBytes chunks.
 func (r *rank) allReduceBuckets() error {
-	bucket := r.t.HC.BucketBytes / 4
-	if bucket <= 0 {
-		bucket = len(r.flat)
-	}
+	const bucket = bucketBytes / 4
 	for off := 0; off < len(r.flat); off += bucket {
-		end := off + bucket
-		if end > len(r.flat) {
-			end = len(r.flat)
-		}
+		end := min(off+bucket, len(r.flat))
 		if err := r.ar.AllReduce(r.id, r.flat[off:end]); err != nil {
 			return err
 		}
@@ -829,8 +767,8 @@ func (r *rank) allReduceBuckets() error {
 
 // applySparse reassembles the global-order pooled-gradient matrix for
 // every owned table from the backward all-to-all, scatters it through the
-// bag (exactly the single-process BagBackward walk), and applies the
-// sparse optimizer with the warmup-scaled learning rate.
+// bag (exactly the single-process walk), and applies the sparse optimizer
+// with the warmup-scaled learning rate.
 func (r *rank) applySparse(lr float64) {
 	t := r.t
 	n := t.HC.Ranks
@@ -845,23 +783,7 @@ func (r *rank) applySparse(lr float64) {
 			off += rows
 		}
 	}
-	for oi, ti := range r.owned {
-		sg := r.sparseGrad[ti]
-		sg.Reset()
-		if dd := t.batch.DedupFor(ti); dd != nil {
-			t.tables[ti].BagBackwardDedup(t.batch.Bags[ti], dd, r.dPooledOwned[ti], sg, r.scratch)
-		} else {
-			t.tables[ti].BagBackward(t.batch.Bags[ti], r.dPooledOwned[ti], sg)
-		}
-		if r.sgd != nil {
-			r.sparseS[oi].LR = float32(t.HC.SparseLR) * scale
-			r.sparseS[oi].Apply(sg)
-		} else {
-			r.sparseA[oi].LR = float32(t.HC.SparseLR) * scale
-			r.sparseA[oi].Apply(sg)
-		}
-		// Feed the delta-checkpoint tracker. Each table has exactly one
-		// owner, so trackers are rank-private here (no races).
-		t.dirty[ti].Mark(sg.RowIDs())
+	for _, ti := range r.owned {
+		r.sparse.Apply(ti, r.sparse.Scatter(t.batch, ti, r.dPooledOwned[ti]), scale)
 	}
 }

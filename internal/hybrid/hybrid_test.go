@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/embedding"
 	"repro/internal/xrand"
 )
 
@@ -22,18 +23,32 @@ func testCfg() core.Config {
 	}
 }
 
+// tableBits deep-copies every table's master weights.
+func tableBits(tables []*embedding.Table) [][]float32 {
+	out := make([][]float32, len(tables))
+	for i, tab := range tables {
+		out[i] = append([]float32(nil), tab.Weights.Data...)
+	}
+	return out
+}
+
 // singleLosses trains the single-process reference trainer on the same
-// seed/workload and records per-step losses.
-func singleLosses(t *testing.T, cfg core.Config, steps, batch int) []float64 {
+// seed/workload and records per-step losses, plus the table weights as
+// the first step left them.
+func singleLosses(t *testing.T, cfg core.Config, opt core.OptimizerKind, steps, batch int) ([]float64, [][]float32) {
 	t.Helper()
 	m := core.NewModel(cfg, xrand.New(1))
-	tr := core.NewTrainer(m, core.TrainerConfig{Optimizer: core.OptAdagrad, LR: 0.05})
+	tr := core.NewTrainer(m, core.TrainerConfig{Optimizer: opt, LR: 0.05})
 	gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
 	losses := make([]float64, steps)
+	var first [][]float32
 	for i := range losses {
 		losses[i] = tr.Step(gen.NextBatch(batch))
+		if i == 0 {
+			first = tableBits(m.Tables)
+		}
 	}
-	return losses
+	return losses, first
 }
 
 func hybridLosses(t *testing.T, cfg core.Config, hc Config, steps, batch int) []float64 {
@@ -54,25 +69,50 @@ func hybridLosses(t *testing.T, cfg core.Config, hc Config, steps, batch int) []
 // TestMatchesSingleProcess is the engine's core acceptance criterion: for
 // the same seed and workload, the synchronous hybrid trainer's loss curve
 // must match the single-process core.Trainer within float tolerance, for
-// 1, 2, and 4 ranks. Sparse updates are bit-identical by construction;
-// dense gradients differ only by ring summation order.
+// 1, 2, and 4 ranks under AdaGrad and 1 and 2 ranks under SGD. Sparse
+// updates are bit-identical by construction — pinned on the first step,
+// before the dense replicas (whose gradients differ by ring summation
+// order) have diverged: every table must hold the single-process bits.
 func TestMatchesSingleProcess(t *testing.T) {
 	cfg := testCfg()
 	const steps, batch = 30, 64
-	ref := singleLosses(t, cfg, steps, batch)
-	for _, ranks := range []int{1, 2, 4} {
-		got := hybridLosses(t, cfg, Config{Ranks: ranks, Seed: 1, LR: 0.05}, steps, batch)
-		var worst float64
-		for i := range ref {
-			if d := math.Abs(got[i] - ref[i]); d > worst {
-				worst = d
+	for _, tc := range []struct {
+		opt   core.OptimizerKind
+		ranks []int
+	}{{core.OptAdagrad, []int{1, 2, 4}}, {core.OptSGD, []int{1, 2}}} {
+		ref, refTables := singleLosses(t, cfg, tc.opt, steps, batch)
+		for _, ranks := range tc.ranks {
+			hc := Config{Ranks: ranks, Seed: 1, LR: 0.05, Optimizer: tc.opt}
+			got := hybridLosses(t, cfg, hc, steps, batch)
+			var worst float64
+			for i := range ref {
+				if d := math.Abs(got[i] - ref[i]); d > worst {
+					worst = d
+				}
 			}
-		}
-		if worst > 5e-3 {
-			t.Errorf("ranks=%d: max per-step loss deviation %v from single-process run", ranks, worst)
-		}
-		if d := math.Abs(got[0] - ref[0]); d > 1e-6 {
-			t.Errorf("ranks=%d: first-step loss off by %v (forward pass should be near-exact)", ranks, d)
+			if worst > 5e-3 {
+				t.Errorf("%s ranks=%d: max per-step loss deviation %v from single-process run", tc.opt, ranks, worst)
+			}
+			if d := math.Abs(got[0] - ref[0]); d > 1e-6 {
+				t.Errorf("%s ranks=%d: first-step loss off by %v (forward pass should be near-exact)", tc.opt, ranks, d)
+			}
+
+			ht, err := New(cfg, hc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ht.Step(data.NewGenerator(cfg, 7, data.DefaultOptions()).NextBatch(batch)); err != nil {
+				t.Fatal(err)
+			}
+			for ti, want := range refTables {
+				for i, w := range ht.tables[ti].Weights.Data {
+					if math.Float32bits(w) != math.Float32bits(want[i]) {
+						t.Fatalf("%s ranks=%d: table %d element %d = %v after step 1, single-process %v",
+							tc.opt, ranks, ti, i, w, want[i])
+					}
+				}
+			}
+			ht.Close()
 		}
 	}
 }

@@ -7,12 +7,61 @@
 package optim
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/embedding"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
+
+// Kind names an optimizer family; configs carry it, checkpoints record it.
+type Kind string
+
+const (
+	KindSGD     Kind = "sgd"     // plain SGD for MLPs and embedding rows
+	KindAdagrad Kind = "adagrad" // AdaGrad for MLPs, row-wise AdaGrad for rows
+)
+
+// Dense is the optimizer seam for a worker's MLP parameters. Accum
+// aliases the live optimizer state aligned with the bound params (nil
+// when there is none): reading snapshots it, writing restores it — the
+// export/import seam of internal/ckpt.
+type Dense interface {
+	SetLR(lr float32)
+	Step()
+	Accum() [][]float32
+}
+
+// Sparse is the optimizer seam for one embedding table. Apply updates the
+// fp32 master rows present in sg in first-touch order and re-quantizes
+// each into the table's reduced-precision replica (split-SGD). Accum
+// aliases the per-row state, nil when there is none.
+type Sparse interface {
+	SetLR(lr float32)
+	Apply(sg *embedding.SparseGrad)
+	Accum() []float32
+}
+
+// New builds one worker's optimizers: the dense one over params and one
+// sparse one per owned table (indices into tables), aligned with owned.
+// Only here does a kind select an implementation.
+func New(kind Kind, params []nn.Param, lr float32, tables []*embedding.Table, owned []int, sparseLR float32) (Dense, []Sparse, error) {
+	sparse := make([]Sparse, len(owned))
+	switch kind {
+	case KindSGD:
+		for i, ti := range owned {
+			sparse[i] = &SparseSGD{LR: sparseLR, Table: tables[ti]}
+		}
+		return NewSGD(params, lr), sparse, nil
+	case KindAdagrad:
+		for i, ti := range owned {
+			sparse[i] = NewRowWiseAdagrad(tables[ti], sparseLR)
+		}
+		return NewAdagrad(params, lr), sparse, nil
+	}
+	return nil, nil, fmt.Errorf("optim: unknown optimizer %q", kind)
+}
 
 // SGD is plain stochastic gradient descent over a fixed parameter set.
 type SGD struct {
@@ -32,6 +81,10 @@ func (s *SGD) Step() {
 		tensor.Axpy(-s.LR, p.Grad, p.Value)
 	}
 }
+
+// SetLR and Accum complete Dense; SGD keeps no optimizer state.
+func (s *SGD) SetLR(lr float32)   { s.LR = lr }
+func (s *SGD) Accum() [][]float32 { return nil }
 
 // Adagrad is the diagonal AdaGrad optimizer for dense parameters.
 type Adagrad struct {
@@ -61,10 +114,9 @@ func (a *Adagrad) Step() {
 	}
 }
 
-// Accum exposes the per-parameter squared-gradient accumulators (aligned
-// with the bound params). The slices alias live optimizer state: reading
-// them snapshots it, writing into them restores it — the checkpoint
-// export/import seam of internal/ckpt.
+// SetLR and Accum complete Dense; Accum exposes the per-parameter
+// squared-gradient accumulators.
+func (a *Adagrad) SetLR(lr float32)   { a.LR = lr }
 func (a *Adagrad) Accum() [][]float32 { return a.accum }
 
 // SparseSGD applies per-row SGD updates to an embedding table from a
@@ -84,6 +136,10 @@ func (s *SparseSGD) Apply(sg *embedding.SparseGrad) {
 		s.Table.SyncRow(int(ix))
 	})
 }
+
+// SetLR and Accum complete Sparse; SGD keeps no optimizer state.
+func (s *SparseSGD) SetLR(lr float32) { s.LR = lr }
+func (s *SparseSGD) Accum() []float32 { return nil }
 
 // RowWiseAdagrad is the memory-efficient sparse AdaGrad variant used for
 // production embedding tables: one accumulator scalar per row (the mean
@@ -106,9 +162,9 @@ func NewRowWiseAdagrad(table *embedding.Table, lr float32) *RowWiseAdagrad {
 	}
 }
 
-// Accum exposes the per-row mean-squared-gradient accumulator (length
-// HashSize). The slice aliases live optimizer state; internal/ckpt reads
-// it when checkpointing and writes into it on restore.
+// SetLR and Accum complete Sparse; Accum exposes the per-row
+// mean-squared-gradient accumulator (length HashSize).
+func (r *RowWiseAdagrad) SetLR(lr float32) { r.LR = lr }
 func (r *RowWiseAdagrad) Accum() []float32 { return r.accum }
 
 // Apply updates the rows present in sg using the row-wise accumulator,
