@@ -158,7 +158,7 @@ func BenchmarkIngestStep(b *testing.B) {
 	defer pipe.Close()
 	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
 	b.ResetTimer()
-	if _, _, err := tr.TrainFrom(pipe, b.N); err != nil {
+	if _, _, err := TrainFrom(tr, pipe, b.N); err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()

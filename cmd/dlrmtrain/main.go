@@ -8,19 +8,19 @@
 // on-disk dataset (-readers parallel decoders, optional RecD -dedup),
 // printing the pipeline's per-stage meters. -ckpt.dir enables durable
 // sharded checkpoints (full + incremental) every -ckpt.every iterations,
-// -resume restarts from the latest one, and -faults injects collective
-// faults that the elastic hybrid loop survives by rolling back to the
-// last checkpoint and rejoining.
+// -resume continues from the latest one (the synthetic stream reopens at
+// the restored step), and -faults injects collective faults that the run
+// survives by rolling back to the last checkpoint and rejoining. Every
+// mode runs the same loop (internal/train); -mode only picks the trainer.
 //
 //	dlrmtrain -dense 64 -sparse 8 -batch 256 -iters 500 -lr 0.05
 //	dlrmtrain -mode hybrid -ranks 4 -batch 256 -iters 500
 //	dlrmtrain -data file:/tmp/ds -materialize -readers 4 -dedup
 //	dlrmtrain -ckpt.dir /tmp/ck -ckpt.every 100 -iters 200 && dlrmtrain -ckpt.dir /tmp/ck -resume -iters 100
-//	dlrmtrain -mode hybrid -ranks 2 -ckpt.dir /tmp/ck -ckpt.every 50 -faults kill:1@120
+//	dlrmtrain -mode hybrid -ranks 2 -ckpt.dir /tmp/ck2 -ckpt.every 50 -faults kill:1@120
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +40,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/train"
 	"repro/internal/xrand"
 )
 
@@ -53,14 +54,14 @@ func main() {
 // feed is the resolved batch supply: an in-memory generator (with
 // held-out evaluation) or the on-disk ingestion pipeline (with meters).
 type feed struct {
-	src  core.BatchSource
+	open core.SourceFactory
 	gen  *data.Generator  // non-nil in synthetic mode (enables eval)
 	pipe *ingest.Pipeline // non-nil in file mode (enables meters)
 	done func()
 	once sync.Once
 }
 
-// close shuts the feed down exactly once. The runners call it before
+// close shuts the feed down exactly once. runTraining calls it before
 // exporting telemetry — Tracer.Snapshot needs the ingest stage
 // goroutines quiescent — and run's defer covers the error paths.
 func (f *feed) close() {
@@ -95,7 +96,7 @@ func run(args []string, out io.Writer) error {
 	blackbox := fs.String("telemetry.blackbox", "", "arm the flight recorder to dump blackbox-<step>/ bundles into this directory when an online anomaly detector fires")
 	ckptDir := fs.String("ckpt.dir", "", "durable checkpoint directory (enables periodic checkpointing)")
 	ckptEvery := fs.Int("ckpt.every", 100, "iterations between checkpoints when -ckpt.dir is set")
-	resume := fs.Bool("resume", false, "resume from the latest checkpoint in -ckpt.dir before training")
+	resume := fs.Bool("resume", false, "continue from the latest checkpoint in -ckpt.dir: the synthetic stream reopens at the restored step, a file: stream restarts from its beginning")
 	faults := fs.String("faults", "", "collective fault schedule, e.g. kill:1@120,delay:0@40+2ms (hybrid mode, needs -ckpt.dir)")
 	precTables := fs.String("precision.tables", "fp32", "embedding-table storage dtype: fp32, bf16 or fp16 (fp32 masters + split-SGD either way)")
 	precWire := fs.String("precision.wire", "fp32", "collective wire format in hybrid mode: fp32, fp16, bf16 or int8 (per-chunk scaled)")
@@ -150,65 +151,66 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "model: %d dense, %d sparse x %d rows, %s embeddings\n",
 		cfg.DenseFeatures, cfg.NumSparse(), cfg.Sparse[0].HashSize, core.HumanBytes(cfg.EmbeddingBytes()))
 
-	switch *mode {
-	case "single":
-		return runSingle(out, cfg, fd, *batch, *iters, *lr, *seed, tel, co)
-	case "hybrid":
-		if co != nil && co.faults != nil {
-			fd.close()
-			return runHybridElastic(out, cfg, *batch, *iters, *lr, *seed, *ranks, *platform, wire, tel, co)
-		}
-		return runHybrid(out, cfg, fd, *batch, *iters, *lr, *seed, *ranks, *platform, wire, tel, co)
-	default:
-		return fmt.Errorf("dlrmtrain: unknown mode %q (single, hybrid)", *mode)
-	}
+	return runTraining(out, cfg, fd, *mode, *batch, *iters, *lr, *seed, *ranks, *platform, wire, tel, co)
 }
 
 // fullCompactEvery bounds the delta chain: every 8th periodic save is a
 // full compaction, the rest stream only rows touched since the last save.
 const fullCompactEvery = 8
 
-// ckptOpts is the resolved durability configuration of a run.
+// ckptOpts is the resolved durability configuration of a run; the zero
+// value (no -ckpt.dir) trains without checkpoints.
 type ckptOpts struct {
 	store  *ckpt.Store
 	every  int
-	resume bool
 	faults *collective.FaultSchedule
 }
 
-func openCkpt(dir string, every int, resume bool, faults, mode, dataFlag string, tel *telem) (*ckptOpts, error) {
+func openCkpt(dir string, every int, resume bool, faults, mode, dataFlag string, tel *telem) (ckptOpts, error) {
+	var co ckptOpts
 	if dir == "" {
 		if resume {
-			return nil, fmt.Errorf("dlrmtrain: -resume needs -ckpt.dir")
+			return co, fmt.Errorf("dlrmtrain: -resume needs -ckpt.dir")
 		}
 		if faults != "" {
-			return nil, fmt.Errorf("dlrmtrain: -faults needs -ckpt.dir to recover into")
+			return co, fmt.Errorf("dlrmtrain: -faults needs -ckpt.dir to recover into")
 		}
-		return nil, nil
+		return co, nil
 	}
 	if every <= 0 {
-		return nil, fmt.Errorf("dlrmtrain: -ckpt.every must be positive, got %d", every)
+		return co, fmt.Errorf("dlrmtrain: -ckpt.every must be positive, got %d", every)
 	}
-	var store *ckpt.Store
 	var err error
 	if tel != nil {
-		store, err = ckpt.OpenStoreWith(dir, tel.reg, tel.tracer, tel.ckptShard)
+		co.store, err = ckpt.OpenStoreWith(dir, tel.reg, tel.tracer, tel.ckptShard)
 	} else {
-		store, err = ckpt.OpenStore(dir)
+		co.store, err = ckpt.OpenStore(dir)
 	}
 	if err != nil {
-		return nil, err
+		return co, err
 	}
-	co := &ckptOpts{store: store, every: every, resume: resume}
+	co.every = every
+	// The run loop resumes whatever the store holds; without -resume that
+	// must be nothing, or a cold start's deltas would chain onto another
+	// run's checkpoints.
+	if !resume {
+		name, _, err := co.store.Latest()
+		if err != nil {
+			return co, err
+		}
+		if name != "" {
+			return co, fmt.Errorf("dlrmtrain: %s already holds %s: pass -resume to continue that run, or use an empty -ckpt.dir", dir, name)
+		}
+	}
 	if faults != "" {
 		if mode != "hybrid" {
-			return nil, fmt.Errorf("dlrmtrain: -faults needs -mode=hybrid (single mode has no collectives)")
+			return co, fmt.Errorf("dlrmtrain: -faults needs -mode=hybrid (single mode has no collectives)")
 		}
 		if dataFlag != "synthetic" {
-			return nil, fmt.Errorf("dlrmtrain: -faults needs -data=synthetic (recovery replays the batch stream)")
+			return co, fmt.Errorf("dlrmtrain: -faults needs -data=synthetic (recovery replays the batch stream)")
 		}
 		if co.faults, err = collective.ParseFaultSchedule(faults); err != nil {
-			return nil, err
+			return co, err
 		}
 	}
 	return co, nil
@@ -350,8 +352,12 @@ func (t *telem) finish(out io.Writer, predicted map[telemetry.Phase]float64) err
 func openFeed(out io.Writer, cfg core.Config, dataFlag string, batch, readers int, dedup, materialize bool, seed int64, tel *telem) (*feed, core.Config, error) {
 	switch {
 	case dataFlag == "synthetic":
-		gen := data.NewGenerator(cfg, seed+1, data.DefaultOptions())
-		return &feed{src: gen.NewSource(batch), gen: gen, done: func() {}}, cfg, nil
+		// The stream is positionable: every (re)start of the run loop
+		// reopens it at the trainer's step. gen only forks the eval sets.
+		return &feed{
+			open: data.ReplaySource(cfg, seed+1, data.DefaultOptions(), batch),
+			gen:  data.NewGenerator(cfg, seed+1, data.DefaultOptions()),
+		}, cfg, nil
 
 	case strings.HasPrefix(dataFlag, "file:"):
 		dir := strings.TrimPrefix(dataFlag, "file:")
@@ -394,7 +400,10 @@ func openFeed(out io.Writer, cfg core.Config, dataFlag string, batch, readers in
 		}
 		fmt.Fprintf(out, "ingest: %s (%d examples, %d shards, %s), %d readers, dedup=%v\n",
 			dir, ds.Examples(), len(ds.Manifest.Shards), core.HumanBytes(ds.Bytes()), readers, dedup)
-		return &feed{src: p, pipe: p, done: func() { p.Close(); ds.Close() }}, fileCfg, nil
+		// Shuffled across parallel readers, the file stream cannot seek:
+		// a resumed run reads it from the beginning.
+		open := func(int) (core.BatchSource, func(), error) { return p, func() {}, nil }
+		return &feed{open: open, pipe: p, done: func() { p.Close(); ds.Close() }}, fileCfg, nil
 
 	default:
 		return nil, cfg, fmt.Errorf("dlrmtrain: unknown -data %q (synthetic, file:<dir>)", dataFlag)
@@ -409,204 +418,146 @@ func progressIters(iters int) int {
 	return 100
 }
 
-// resumeLine reports a restore attempt: resumed, cold start, or error.
-func resumeLine(out io.Writer, info ckpt.RestoreInfo, err error) error {
-	switch {
-	case err == nil:
-		fmt.Fprintf(out, "checkpoint: resumed %s\n", info)
-	case errors.Is(err, ckpt.ErrNoCheckpoint):
-		fmt.Fprintln(out, "checkpoint: store empty, cold start")
+// runTraining drives one run through train.Run. -mode picks the build
+// closure and the mode-specific report lines; the loop — positioned
+// stream, resume or cold start, checkpoint cadence, and with -faults the
+// rollback and replay that keep the loss curve bit-identical to an
+// uninterrupted run — is the same for every trainer.
+func runTraining(out io.Writer, cfg core.Config, fd *feed, mode string, batch, iters int, lr float64, seed int64, ranks int, platform string, wire collective.WireFormat, tel *telem, co ckptOpts) error {
+	rc := train.Config{
+		Source: fd.open, Steps: iters,
+		Store: co.store, CkptEvery: co.every, FullEvery: fullCompactEvery, Faults: co.faults,
+		Logf: func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) },
+	}
+	if tel != nil {
+		rc.Recorder = tel.rec
+	}
+	var (
+		evalModel func() *core.Model
+		ht        *hybrid.Trainer
+		predicted map[telemetry.Phase]float64
+	)
+	switch mode {
+	case "single":
+		rc.Build = func() (train.Stepper, error) {
+			m := core.NewModel(cfg, xrand.New(seed))
+			tr := core.NewTrainer(m, core.TrainerConfig{Optimizer: core.OptAdagrad, LR: lr})
+			if tel != nil {
+				tr.SetTrace(tel.tracer, 0)
+				tr.SetRecorder(tel.rec)
+			}
+			evalModel = func() *core.Model { return m }
+			return tr, nil
+		}
+	case "hybrid":
+		p, err := hw.ByName(platform)
+		if err != nil {
+			return err
+		}
+		link := collective.LinkFor(p)
+		// One registry for the whole run, so the step counters and
+		// collective meters accumulate across recovery rebuilds.
+		hc := hybrid.Config{
+			Ranks: ranks, LR: lr, Seed: seed, Overlap: ranks > 1, Link: link,
+			WireA2A: wire, WireAllReduce: wire, Registry: telemetry.NewRegistry(),
+		}
+		if tel != nil {
+			hc.Registry, hc.Trace, hc.TraceShard = tel.reg, tel.tracer, 0
+			hc.Recorder = tel.rec
+		}
+		fmt.Fprintf(out, "hybrid: %d ranks, link %s, all-reduce overlapped=%v, wire %s\n",
+			ranks, link.Name, ranks > 1, wire)
+		if co.faults != nil {
+			fmt.Fprintf(out, "hybrid: elastic (%d scheduled faults, checkpoint every %d iters)\n",
+				co.faults.Len(), co.every)
+		}
+		rc.Build = func() (train.Stepper, error) {
+			if ht != nil {
+				ht.Close() // an aborted world cannot rendezvous again
+			}
+			var err error
+			if ht, err = hybrid.New(cfg, hc); err != nil {
+				return nil, err
+			}
+			ht.SetFaults(co.faults)
+			evalModel = ht.EvalModel
+			return ht, nil
+		}
+		defer func() {
+			if ht != nil {
+				ht.Close()
+			}
+		}()
+		predicted = predictedPhases(cfg, p, batch)
 	default:
-		return err
-	}
-	return nil
-}
-
-func runSingle(out io.Writer, cfg core.Config, fd *feed, batch, iters int, lr float64, seed int64, tel *telem, co *ckptOpts) error {
-	m := core.NewModel(cfg, xrand.New(seed))
-	tr := core.NewTrainer(m, core.TrainerConfig{Optimizer: core.OptAdagrad, LR: lr})
-	if tel != nil {
-		tr.SetTrace(tel.tracer, 0)
-		tr.SetRecorder(tel.rec)
-	}
-	if co != nil && co.resume {
-		info, err := tr.RestoreCheckpoint(co.store)
-		if err := resumeLine(out, info, err); err != nil {
-			return err
-		}
+		return fmt.Errorf("dlrmtrain: unknown mode %q (single, hybrid)", mode)
 	}
 
-	start := time.Now()
-	trained := 0
-	for trained < iters {
-		chunk := min(progressIters(iters), iters-trained)
-		if co != nil {
-			chunk = min(chunk, co.every-tr.Iter()%co.every)
-		}
-		loss, steps, err := tr.TrainFrom(fd.src, chunk)
-		if err != nil {
-			return err
-		}
-		trained += steps
-		if steps == 0 {
-			break // finite dataset exhausted
-		}
-		if co != nil && tr.Iter()%co.every == 0 {
-			info, err := tr.SaveCheckpoint(co.store, fullCompactEvery)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "checkpoint: saved %s\n", info)
+	// Progress lines average the steps since the last one; they fall
+	// every progressIters steps, at every checkpoint, and at the end.
+	var sum float64
+	n, first, trained := 0, -1, 0
+	report := func() {
+		if n == 0 {
+			return
 		}
 		if fd.gen != nil {
-			eval := core.Evaluate(m, fd.gen.Fork(999).EvalSet(4, 256))
-			fmt.Fprintf(out, "iter %5d  loss %.4f  NE %.4f  acc %.4f\n", trained, loss, eval.NE, eval.Accuracy)
+			eval := core.Evaluate(evalModel(), fd.gen.Fork(999).EvalSet(4, 256))
+			fmt.Fprintf(out, "iter %5d  loss %.4f  NE %.4f  acc %.4f\n", trained, sum/float64(n), eval.NE, eval.Accuracy)
 		} else {
-			fmt.Fprintf(out, "iter %5d  loss %.4f\n", trained, loss)
+			fmt.Fprintf(out, "iter %5d  loss %.4f\n", trained, sum/float64(n))
 		}
 		tel.dashboard(out)
+		sum, n = 0, 0
 	}
-	reportThroughput(out, trained, batch, time.Since(start))
-	reportIngest(out, fd)
-	fd.close() // quiesce ingest goroutines before snapshotting the trace
-	return tel.finish(out, nil)
-}
+	rc.OnStep = func(step int, loss float64) {
+		if first < 0 {
+			first = step
+		}
+		if step < first+trained {
+			sum, n = 0, 0 // rolled back: the open chunk's steps are being replayed
+		}
+		sum += loss
+		n++
+		trained = step + 1 - first
+		if n == progressIters(iters) || trained == iters || (co.store != nil && (step+1)%co.every == 0) {
+			report()
+		}
+	}
 
-func runHybrid(out io.Writer, cfg core.Config, fd *feed, batch, iters int, lr float64, seed int64, ranks int, platform string, wire collective.WireFormat, tel *telem, co *ckptOpts) error {
-	p, err := hw.ByName(platform)
+	res, err := train.Run(rc)
 	if err != nil {
 		return err
 	}
-	link := collective.LinkFor(p)
-	hc := hybrid.Config{
-		Ranks: ranks, LR: lr, Seed: seed, Overlap: ranks > 1, Link: link,
-		WireA2A: wire, WireAllReduce: wire,
-	}
-	if tel != nil {
-		hc.Registry, hc.Trace, hc.TraceShard = tel.reg, tel.tracer, 0
-		hc.Recorder = tel.rec
-	}
-	ht, err := hybrid.New(cfg, hc)
-	if err != nil {
-		return err
-	}
-	defer ht.Close()
-	fmt.Fprintf(out, "hybrid: %d ranks, link %s, all-reduce overlapped=%v, wire %s\n",
-		ranks, link.Name, ranks > 1, wire)
-	if co != nil && co.resume {
-		info, err := ht.RestoreCheckpoint(co.store)
-		if err := resumeLine(out, info, err); err != nil {
-			return err
-		}
-	}
-
-	var bd hybrid.StepBreakdown
-	start := time.Now()
-	trained := 0
-	for trained < iters {
-		chunk := min(progressIters(iters), iters-trained)
-		if co != nil {
-			chunk = min(chunk, co.every-ht.Iter()%co.every)
-		}
-		loss, part, steps, err := ht.TrainFrom(fd.src, chunk)
-		if err != nil {
-			return err
-		}
-		trained += steps
-		bd.Compute += part.Compute
-		bd.AllToAll += part.AllToAll
-		bd.AllReduce += part.AllReduce
-		bd.Exposed += part.Exposed
-		bd.Step += part.Step
-		if steps == 0 {
-			break
-		}
-		if co != nil && ht.Iter()%co.every == 0 {
-			info, err := ht.SaveCheckpoint(co.store, fullCompactEvery)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "checkpoint: saved %s\n", info)
-		}
-		if fd.gen != nil {
-			eval := core.Evaluate(ht.EvalModel(), fd.gen.Fork(999).EvalSet(4, 256))
-			fmt.Fprintf(out, "iter %5d  loss %.4f  NE %.4f  acc %.4f\n", trained, loss, eval.NE, eval.Accuracy)
-		} else {
-			fmt.Fprintf(out, "iter %5d  loss %.4f\n", trained, loss)
-		}
-		tel.dashboard(out)
-	}
-	reportThroughput(out, trained, batch, time.Since(start))
+	report() // a finite dataset can end mid-chunk
+	reportThroughput(out, res.Steps, batch, res.Wall)
 	reportIngest(out, fd)
-
-	if bd.Step > 0 {
-		fmt.Fprintf(out, "step breakdown: compute %.0f%%  all-to-all %.0f%%  all-reduce %.0f%%  exposed comm %.0f%%\n",
-			100*bd.Compute/bd.Step, 100*bd.AllToAll/bd.Step, 100*bd.AllReduce/bd.Step, 100*bd.Exposed/bd.Step)
+	if ht != nil {
+		// Cumulative breakdown, replays included: the trainer's own
+		// registry counters and collective meters.
+		reg := ht.Registry()
+		ns := func(name string) float64 { return float64(reg.Counter("hybrid/" + name + "_ns").Load()) }
+		if step := ns("step"); step > 0 {
+			fmt.Fprintf(out, "step breakdown: compute %.0f%%  all-to-all %.0f%%  all-reduce %.0f%%  exposed comm %.0f%%\n",
+				100*ns("compute")/step, 100*ns("a2a")/step, 100*ns("ar")/step, 100*ns("exposed")/step)
+		}
+		if stepped := reg.Counter("hybrid/steps").Load(); stepped > 0 {
+			st := ht.CollectiveStats()
+			bpe := wire.BytesPerElem()
+			fmt.Fprintf(out, "collectives: all-to-all %s/iter (analytic %s), all-reduce %s/iter (analytic %s)\n",
+				core.HumanBytes(st.AllToAll.Bytes/stepped),
+				core.HumanBytes(int64(perfmodel.HybridAllToAllBytesWire(cfg, batch, ranks, bpe))),
+				core.HumanBytes(st.AllReduce.Bytes/stepped),
+				core.HumanBytes(int64(perfmodel.HybridAllReduceBytesWire(cfg, ranks, bpe))))
+		}
 	}
-	if trained > 0 {
-		st := ht.CollectiveStats()
-		bpe := wire.BytesPerElem()
-		fmt.Fprintf(out, "collectives: all-to-all %s/iter (analytic %s), all-reduce %s/iter (analytic %s)\n",
-			core.HumanBytes(st.AllToAll.Bytes/int64(trained)),
-			core.HumanBytes(int64(perfmodel.HybridAllToAllBytesWire(cfg, batch, ranks, bpe))),
-			core.HumanBytes(st.AllReduce.Bytes/int64(trained)),
-			core.HumanBytes(int64(perfmodel.HybridAllReduceBytesWire(cfg, ranks, bpe))))
+	if co.faults != nil {
+		fmt.Fprintf(out, "elastic: %d steps, %d recoveries (%v rebuild+restore, %s restored), %d checkpoints\n",
+			res.Steps, res.Recoveries, res.RecoveryWall.Round(time.Millisecond),
+			core.HumanBytes(res.BytesRestored), res.Saves)
 	}
 	fd.close() // quiesce ingest goroutines before snapshotting the trace
-	return tel.finish(out, predictedPhases(cfg, p, batch))
-}
-
-// runHybridElastic drives the fault-tolerant elastic loop: faults from
-// -faults strike mid-run, training rolls back to the last durable
-// checkpoint in -ckpt.dir, the world rebuilds, and the deterministic
-// synthetic stream replays — so the final loss curve matches an
-// uninterrupted run bit-for-bit.
-func runHybridElastic(out io.Writer, cfg core.Config, batch, iters int, lr float64, seed int64, ranks int, platform string, wire collective.WireFormat, tel *telem, co *ckptOpts) error {
-	p, err := hw.ByName(platform)
-	if err != nil {
-		return err
-	}
-	link := collective.LinkFor(p)
-	fmt.Fprintf(out, "hybrid: %d ranks, link %s, elastic (%d scheduled faults, checkpoint every %d iters)\n",
-		ranks, link.Name, co.faults.Len(), co.every)
-	hc := hybrid.Config{Ranks: ranks, LR: lr, Seed: seed, Overlap: ranks > 1, Link: link,
-		WireA2A: wire, WireAllReduce: wire}
-	var rec *telemetry.FlightRecorder
-	if tel != nil {
-		hc.Registry, hc.Trace, hc.TraceShard = tel.reg, tel.tracer, 0
-		rec = tel.rec
-	}
-	res, err := hybrid.RunElastic(hybrid.ElasticConfig{
-		Cfg:       cfg,
-		HC:        hc,
-		Recorder:  rec,
-		Store:     co.store,
-		CkptEvery: co.every,
-		FullEvery: fullCompactEvery,
-		Steps:     iters,
-		Source: func(skip int) (core.BatchSource, func(), error) {
-			// Same seed as openFeed's synthetic generator: recovery
-			// fast-forwards the replayed stream past the restored step.
-			gen := data.NewGenerator(cfg, seed+1, data.DefaultOptions())
-			for i := 0; i < skip; i++ {
-				gen.NextBatch(batch)
-			}
-			return gen.NewSource(batch), func() {}, nil
-		},
-		Faults: co.faults,
-		Logf:   func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) },
-	})
-	if err != nil {
-		return err
-	}
-	var last float64
-	if res.Steps > 0 {
-		last = res.Losses[res.Steps-1]
-	}
-	fmt.Fprintf(out, "elastic: %d steps, final loss %.4f, %d recoveries (%v rebuild+restore, %s restored), %d checkpoints\n",
-		res.Steps, last, res.Recoveries, res.RecoveryWall.Round(time.Millisecond),
-		core.HumanBytes(res.BytesRestored), res.Saves)
-	return tel.finish(out, predictedPhases(cfg, p, batch))
+	return tel.finish(out, predicted)
 }
 
 // predictedPhases estimates the analytic per-phase step time for the

@@ -193,6 +193,49 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
+// lastProgress returns the loss and NE fields of the run's last progress
+// line ("iter N  loss L  NE E  acc A").
+func lastProgress(t *testing.T, out string) string {
+	t.Helper()
+	last := ""
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 8 && f[0] == "iter" {
+			last = f[3] + " " + f[5]
+		}
+	}
+	if last == "" {
+		t.Fatalf("no progress line in:\n%s", out)
+	}
+	return last
+}
+
+// TestResumeContinuesTheStream pins what -resume promises: 20 iterations,
+// then 10 resumed, end on the loss and NE of one uninterrupted 30 — which
+// takes the restored state and the batch stream reopened at step 20, not
+// at batch 0.
+func TestResumeContinuesTheStream(t *testing.T) {
+	for _, mode := range [][]string{{"-mode", "single"}, {"-mode", "hybrid", "-ranks", "2"}} {
+		t.Run(mode[1], func(t *testing.T) {
+			dlrmtrain := func(dir string, extra ...string) string {
+				t.Helper()
+				args := append([]string{"-dense", "8", "-sparse", "4", "-hash", "200", "-dim", "8",
+					"-batch", "32", "-ckpt.dir", dir, "-ckpt.every", "10"}, mode...)
+				var out strings.Builder
+				if err := run(append(args, extra...), &out); err != nil {
+					t.Fatal(err)
+				}
+				return out.String()
+			}
+			split := t.TempDir()
+			dlrmtrain(split, "-iters", "20")
+			resumed := lastProgress(t, dlrmtrain(split, "-resume", "-iters", "10"))
+			if whole := lastProgress(t, dlrmtrain(t.TempDir(), "-iters", "30")); resumed != whole {
+				t.Errorf("resumed run ends on loss/NE %s, uninterrupted run on %s", resumed, whole)
+			}
+		})
+	}
+}
+
 // TestRunHybridFaults smoke-tests the elastic path: a scheduled rank
 // kill mid-run, recovery from the checkpoint store, and a completed run.
 func TestRunHybridFaults(t *testing.T) {
@@ -228,6 +271,15 @@ func TestRunCkptFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-mode", "hybrid", "-ckpt.dir", t.TempDir(), "-faults", "bogus"}, &out); err == nil {
 		t.Error("malformed -faults accepted")
+	}
+	used := t.TempDir()
+	small := []string{"-dense", "8", "-sparse", "2", "-hash", "100", "-dim", "8", "-batch", "32",
+		"-iters", "10", "-ckpt.dir", used, "-ckpt.every", "10"}
+	if err := run(small, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(small, &out); err == nil || !strings.Contains(err.Error(), "-resume") {
+		t.Errorf("cold start onto a used store = %v, want a refusal naming -resume", err)
 	}
 }
 

@@ -31,13 +31,7 @@ func main() {
 	// The replayable stream: recovery calls this with the rolled-back
 	// step count and expects the exact same batches a fresh run would
 	// see — seek, not re-sample.
-	source := func(skip int) (recsim.BatchSource, func(), error) {
-		gen := recsim.NewGenerator(cfg, 7)
-		for i := 0; i < skip; i++ {
-			gen.NextBatch(batch)
-		}
-		return gen.NewSource(batch), func() {}, nil
-	}
+	source := recsim.ReplaySource(cfg, 7, batch)
 
 	run := func(store *recsim.CheckpointStore, faults *recsim.FaultSchedule) *recsim.ElasticResult {
 		res, err := recsim.RunElastic(recsim.ElasticConfig{

@@ -52,7 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tr := recsim.NewTrainer(recsim.NewModel(cfg, 1), recsim.TrainerConfig{LR: 0.05})
-	loss, steps, err := tr.TrainFrom(pipe, 50)
+	loss, steps, err := recsim.TrainFrom(tr, pipe, 50)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer ht.Close()
-	hLoss, _, hSteps, err := ht.TrainFrom(pipe2, 25)
+	hLoss, hSteps, err := recsim.TrainFrom(ht, pipe2, 25)
 	if err != nil {
 		log.Fatal(err)
 	}

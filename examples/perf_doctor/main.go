@@ -71,7 +71,7 @@ func demo() error {
 			ht.SetFaults(collective.NewFaultSchedule(faults...))
 		}
 		gen := recsim.NewGenerator(cfg, 2)
-		if _, _, _, err := ht.TrainFrom(gen.NewSource(batch), iters); err != nil {
+		if _, _, err := recsim.TrainFrom(ht, gen.NewSource(batch), iters); err != nil {
 			ht.Close()
 			return err
 		}

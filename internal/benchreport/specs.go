@@ -16,6 +16,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/train"
 	"repro/internal/xrand"
 )
 
@@ -318,7 +319,7 @@ func DefaultSpecs(filter string) []Spec {
 					}
 					tr = core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})
 				}
-				if _, _, err := tr.TrainFrom(pipe, iters); err != nil {
+				if _, _, err := train.Span(tr, pipe, iters); err != nil {
 					panic(err)
 				}
 			},

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"io"
-)
-
 // BatchSource supplies training batches to a trainer. Implementations
 // stream from sharded on-disk datasets (internal/ingest) or synthesize in
 // memory (data.GeneratorSource); the interface is the seam at which the
@@ -27,30 +21,11 @@ type BatchSource interface {
 	Recycle(*MiniBatch)
 }
 
-// TrainFrom drives the trainer from a BatchSource for up to iters steps
-// (every step recycles its batch), returning the mean training loss over
-// the steps taken and the step count. A finite source ending early is not
-// an error; the step count just comes up short.
-func (t *Trainer) TrainFrom(src BatchSource, iters int) (meanLoss float64, steps int, err error) {
-	var sum float64
-	for steps < iters {
-		b, err := src.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return meanOf(sum, steps), steps, fmt.Errorf("core: batch source: %w", err)
-		}
-		sum += t.Step(b)
-		src.Recycle(b)
-		steps++
-	}
-	return meanOf(sum, steps), steps, nil
-}
-
-func meanOf(sum float64, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
+// SourceFactory opens the batch stream positioned after its first skip
+// batches, plus a release func. The run loop (internal/train) calls it
+// once per start and once per recovery, never concurrently, with skip =
+// the trainer's step count, so a resumed or rolled-back trainer sees the
+// batches an uninterrupted run would have seen at that step. A stream
+// that cannot seek (a shuffled on-disk dataset) ignores skip and gives up
+// that guarantee; data.ReplaySource is the positionable one.
+type SourceFactory func(skip int) (BatchSource, func(), error)

@@ -68,6 +68,13 @@ func NewTrainer(m *Model, cfg TrainerConfig) *Trainer {
 // Iter returns the number of steps taken.
 func (t *Trainer) Iter() int { return t.iter }
 
+// Ranks is the smallest batch Step accepts: one example.
+func (t *Trainer) Ranks() int { return 1 }
+
+// StepBatch is Step behind the run loop's trainer seam (train.Stepper).
+// A single-process step cannot fail, so the error is always nil.
+func (t *Trainer) StepBatch(b *MiniBatch) (float64, error) { return t.Step(b), nil }
+
 // SetTrace points the trainer (and its model) at a tracer shard. Step
 // then records a PhaseStep envelope plus the interior phase spans —
 // lookup, dense fwd/bwd, loss, sparse scatter, optimizer — all from the

@@ -292,6 +292,22 @@ func (s *GeneratorSource) Recycle(mb *core.MiniBatch) {
 	}
 }
 
+// ReplaySource returns the positionable stream of NewGenerator(cfg, seed,
+// opts) in batches of batchSize: every call builds a fresh generator and
+// discards the first skip batches, which is what a production loader does
+// on resume — seek, not re-sample. The run loop replays a rolled-back
+// trainer through it.
+func ReplaySource(cfg core.Config, seed int64, opts GeneratorOptions, batchSize int) core.SourceFactory {
+	return func(skip int) (core.BatchSource, func(), error) {
+		src := NewGenerator(cfg, seed, opts).NewSource(batchSize)
+		for i := 0; i < skip; i++ {
+			mb, _ := src.NextBatch() // a GeneratorSource never fails
+			src.Recycle(mb)
+		}
+		return src, func() {}, nil
+	}
+}
+
 // Reader streams batches through a bounded channel from a dedicated
 // goroutine, mirroring the decoupled reader tier of the production
 // pipeline. Close stops the producer.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
+	"repro/internal/train"
 )
 
 // elasticRecovery measures the fault-tolerance subsystem end to end: for
@@ -35,7 +36,7 @@ func elasticRecovery(opt Options) (Result, error) {
 		steps, ckptEvery, killAt, batch = 24, 6, 15, 32
 	}
 
-	run := func(ranks int, faults string) (*hybrid.ElasticResult, error) {
+	run := func(ranks int, faults string) (*train.Result, error) {
 		dir, err := os.MkdirTemp("", "elastic-recovery-*")
 		if err != nil {
 			return nil, err
@@ -56,14 +57,8 @@ func elasticRecovery(opt Options) (Result, error) {
 			CkptEvery: ckptEvery,
 			FullEvery: 2, // exercise the delta chain + compaction on every run
 			Steps:     steps,
-			Source: func(skip int) (core.BatchSource, func(), error) {
-				gen := data.NewGenerator(cfg, opt.Seed+2, data.DefaultOptions())
-				for i := 0; i < skip; i++ {
-					gen.NextBatch(batch)
-				}
-				return gen.NewSource(batch), func() {}, nil
-			},
-			Faults: fs,
+			Source:    data.ReplaySource(cfg, opt.Seed+2, data.DefaultOptions(), batch),
+			Faults:    fs,
 		})
 	}
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
+	"repro/internal/train"
 	"repro/internal/xrand"
 )
 
@@ -84,7 +85,7 @@ func frBundleAt(dir string, step int64) bool {
 // fires, localizes the incident to within ±1 step, and leaves a
 // complete blackbox-<step>/ bundle behind. The loss-spike run at one
 // rank drives the single-process core.Trainer feed; everything else
-// exercises the hybrid trainer (and, for kills, RunElastic with its
+// exercises the hybrid trainer (and, for kills, the run loop's
 // fault/rebuild/restore marks).
 func flightRecorder(opt Options) (Result, error) {
 	cfg := core.Config{
@@ -174,20 +175,19 @@ func flightRecorder(opt Options) (Result, error) {
 				mb.Labels[0] = float32(math.NaN())
 			}
 		}
+		// One rank drives the single-process core.Trainer feed, more the
+		// hybrid trainer; the run loop's seam steps either.
+		var t train.Stepper
+		closeT := func() {}
 		if ranks == 1 {
 			tr := telemetry.NewTracer(1, 4096)
 			if fr, err = openRec(dir, ranks, tr, reg, stragOff); err != nil {
 				return Result{}, err
 			}
-			m := core.NewModel(cfg, xrand.New(opt.Seed+1))
-			t := core.NewTrainer(m, core.TrainerConfig{LR: 0.05})
-			t.SetTrace(tr, 0)
-			t.SetRecorder(fr)
-			for step := 0; step < iters; step++ {
-				mb := gen.NextBatch(batch)
-				corrupt(step, mb)
-				t.Step(mb)
-			}
+			ct := core.NewTrainer(core.NewModel(cfg, xrand.New(opt.Seed+1)), core.TrainerConfig{LR: 0.05})
+			ct.SetTrace(tr, 0)
+			ct.SetRecorder(fr)
+			t = ct
 		} else {
 			hc := hybrid.Config{
 				Ranks: ranks, LR: 0.05, Seed: opt.Seed + 1, Overlap: true,
@@ -202,16 +202,17 @@ func flightRecorder(opt Options) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			for step := 0; step < iters; step++ {
-				mb := gen.NextBatch(batch)
-				corrupt(step, mb)
-				if _, _, err := ht.Step(mb); err != nil {
-					ht.Close()
-					return Result{}, err
-				}
-			}
-			ht.Close()
+			t, closeT = ht, ht.Close
 		}
+		for step := 0; step < iters; step++ {
+			mb := gen.NextBatch(batch)
+			corrupt(step, mb)
+			if _, err := t.StepBatch(mb); err != nil {
+				closeT()
+				return Result{}, err
+			}
+		}
+		closeT()
 		outcomes = append(outcomes,
 			frOutcome{ranks: ranks, scenario: "loss spike", injected: int64(spikeAt),
 				detected: frDetected(fr, telemetry.AnomalyLossSpike, int64(spikeAt)),
@@ -276,6 +277,7 @@ func flightRecorder(opt Options) (Result, error) {
 		if fr, err = openRec(dir, ranks, ehc.Trace, reg, stragOff); err != nil {
 			return Result{}, err
 		}
+		ehc.Recorder = fr
 		fs, err := collective.ParseFaultSchedule(fmt.Sprintf("kill:%d@%d", ranks-1, killAt))
 		if err != nil {
 			return Result{}, err
@@ -283,15 +285,8 @@ func flightRecorder(opt Options) (Result, error) {
 		if _, err := hybrid.RunElastic(hybrid.ElasticConfig{
 			Cfg: cfg, HC: ehc, Store: store,
 			CkptEvery: ckptEvery, FullEvery: 2, Steps: elasticSteps,
-			Source: func(skip int) (core.BatchSource, func(), error) {
-				g := data.NewGenerator(cfg, opt.Seed+4, data.DefaultOptions())
-				for i := 0; i < skip; i++ {
-					g.NextBatch(batch)
-				}
-				return g.NewSource(batch), func() {}, nil
-			},
-			Faults:   fs,
-			Recorder: fr,
+			Source: data.ReplaySource(cfg, opt.Seed+4, data.DefaultOptions(), batch),
+			Faults: fs,
 		}); err != nil {
 			return Result{}, err
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
+	"repro/internal/train"
 	"repro/internal/xrand"
 )
 
@@ -60,14 +61,14 @@ func ingestScaling(opt Options) (Result, error) {
 	trainFrom := func(src core.BatchSource, afterWarm func()) (float64, error) {
 		m := core.NewModel(cfg, xrand.New(opt.Seed+2))
 		tr := core.NewTrainer(m, core.TrainerConfig{LR: 0.05})
-		if _, _, err := tr.TrainFrom(src, 5); err != nil { // warm arenas
+		if _, _, err := train.Span(tr, src, 5); err != nil { // warm arenas
 			return 0, err
 		}
 		if afterWarm != nil {
 			afterWarm()
 		}
 		t0 := time.Now()
-		_, steps, err := tr.TrainFrom(src, iters)
+		_, steps, err := train.Span(tr, src, iters)
 		if err != nil {
 			return 0, err
 		}
@@ -95,7 +96,7 @@ func ingestScaling(opt Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		exs, err := trainFrom(p, p.ResetMeters)
+		exs, err := trainFrom(p, p.Registry().Reset)
 		p.Close()
 		if err != nil {
 			return Result{}, err
@@ -136,7 +137,7 @@ func ingestScaling(opt Options) (Result, error) {
 		hp.Close()
 		return Result{}, err
 	}
-	hLoss, _, hSteps, err := ht.TrainFrom(hp, iters/2)
+	hLoss, hSteps, err := train.Span(ht, hp, iters/2)
 	ht.Close()
 	hp.Close()
 	if err != nil {

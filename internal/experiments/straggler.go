@@ -15,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/train"
 )
 
 // recordingSource passes batches through while recording their sparse
@@ -120,7 +121,7 @@ func stragglerAnalysis(opt Options) (Result, error) {
 				ht.Close()
 				return Result{}, err
 			}
-			_, _, _, err = ht.TrainFrom(warm, 3)
+			_, _, err = train.Span(ht, warm, 3)
 			warm.Close()
 			if err != nil {
 				ht.Close()
@@ -147,7 +148,7 @@ func stragglerAnalysis(opt Options) (Result, error) {
 				ht.Close()
 				return Result{}, err
 			}
-			_, _, _, err = ht.TrainFrom(recordingSource{p, col}, iters)
+			_, _, err = train.Span(ht, recordingSource{p, col}, iters)
 			ht.Close()
 			p.Close()
 			if err != nil {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/telemetry"
+	"repro/internal/train"
 )
 
 // telemetryAttribution runs the hybrid trainer from a real on-disk
@@ -108,7 +109,7 @@ func telemetryAttribution(opt Options) (Result, error) {
 			ht.Close()
 			return Result{}, err
 		}
-		_, _, _, err = ht.TrainFrom(warm, 3)
+		_, _, err = train.Span(ht, warm, 3)
 		warm.Close()
 		if err != nil {
 			ht.Close()
@@ -121,7 +122,7 @@ func telemetryAttribution(opt Options) (Result, error) {
 			ht.Close()
 			return Result{}, err
 		}
-		_, _, steps, err := ht.TrainFrom(p, iters)
+		_, steps, err := train.Span(ht, p, iters)
 		ht.Close()
 		p.Close()
 		if err != nil {

@@ -1,28 +1,21 @@
 package hybrid
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/telemetry"
+	"repro/internal/train"
 )
-
-// SourceFactory returns a batch source positioned after the first skip
-// batches of the stream, plus a release func. Elastic training uses it
-// to replay the exact batch sequence from a rolled-back step: the
-// factory recreates the deterministic stream (same seed, same order) and
-// fast-forwards. It is called once per (re)start, never concurrently.
-type SourceFactory func(skip int) (core.BatchSource, func(), error)
 
 // ElasticConfig drives RunElastic.
 type ElasticConfig struct {
 	Cfg core.Config
-	HC  Config
+	// HC configures every (re)built trainer. HC.Recorder, when set, spans
+	// recoveries and also receives the fault finding and the
+	// "rebuild"/"restore" marks.
+	HC Config
 
 	// Store is the durable checkpoint store (required).
 	Store *ckpt.Store
@@ -32,178 +25,55 @@ type ElasticConfig struct {
 	// FullEvery bounds the delta chain: every FullEvery-th save is a
 	// full compaction (0: always full).
 	FullEvery int
-	// Steps is the target step count.
+	// Steps is how many steps to run past the store's latest checkpoint
+	// (or past the seed, for an empty store).
 	Steps int
 	// Source produces the replayable batch stream (required).
-	Source SourceFactory
+	Source core.SourceFactory
 	// Faults, when non-nil, is armed on every (re)built world. Fired
 	// entries persist across rebuilds, so recovery replays clean.
 	Faults *collective.FaultSchedule
 	// Logf, when non-nil, receives progress lines (kills, restores).
 	Logf func(format string, args ...any)
-	// Recorder, when non-nil, is attached to every (re)built trainer
-	// (overriding HC.Recorder) so the per-step time-series spans
-	// recoveries, and receives the fault as an AnomalyRankFault finding
-	// plus "rebuild"/"restore" marks — the annotated events a black-box
-	// bundle localizes a kill with.
-	Recorder *telemetry.FlightRecorder
 }
 
-// ElasticResult reports an elastic run: the full loss curve (one entry
-// per step, replayed entries overwritten — the curve a monitoring system
-// would keep), and the cost of every recovery.
-type ElasticResult struct {
-	Losses     []float64
-	Steps      int
-	Recoveries int
-	// RecoveryWall is the total wall time spent between detecting a
-	// fault and having a restored, stepping trainer again.
-	RecoveryWall time.Duration
-	// BytesRestored totals the verified checkpoint bytes recovery read.
-	BytesRestored int64
-	// Saves counts checkpoints written; LastRoot is the final manifest
-	// Merkle root ("" when no checkpoint was written).
-	Saves    int
-	LastRoot string
-}
-
-func (ec *ElasticConfig) logf(format string, args ...any) {
-	if ec.Logf != nil {
-		ec.Logf(format, args...)
-	}
-}
-
-// RunElastic trains for ec.Steps synchronous steps with durable
-// checkpoints and fault-tolerant recovery: when a step dies on an
-// injected (or real) collective abort, the trainer is torn down, a fresh
-// world is built, state rolls back to the last durable checkpoint, the
-// batch stream is replayed from that step, and training continues. With
-// a deterministic source the recovered loss curve is bit-identical to an
-// uninterrupted run — the property the elastic_recovery experiment and
-// the kill/restore tests pin.
-//
-// A fault striking before the first checkpoint restarts training from
-// scratch (same seed), which preserves the bit-identity property at the
-// cost of replaying the whole prefix.
-func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
+// RunElastic is train.Run over hybrid trainers with a required store:
+// ec.Steps synchronous steps with durable checkpoints and fault-tolerant
+// recovery. When a step dies on an injected (or real) collective abort,
+// the world is torn down, a fresh one is built, state rolls back to the
+// last durable checkpoint, the batch stream is replayed from that step,
+// and training continues. With a deterministic source the recovered loss
+// curve is bit-identical to an uninterrupted run — the property the
+// elastic_recovery experiment and the kill/restore tests pin.
+func RunElastic(ec ElasticConfig) (*train.Result, error) {
 	if ec.Store == nil {
 		return nil, fmt.Errorf("hybrid: elastic run needs a checkpoint store")
 	}
-	if ec.Source == nil {
-		return nil, fmt.Errorf("hybrid: elastic run needs a batch source factory")
-	}
-	res := &ElasticResult{Losses: make([]float64, ec.Steps)}
-
-	// Build, preferring a resume over a cold start.
-	if ec.Recorder != nil {
-		ec.HC.Recorder = ec.Recorder
-	}
-	build := func() (*Trainer, error) {
-		t, err := New(ec.Cfg, ec.HC)
-		if err != nil {
-			return nil, err
-		}
-		t.SetFaults(ec.Faults)
-		info, err := t.RestoreCheckpoint(ec.Store)
-		switch {
-		case err == nil:
-			res.BytesRestored += info.Bytes
-			ec.logf("hybrid: restored %s at step %d (%d bytes)", info.Name, info.Step, info.Bytes)
-			ec.HC.Recorder.Mark(int64(info.Step), "restore",
-				fmt.Sprintf("rolled back to checkpoint %s (%d bytes)", info.Name, info.Bytes))
-		case errors.Is(err, ckpt.ErrNoCheckpoint):
-			// Cold start from the seed.
-		default:
+	var t *Trainer
+	defer func() {
+		if t != nil {
 			t.Close()
-			return nil, err
 		}
-		return t, nil
-	}
-
-	t, err := build()
-	if err != nil {
-		return nil, err
-	}
-	defer func() { t.Close() }()
-
-	// Recoveries are bounded by the fault schedule: each kill/fail fires
-	// once. The +1 headroom covers an abort without any schedule.
-	maxRecoveries := ec.Faults.Len() + 1
-
-	for {
-		start := t.Iter()
-		src, release, err := ec.Source(start)
-		if err != nil {
-			return res, fmt.Errorf("hybrid: opening batch stream at step %d: %w", start, err)
-		}
-		stepErr, runErr := runSpan(t, ec, res, src)
-		release()
-		if runErr != nil {
-			return res, runErr
-		}
-		if stepErr == nil {
-			return res, nil // reached ec.Steps
-		}
-
-		// Fault detected: roll back to the last durable barrier.
-		res.Recoveries++
-		if res.Recoveries > maxRecoveries {
-			return res, fmt.Errorf("hybrid: giving up after %d recoveries: %w", res.Recoveries-1, stepErr)
-		}
-		ec.logf("hybrid: step %d failed (%v); recovering", t.Iter(), stepErr)
-		faultStep := int64(t.Iter())
-		if re, ok := collective.AsRankError(stepErr); ok {
-			faultStep = int64(re.Step)
-		}
-		ec.HC.Recorder.RecordFault(faultStep, stepErr)
-		rec0 := telemetry.Now()
-		t.Close()
-		t, err = build()
-		if err != nil {
-			return res, fmt.Errorf("hybrid: rebuilding after %v: %w", stepErr, err)
-		}
-		res.RecoveryWall += time.Duration(telemetry.Now() - rec0)
-		ec.HC.Recorder.Mark(int64(t.Iter()), "rebuild",
-			fmt.Sprintf("world rebuilt with %d ranks after %v", t.Ranks(), stepErr))
-		ec.logf("hybrid: rejoined %d ranks at step %d", t.Ranks(), t.Iter())
-	}
-}
-
-// runSpan steps the trainer from its current iter toward ec.Steps,
-// recording losses and periodic checkpoints. It returns (stepErr, nil)
-// when a step aborts, (nil, nil) on reaching the target, and a non-nil
-// second error for unrecoverable problems (source failures, checkpoint
-// IO).
-func runSpan(t *Trainer, ec ElasticConfig, res *ElasticResult, src core.BatchSource) (error, error) {
-	for t.Iter() < ec.Steps {
-		b, err := src.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, nil
+	}()
+	return train.Run(train.Config{
+		Build: func() (train.Stepper, error) {
+			if t != nil {
+				t.Close() // an aborted world cannot rendezvous again
 			}
-			return nil, fmt.Errorf("hybrid: batch source at step %d: %w", t.Iter(), err)
-		}
-		if b.Batch() < t.Ranks() {
-			src.Recycle(b)
-			continue
-		}
-		step := t.Iter()
-		loss, _, stepErr := t.Step(b)
-		src.Recycle(b)
-		if stepErr != nil {
-			return stepErr, nil
-		}
-		res.Losses[step] = loss
-		res.Steps = max(res.Steps, step+1)
-		if ec.CkptEvery > 0 && (step+1)%ec.CkptEvery == 0 {
-			info, err := t.SaveCheckpoint(ec.Store, ec.FullEvery)
-			if err != nil {
-				return nil, fmt.Errorf("hybrid: checkpoint at step %d: %w", step+1, err)
+			var err error
+			if t, err = New(ec.Cfg, ec.HC); err != nil {
+				return nil, err
 			}
-			res.Saves++
-			res.LastRoot = info.Root
-			ec.logf("hybrid: saved %s", info)
-		}
-	}
-	return nil, nil
+			t.SetFaults(ec.Faults)
+			return t, nil
+		},
+		Source:    ec.Source,
+		Steps:     ec.Steps,
+		Store:     ec.Store,
+		CkptEvery: ec.CkptEvery,
+		FullEvery: ec.FullEvery,
+		Faults:    ec.Faults,
+		Logf:      ec.Logf,
+		Recorder:  ec.HC.Recorder,
+	})
 }

@@ -10,27 +10,15 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/train"
 )
 
-// replaySource recreates the deterministic batch stream (same seed and
-// batch size) and fast-forwards past the first skip batches, which is
-// exactly what a production loader does on resume: seek, not re-sample.
-func replaySource(cfg core.Config, batch int) SourceFactory {
-	return func(skip int) (core.BatchSource, func(), error) {
-		gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
-		for i := 0; i < skip; i++ {
-			gen.NextBatch(batch)
-		}
-		return gen.NewSource(batch), func() {}, nil
-	}
-}
-
-func runElastic(t *testing.T, cfg core.Config, ranks, steps, batch int, faults string) *ElasticResult {
+func runElastic(t *testing.T, cfg core.Config, ranks, steps, batch int, faults string) *train.Result {
 	t.Helper()
 	return runElasticOpt(t, cfg, core.OptAdagrad, ranks, steps, batch, faults)
 }
 
-func runElasticOpt(t *testing.T, cfg core.Config, opt core.OptimizerKind, ranks, steps, batch int, faults string) *ElasticResult {
+func runElasticOpt(t *testing.T, cfg core.Config, opt core.OptimizerKind, ranks, steps, batch int, faults string) *train.Result {
 	t.Helper()
 	fs, err := collective.ParseFaultSchedule(faults)
 	if err != nil {
@@ -47,7 +35,7 @@ func runElasticOpt(t *testing.T, cfg core.Config, opt core.OptimizerKind, ranks,
 		CkptEvery: 6,
 		FullEvery: 2,
 		Steps:     steps,
-		Source:    replaySource(cfg, batch),
+		Source:    data.ReplaySource(cfg, 7, data.DefaultOptions(), batch),
 		Faults:    fs,
 		Logf:      t.Logf,
 	})

@@ -29,9 +29,7 @@
 package hybrid
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -441,49 +439,12 @@ func (t *Trainer) observeStep(loss float64, batch int, bd StepBreakdown) {
 // Err returns the error that poisoned the trainer, or nil while healthy.
 func (t *Trainer) Err() error { return t.failed }
 
-// TrainFrom drives the hybrid trainer from a BatchSource for up to iters
-// synchronous steps (every step recycles its batch), returning the mean
-// training loss, the accumulated step breakdown, and the step count. A
-// finite source ending early is not an error; a batch with fewer
-// examples than ranks (a finite stream's partial tail) is recycled and
-// skipped rather than stepped, since a synchronous step needs at least
-// one example per rank.
-func (t *Trainer) TrainFrom(src core.BatchSource, iters int) (meanLoss float64, total StepBreakdown, steps int, err error) {
-	var sum float64
-	for steps < iters {
-		b, err := src.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return 0, total, steps, fmt.Errorf("hybrid: batch source: %w", err)
-		}
-		if b.Batch() < t.HC.Ranks {
-			src.Recycle(b)
-			continue
-		}
-		loss, bd, err := t.Step(b)
-		if err != nil {
-			src.Recycle(b)
-			return 0, total, steps, err
-		}
-		src.Recycle(b)
-		sum += loss
-		total.Compute += bd.Compute
-		total.AllToAll += bd.AllToAll
-		total.AllReduce += bd.AllReduce
-		total.Exposed += bd.Exposed
-		total.Step += bd.Step
-		total.AllToAllBytes += bd.AllToAllBytes
-		total.AllReduceBytes += bd.AllReduceBytes
-		total.ModelAllToAllSec += bd.ModelAllToAllSec
-		total.ModelAllReduceSec += bd.ModelAllReduceSec
-		steps++
-	}
-	if steps > 0 {
-		sum /= float64(steps)
-	}
-	return sum, total, steps, nil
+// StepBatch is Step behind the run loop's trainer seam (train.Stepper):
+// the loss and the abort error, without the per-step breakdown (the
+// "hybrid/…" registry counters keep the cumulative one).
+func (t *Trainer) StepBatch(b *core.MiniBatch) (float64, error) {
+	loss, _, err := t.Step(b)
+	return loss, err
 }
 
 // EvalModel returns a model view over rank 0's dense replica and the full

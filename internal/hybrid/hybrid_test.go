@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/embedding"
+	"repro/internal/train"
 	"repro/internal/xrand"
 )
 
@@ -226,10 +227,10 @@ func (s *tailSource) NextBatch() (*core.MiniBatch, error) {
 
 func (s *tailSource) Recycle(*core.MiniBatch) {}
 
-// TestTrainFromSkipsSubRankTail: a finite stream whose final partial
-// batch is smaller than the rank count must be skipped, not panic the
-// synchronous step.
-func TestTrainFromSkipsSubRankTail(t *testing.T) {
+// TestSpanSkipsSubRankTail: a finite stream whose final partial batch is
+// smaller than the rank count must be skipped, not panic the synchronous
+// step.
+func TestSpanSkipsSubRankTail(t *testing.T) {
 	cfg := testCfg()
 	ht, err := New(cfg, Config{Ranks: 4, Seed: 1, LR: 0.05})
 	if err != nil {
@@ -237,7 +238,7 @@ func TestTrainFromSkipsSubRankTail(t *testing.T) {
 	}
 	defer ht.Close()
 	src := &tailSource{gen: data.NewGenerator(cfg, 7, data.DefaultOptions()), full: 3, tail: 2}
-	loss, _, steps, err := ht.TrainFrom(src, 100)
+	loss, steps, err := train.Span(ht, src, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -607,27 +607,6 @@ func (p *Pipeline) Meters() MeterSnapshot {
 	return m
 }
 
-// ResetMeters zeroes the pipeline's own meters, excluding warm-up (ring
-// fill, first shard reads) from a subsequent measurement window.
-//
-// Deprecated: prefer Registry().Reset(), which opens a fresh window
-// across every subsystem sharing the registry at once. ResetMeters only
-// touches the "ingest/…" instruments.
-func (p *Pipeline) ResetMeters() {
-	p.bytesRead.Reset()
-	p.readNanos.Reset()
-	p.decodeNanos.Reset()
-	p.examplesDecoded.Reset()
-	p.batchesOut.Reset()
-	p.totalIdx.Reset()
-	p.uniqueIdx.Reset()
-	p.starvedNanos.Reset()
-	p.occSum.Reset()
-	p.nextCalls.Reset()
-	p.firstNext.Set(0)
-	p.lastNext.Set(0)
-}
-
 // Close stops every stage goroutine and waits for them to exit. The
 // dataset handle is the caller's to close.
 func (p *Pipeline) Close() {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/ingest"
 	"repro/internal/perfmodel"
+	"repro/internal/train"
 	"repro/internal/xrand"
 )
 
@@ -299,9 +300,9 @@ func TestStarvationMeter(t *testing.T) {
 	}
 }
 
-// TestTrainFromPipeline: both trainers learn from the on-disk stream, and
+// TestSpanFromPipeline: both trainers learn from the on-disk stream, and
 // the dedup path trains identically to the plain path on the same stream.
-func TestTrainFromPipeline(t *testing.T) {
+func TestSpanFromPipeline(t *testing.T) {
 	cfg := pipeCfg()
 	ds := writeDataset(t, cfg, 17, 4, 256)
 
@@ -315,7 +316,7 @@ func TestTrainFromPipeline(t *testing.T) {
 		defer p.Close()
 		m := core.NewModel(cfg, xrand.New(21))
 		tr := core.NewTrainer(m, core.TrainerConfig{LR: 0.05})
-		mean, steps, err := tr.TrainFrom(p, 30)
+		mean, steps, err := train.Span(tr, p, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +334,7 @@ func TestTrainFromPipeline(t *testing.T) {
 		t.Fatalf("degenerate mean loss %v", plain)
 	}
 
-	// Finite stream: TrainFrom stops at EOF without error.
+	// Finite stream: the span stops at EOF without error.
 	p, err := ingest.Open(ds, cfg, ingest.Options{BatchSize: 64, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +342,7 @@ func TestTrainFromPipeline(t *testing.T) {
 	defer p.Close()
 	m := core.NewModel(cfg, xrand.New(22))
 	tr := core.NewTrainer(m, core.TrainerConfig{LR: 0.05})
-	_, steps, err := tr.TrainFrom(p, 1000)
+	_, steps, err := train.Span(tr, p, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +455,7 @@ func TestGeneratorSource(t *testing.T) {
 	}
 	m := core.NewModel(cfg, xrand.New(1))
 	tr := core.NewTrainer(m, core.TrainerConfig{LR: 0.05})
-	if _, steps, err := tr.TrainFrom(src, 5); err != nil || steps != 5 {
-		t.Fatalf("TrainFrom(GeneratorSource): steps=%d err=%v", steps, err)
+	if _, steps, err := train.Span(tr, src, 5); err != nil || steps != 5 {
+		t.Fatalf("Span(GeneratorSource): steps=%d err=%v", steps, err)
 	}
 }

@@ -32,14 +32,6 @@ func (c *Counter) Add(d int64) {
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Reset zeroes the counter — for per-subsystem measurement windows
-// (deprecated ResetMeters shims). Prefer Registry.Reset.
-func (c *Counter) Reset() {
-	if c != nil {
-		c.v.Store(0)
-	}
-}
-
 // Load returns the current value (0 for nil).
 func (c *Counter) Load() int64 {
 	if c == nil {
@@ -247,9 +239,8 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Reset zeroes every counter and gauge (snapshot functions are left
-// alone — they mirror external state). This supersedes the per-subsystem
-// ResetMeters methods: one call opens a fresh measurement window across
-// every absorbed meter.
+// alone — they mirror external state): one call opens a fresh
+// measurement window across every absorbed meter.
 func (r *Registry) Reset() {
 	if r == nil {
 		return

@@ -103,6 +103,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/train"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -184,9 +185,16 @@ type (
 	CollectiveStats = collective.Totals
 	// BatchSource supplies training batches to either trainer — the seam
 	// where the in-memory generator and the on-disk ingestion pipeline
-	// swap under a training loop (Trainer.TrainFrom,
-	// HybridTrainer.TrainFrom).
+	// swap under the run loop (TrainFrom, RunElastic).
 	BatchSource = core.BatchSource
+	// SourceFactory opens a BatchSource positioned after a number of
+	// batches; the run loop reopens the stream through it on every resume
+	// and recovery. ReplaySource builds the positionable synthetic one.
+	SourceFactory = core.SourceFactory
+	// Stepper is the seam both trainers present to the run loop: step one
+	// batch, report the step count and the smallest steppable batch, save
+	// and restore a checkpoint. Trainer and HybridTrainer satisfy it.
+	Stepper = train.Stepper
 	// GeneratorSource is the in-memory BatchSource over a Generator
 	// (Generator.NewSource).
 	GeneratorSource = data.GeneratorSource
@@ -258,9 +266,10 @@ type (
 	// ElasticConfig drives RunElastic: trainer + checkpoint cadence +
 	// replayable batch-stream factory + fault schedule.
 	ElasticConfig = hybrid.ElasticConfig
-	// ElasticResult reports an elastic run: the loss curve, recovery
-	// count, recovery wall time, and verified bytes restored.
-	ElasticResult = hybrid.ElasticResult
+	// ElasticResult reports a run of the run loop: the loss curve, the
+	// step it started from, recovery count, recovery wall time, and
+	// verified bytes restored.
+	ElasticResult = train.Result
 	// Histogram is the fixed-size, zero-allocation log-bucketed latency
 	// histogram behind every phase's quantiles: lock-free concurrent
 	// Record, mergeable across rank shards, ≤3.125% relative quantile
@@ -494,10 +503,27 @@ func ParseFaultSchedule(s string) (*FaultSchedule, error) { return collective.Pa
 // faulted hybrid step.
 func AsRankError(err error) (*RankError, bool) { return collective.AsRankError(err) }
 
+// TrainFrom drives either trainer from a BatchSource for up to n steps
+// (every step recycles its batch) and returns the mean training loss over
+// the steps taken and their count. A finite source ending early is not an
+// error; a batch smaller than t.Ranks() is skipped, not stepped.
+func TrainFrom(t Stepper, src BatchSource, n int) (meanLoss float64, steps int, err error) {
+	return train.Span(t, src, n)
+}
+
+// ReplaySource returns the positionable stream of NewGenerator(cfg,
+// seed) in batches of batchSize: each call regenerates the stream and
+// discards the first skip batches, so a resumed or rolled-back trainer
+// sees the batches an uninterrupted run would have seen.
+func ReplaySource(cfg ModelConfig, seed int64, batchSize int) SourceFactory {
+	return data.ReplaySource(cfg, seed, data.DefaultOptions(), batchSize)
+}
+
 // RunElastic trains with durable checkpoints and fault-tolerant
 // recovery: a rank fault rolls training back to the last checkpoint,
 // rebuilds the world, and replays the deterministic stream — the
-// recovered loss curve is bit-identical to an uninterrupted run.
+// recovered loss curve is bit-identical to an uninterrupted run. A store
+// that already holds a checkpoint is resumed from it.
 func RunElastic(ec ElasticConfig) (*ElasticResult, error) { return hybrid.RunElastic(ec) }
 
 // RestoreHybridTrainer builds a hybrid trainer and loads the latest
@@ -634,7 +660,7 @@ func NewTimeseries(capacity int) *Timeseries { return telemetry.NewTimeseries(ca
 
 // OpenFlightRecorder builds the training flight recorder: a per-step
 // time-series ring fed by Trainer.SetRecorder or
-// HybridConfig.Recorder / ElasticConfig.Recorder, online anomaly
+// HybridConfig.Recorder, online anomaly
 // detectors (EWMA loss z-score, NaN guard, throughput dip, ingest
 // starvation, straggler index, step SLO), and — when cfg.Dir is set —
 // atomic blackbox-<step>/ bundle dumps on every debounced finding.
@@ -687,7 +713,7 @@ func RunExperiment(id string, opt ExperimentOptions) (ExperimentResult, error) {
 }
 
 // Version identifies the reproduction release.
-const Version = "1.9.0"
+const Version = "2.0.0"
 
 // Describe returns a one-line summary of a model config.
 func Describe(cfg ModelConfig) string {

@@ -166,14 +166,8 @@ func TestPublicAPIElasticCheckpoint(t *testing.T) {
 		CkptEvery: 4,
 		FullEvery: 2,
 		Steps:     steps,
-		Source: func(skip int) (BatchSource, func(), error) {
-			gen := NewGenerator(cfg, 7)
-			for i := 0; i < skip; i++ {
-				gen.NextBatch(batch)
-			}
-			return gen.NewSource(batch), func() {}, nil
-		},
-		Faults: faults,
+		Source:    ReplaySource(cfg, 7, batch),
+		Faults:    faults,
 	})
 	if err != nil {
 		t.Fatal(err)
