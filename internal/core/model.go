@@ -97,8 +97,8 @@ type Model struct {
 	dOut    *tensor.Matrix // B×1 logit-gradient column
 
 	// reusable arenas: per-row vector views for the interaction, and the
-	// sparse step with the per-table gradient accumulators and the lookup
-	// scratch — scatter-only until a Trainer installs its own. Together
+	// sparse step with the per-table gradient accumulators and lookup
+	// scratches — scatter-only until a Trainer installs its own. Together
 	// they make steady-state Forward/Backward allocation-free.
 	vecs, dvecs []([]float32)
 	sparse      *SparseStep
@@ -132,7 +132,7 @@ func NewModel(cfg Config, rng *xrand.RNG) *Model {
 // through ForwardPooled/BackwardPooled.
 func AssembleModel(cfg Config, bottom, top *nn.MLP, tables []*embedding.Table) *Model {
 	return &Model{Cfg: cfg, Bottom: bottom, Top: top, Tables: tables,
-		sparse: NewSparseStep(tables, nil, nil, 0)}
+		sparse: newSparseView(tables)}
 }
 
 // ShareWeights returns a model aliasing this model's parameters (MLP
@@ -166,9 +166,7 @@ func (m *Model) Forward(b *MiniBatch) []float32 {
 		}
 	}
 	tok := m.Trace.Begin(telemetry.PhaseEmbLookup)
-	for i := range m.Tables {
-		m.sparse.Lookup(b, i, m.pooled[i])
-	}
+	m.sparse.Lookup(b, m.pooled)
 	m.Trace.End(m.TraceShard, tok)
 	logits := m.ForwardPooled(b.Dense, m.pooled)
 	m.batch = b
@@ -273,11 +271,9 @@ func (m *Model) Backward(dLogits []float32) []*embedding.SparseGrad {
 	dPooled := m.BackwardPooled(dLogits)
 
 	tok := m.Trace.Begin(telemetry.PhaseSparseScatter)
-	for i := range m.Tables {
-		m.sparse.Scatter(b, i, dPooled[i])
-	}
+	grads := m.sparse.Scatter(b, dPooled)
 	m.Trace.End(m.TraceShard, tok)
-	return m.sparse.grads
+	return grads
 }
 
 // BackwardPooled propagates per-example logit gradients through the top

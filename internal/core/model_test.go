@@ -12,7 +12,10 @@ import (
 )
 
 // makeBatch builds a small deterministic batch for the test config.
-func makeBatch(cfg Config, b int, seed int64) *MiniBatch {
+func makeBatch(cfg Config, b int, seed int64) *MiniBatch { return makeBatchIDs(cfg, b, 4, seed) }
+
+// makeBatchIDs is makeBatch with 1..maxIDs ids per example and feature.
+func makeBatchIDs(cfg Config, b, maxIDs int, seed int64) *MiniBatch {
 	rng := xrand.New(seed)
 	dense := tensor.New(b, cfg.DenseFeatures)
 	tensor.NormalInit(dense, 1, rng)
@@ -20,7 +23,7 @@ func makeBatch(cfg Config, b int, seed int64) *MiniBatch {
 	for f := range bags {
 		per := make([][]int32, b)
 		for i := range per {
-			n := 1 + rng.Intn(4)
+			n := 1 + rng.Intn(maxIDs)
 			idxs := make([]int32, n)
 			for k := range idxs {
 				idxs[k] = int32(rng.Intn(cfg.Sparse[f].HashSize))

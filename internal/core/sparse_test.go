@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -59,7 +60,11 @@ func TestSparseStepMatchesPublicKernels(t *testing.T) {
 					sc := embedding.NewScratch()
 
 					rng := xrand.New(9)
-					outGot, outWant, dOut := tensor.New(batch, dim), tensor.New(batch, dim), tensor.New(batch, dim)
+					outWant := tensor.New(batch, dim)
+					outGot, dOut := make([]*tensor.Matrix, tables), make([]*tensor.Matrix, tables)
+					for ti := range outGot {
+						outGot[ti], dOut[ti] = tensor.New(batch, dim), tensor.New(batch, dim)
+					}
 					for s := 0; s < steps; s++ {
 						b := &MiniBatch{Dense: tensor.New(batch, 1)}
 						for range want {
@@ -75,29 +80,25 @@ func TestSparseStepMatchesPublicKernels(t *testing.T) {
 							b.AttachDedup()
 						}
 						scale := float32(s+1) / steps // a warmup ramp, so SetLR is exercised
+						step.Lookup(b, outGot)
+						for ti := range dOut {
+							tensor.UniformInit(dOut[ti], 1, rng)
+						}
+						step.Scatter(b, dOut)
+						step.Apply(b, scale)
 						for ti, tab := range want {
-							step.Lookup(b, ti, outGot)
 							tab.BagForwardInto(b.Bags[ti], outWant, sc)
-							requireSameBits(t, "pooled output", outGot.Data, outWant.Data)
-
-							tensor.UniformInit(dOut, 1, rng)
-							step.Apply(ti, step.Scatter(b, ti, dOut), scale)
+							requireSameBits(t, "pooled output", outGot[ti].Data, outWant.Data)
 
 							refGrad[ti].Reset()
-							tab.BagBackward(b.Bags[ti], dOut, refGrad[ti])
+							tab.BagBackward(b.Bags[ti], dOut[ti], refGrad[ti])
 							refOpt[ti].SetLR(lr * scale)
 							refOpt[ti].Apply(refGrad[ti])
 							refDirty[ti].Mark(refGrad[ti].RowIDs())
 						}
 					}
 
-					// Reading every row through a one-row-per-example bag decodes
-					// the lookup replica, quantized or not.
-					all := make([][]int32, rows)
-					for i := range all {
-						all[i] = []int32{int32(i)}
-					}
-					probe := embedding.NewBag(all)
+					probe := allRowsBag(rows)
 					repGot, repWant := tensor.New(rows, dim), tensor.New(rows, dim)
 					for ti := range want {
 						requireSameBits(t, "master weights", got[ti].Weights.Data, want[ti].Weights.Data)
@@ -121,6 +122,16 @@ func TestSparseStepMatchesPublicKernels(t *testing.T) {
 	}
 }
 
+// allRowsBag reads every row of a table once, one row per example: pooled
+// through it, a table's lookup replica comes out decoded, quantized or not.
+func allRowsBag(rows int) embedding.Bag {
+	all := make([][]int32, rows)
+	for i := range all {
+		all[i] = []int32{int32(i)}
+	}
+	return embedding.NewBag(all)
+}
+
 func requireSameBits(t *testing.T, what string, got, want []float32) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -129,6 +140,138 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("%s: element %d = %v, reference %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// trained is everything a training run leaves behind.
+type trained struct {
+	losses []float64
+	state  [][]float32 // dense, dense accumulators, table masters, lookup replicas, row accumulators
+	dirty  [][]int32   // touched rows by table
+}
+
+// fanOutConfig is a model whose 3 tables each cost a 128-example batch
+// of fanOutBatches ~36 ids × 128 × dim 32 = 150k, over few enough rows
+// that most are hit repeatedly.
+func fanOutConfig(dt tensor.DType) Config {
+	cfg := testConfig()
+	cfg.Sparse = UniformSparse(3, 1500, 36)
+	cfg.EmbeddingDim = 32
+	cfg.TableDType = dt
+	return cfg
+}
+
+// fanOutBatches returns 50 batches for fanOutConfig; with mixedDedup
+// every other one carries dedup views, so one run takes both kernels.
+func fanOutBatches(mixedDedup bool) []*MiniBatch {
+	bs := make([]*MiniBatch, 50)
+	for i := range bs {
+		bs[i] = makeBatchIDs(fanOutConfig(tensor.FP32), 128, 72, int64(100+i))
+		if mixedDedup && i%2 == 1 {
+			bs[i].AttachDedup()
+		}
+	}
+	return bs
+}
+
+// trainFanOut trains fanOutConfig over the batches at the given
+// GOMAXPROCS and checks on every batch that the sparse phases take the
+// path the caller expects: handed to the pool, or the inline loop.
+func trainFanOut(t *testing.T, procs int, dt tensor.DType, batches []*MiniBatch, wantFanOut bool) trained {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	cfg := fanOutConfig(dt)
+	m := NewModel(cfg, xrand.New(1))
+	tr := NewTrainer(m, TrainerConfig{LR: 0.05, WarmupIters: 10})
+	var out trained
+	for step, b := range batches {
+		s := tr.sparse
+		if got := tensor.RangeFansOut(len(s.owned), s.tableWork(s.owned, b)); got != wantFanOut {
+			t.Fatalf("GOMAXPROCS %d step %d: fans out = %v, want %v", procs, step, got, wantFanOut)
+		}
+		out.losses = append(out.losses, tr.Step(b))
+	}
+
+	st := tr.CkptState()
+	out.state = append(append(out.state, st.Dense...), st.DenseAccum...)
+	rows := cfg.Sparse[0].HashSize
+	probe, sc := allRowsBag(rows), embedding.NewScratch()
+	for ti, tab := range m.Tables {
+		replica := tensor.New(rows, cfg.EmbeddingDim)
+		tab.BagForwardInto(probe, replica, sc)
+		out.state = append(out.state, tab.Weights.Data, replica.Data, st.SparseAccum[ti])
+		var touched []int32
+		tr.DirtyRows()[ti].ForEach(func(r int32) { touched = append(touched, r) })
+		out.dirty = append(out.dirty, touched)
+	}
+	return out
+}
+
+// TestTableParallelBitIdentical pins the promise that handing tables to
+// the pool changes where the sparse step runs and nothing else: against
+// the inline loop over plain batches (GOMAXPROCS 1), training through
+// the hand-off at 2 and 4 Ps, with dedup views attached to every other
+// batch, leaves the same loss at every step and the same bits in every
+// dense weight, table row, lookup replica, optimizer accumulator and
+// dirty set, for fp32 and bf16 tables. Under -race it is also the check
+// that whatever a phase writes is private to a table.
+func TestTableParallelBitIdentical(t *testing.T) {
+	plain, mixed := fanOutBatches(false), fanOutBatches(true)
+	for _, dt := range []tensor.DType{tensor.FP32, tensor.BF16} {
+		want := trainFanOut(t, 1, dt, plain, false)
+		if len(want.dirty[0]) == 0 || want.losses[49] >= want.losses[0] {
+			t.Fatalf("%v: reference run did not train (%d dirty rows, loss %v -> %v)",
+				dt, len(want.dirty[0]), want.losses[0], want.losses[49])
+		}
+		for _, procs := range []int{1, 2, 4} {
+			got := trainFanOut(t, procs, dt, mixed, procs > 1)
+			name := fmt.Sprintf("%v GOMAXPROCS %d", dt, procs)
+			for i := range want.losses {
+				if got.losses[i] != want.losses[i] {
+					t.Fatalf("%s: step %d loss %v, inline %v", name, i, got.losses[i], want.losses[i])
+				}
+			}
+			for i := range want.state {
+				requireSameBits(t, fmt.Sprintf("%s: state %d", name, i), got.state[i], want.state[i])
+			}
+			if fmt.Sprint(got.dirty) != fmt.Sprint(want.dirty) {
+				t.Fatalf("%s: dirty sets differ from the inline run", name)
+			}
+		}
+	}
+}
+
+// TestOnlySparseHeavyFansOut evaluates the hand-off gate on the per-step
+// shape of each bench/e2e workload: the tables a step walks (the hybrids
+// walk their rank's half, over the global batch), the batch, the ids per
+// example the generator draws (rounded up; its truncated power law lands
+// under the nominal mean, 26-28 of sparse_heavy's 40) and the dim. Only
+// sparse_heavy may change behaviour with this path; the other five must
+// keep running the inline loop.
+func TestOnlySparseHeavyFansOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, w := range []struct {
+		name                    string
+		tables, batch, ids, dim int
+		fansOut                 bool
+	}{
+		{"dense_heavy", 4, 64, 3, 32, false},
+		{"sparse_heavy", 8, 128, 26, 64, true},
+		{"hybrid_fp32", 4, 256, 6, 32, false},
+		{"hybrid_int8", 4, 256, 6, 32, false},
+		{"ingest_stream", 16, 256, 16, 2, false},
+		{"ckpt_interleaved", 8, 128, 6, 32, false},
+	} {
+		tabs := make([]*embedding.Table, w.tables)
+		b := &MiniBatch{Bags: make([]embedding.Bag, w.tables)}
+		for ti := range tabs {
+			tabs[ti] = embedding.NewTable("t", 1, w.dim, xrand.New(1))
+			b.Bags[ti] = embedding.Bag{Indices: make([]int32, w.batch*w.ids)}
+		}
+		s := newSparseView(tabs)
+		if got := tensor.RangeFansOut(len(s.walk), s.tableWork(s.walk, b)); got != w.fansOut {
+			t.Errorf("%s: fans out = %v, want %v (%d per table)", w.name, got, w.fansOut, s.tableWork(s.walk, b))
 		}
 	}
 }

@@ -113,7 +113,7 @@ func (t *Trainer) Step(b *MiniBatch) float64 {
 	tok = t.trace.Next(t.traceShard, tok, telemetry.PhaseDenseBwd)
 	t.Model.ZeroGrad()
 	t.trace.End(t.traceShard, tok)
-	sparseGrads := t.Model.Backward(grad)
+	t.Model.Backward(grad)
 
 	lr := t.sched.At(t.iter)
 	scale := float32(lr / t.cfg.LR)
@@ -121,9 +121,7 @@ func (t *Trainer) Step(b *MiniBatch) float64 {
 	t.dense.SetLR(float32(lr))
 	t.dense.Step()
 	tok = t.trace.Next(t.traceShard, tok, telemetry.PhaseSparseScatter)
-	for i, sg := range sparseGrads {
-		t.sparse.Apply(i, sg, scale)
-	}
+	t.sparse.Apply(b, scale)
 	t.trace.End(t.traceShard, tok)
 	t.iter++
 	t.trace.End(t.traceShard, stepTok)

@@ -95,7 +95,7 @@ func (ps *SparsePS) Lookup(f int, bag embedding.Bag, out *tensor.Matrix) {
 // request bytes.
 func (ps *SparsePS) ApplyGrad(f int, sg *embedding.SparseGrad) {
 	ps.table(f)
-	ps.step.Apply(f, sg, 1)
+	ps.step.ApplyTable(f, sg, 1)
 	ps.bytes.Add(int64(sg.NumRows()) * int64(sg.Dim+1) * 4)
 	ps.reqs.Add(1)
 }

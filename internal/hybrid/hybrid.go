@@ -571,9 +571,7 @@ func (r *rank) step(lr float64) error {
 
 	// 1. Model-parallel lookups: pool the owned tables over the whole
 	// global batch.
-	for _, ti := range r.owned {
-		r.sparse.Lookup(b, ti, r.pooledOwned[ti])
-	}
+	r.sparse.Lookup(b, r.pooledOwned)
 
 	// 2. Pack pooled rows per destination: rank j receives its examples'
 	// rows for every table this rank owns (tables in ascending order).
@@ -744,7 +742,6 @@ func (r *rank) applySparse(lr float64) {
 			off += rows
 		}
 	}
-	for _, ti := range r.owned {
-		r.sparse.Apply(ti, r.sparse.Scatter(t.batch, ti, r.dPooledOwned[ti]), scale)
-	}
+	r.sparse.Scatter(t.batch, r.dPooledOwned)
+	r.sparse.Apply(t.batch, scale)
 }

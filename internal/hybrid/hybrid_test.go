@@ -1,13 +1,16 @@
 package hybrid
 
 import (
+	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/embedding"
+	"repro/internal/tensor"
 	"repro/internal/train"
 	"repro/internal/xrand"
 )
@@ -366,5 +369,95 @@ func TestConfigErrors(t *testing.T) {
 	}
 	if _, err := New(testCfg(), Config{Optimizer: "momentum"}); err == nil {
 		t.Error("unknown optimizer accepted")
+	}
+}
+
+// TestTableParallelBitIdentical is core's test of the same name for two
+// hybrid ranks: each rank owns two tables whose global-batch phases cost
+// ~200k apiece, so at 2 and 4 Ps both ranks hand their tables to the
+// pool. Against the inline loop over plain batches (GOMAXPROCS 1), runs
+// with dedup views on every other batch must leave the same losses,
+// dense replicas, table rows, accumulators and dirty sets, bit for bit,
+// for fp32 and bf16 tables.
+func TestTableParallelBitIdentical(t *testing.T) {
+	cfg := testCfg()
+	cfg.Sparse = core.UniformSparse(4, 1500, 60)
+	for i := range cfg.Sparse {
+		cfg.Sparse[i].MaxPooled = 96
+	}
+	cfg.EmbeddingDim = 40
+	gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
+	plain, mixed := make([]*core.MiniBatch, 50), make([]*core.MiniBatch, 50)
+	for i := range plain {
+		plain[i] = gen.NextBatch(128)
+		mixed[i] = &core.MiniBatch{Dense: plain[i].Dense, Bags: plain[i].Bags, Labels: plain[i].Labels}
+		if i%2 == 1 {
+			mixed[i].AttachDedup()
+		}
+	}
+
+	type trained struct {
+		losses []float64
+		state  [][]float32
+		dirty  string
+	}
+	run := func(procs int, dt tensor.DType, batches []*core.MiniBatch) trained {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cfg := cfg
+		cfg.TableDType = dt
+		ht, err := New(cfg, Config{Ranks: 2, Seed: 3, LR: 0.05, Overlap: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ht.Close()
+		var out trained
+		for step, b := range batches {
+			for _, r := range ht.ranks {
+				var work int
+				for _, ti := range r.owned {
+					work += len(b.Bags[ti].Indices) * cfg.EmbeddingDim
+				}
+				if got := tensor.RangeFansOut(len(r.owned), work/len(r.owned)); got != (procs > 1) {
+					t.Fatalf("GOMAXPROCS %d step %d rank %d: fans out = %v", procs, step, r.id, got)
+				}
+			}
+			loss, _, err := ht.Step(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.losses = append(out.losses, loss)
+		}
+		out.state = stateBits(ht.CkptState())
+		var touched [][]int32
+		for _, d := range ht.DirtyRows() {
+			var rows []int32
+			d.ForEach(func(r int32) { rows = append(rows, r) })
+			touched = append(touched, rows)
+		}
+		out.dirty = fmt.Sprint(touched)
+		return out
+	}
+
+	for _, dt := range []tensor.DType{tensor.FP32, tensor.BF16} {
+		want := run(1, dt, plain)
+		for _, procs := range []int{1, 2, 4} {
+			got := run(procs, dt, mixed)
+			for i := range want.losses {
+				if got.losses[i] != want.losses[i] {
+					t.Fatalf("%v GOMAXPROCS %d: step %d loss %v, inline %v", dt, procs, i, got.losses[i], want.losses[i])
+				}
+			}
+			for i := range want.state {
+				for k := range want.state[i] {
+					if math.Float32bits(got.state[i][k]) != math.Float32bits(want.state[i][k]) {
+						t.Fatalf("%v GOMAXPROCS %d: state %d element %d = %v, inline %v",
+							dt, procs, i, k, got.state[i][k], want.state[i][k])
+					}
+				}
+			}
+			if got.dirty != want.dirty {
+				t.Fatalf("%v GOMAXPROCS %d: dirty sets differ from the inline run", dt, procs)
+			}
+		}
 	}
 }

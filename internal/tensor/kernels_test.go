@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/xrand"
@@ -198,4 +199,58 @@ func TestSerialKernelsAllocFree(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("serial kernels allocate %.1f objects per call, want 0", avg)
 	}
+}
+
+// itemCounter is a Ranger that records how it was called.
+type itemCounter struct {
+	hits  []atomic.Int32 // per item
+	calls atomic.Int32   // RunRange invocations
+}
+
+func (c *itemCounter) RunRange(lo, hi int) {
+	c.calls.Add(1)
+	for i := lo; i < hi; i++ {
+		c.hits[i].Add(1)
+	}
+}
+
+// TestParallelRange pins the range job's contract: below the per-item
+// threshold, with one item or on one P it is a single inline
+// RunRange(0, n); otherwise the pool takes it item by item, and either
+// way every item runs exactly once before the call returns.
+func TestParallelRange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct {
+		name           string
+		procs, n, work int
+		fansOut        bool
+	}{
+		{"above threshold", 4, 8, parallelThreshold, true},
+		{"two items", 2, 2, parallelThreshold, true},
+		{"below threshold", 4, 8, parallelThreshold - 1, false},
+		{"large total, small items", 4, 64, parallelThreshold / 2, false},
+		{"one item", 4, 1, 4 * parallelThreshold, false},
+		{"one P", 1, 8, parallelThreshold, false},
+		{"nothing", 4, 0, parallelThreshold, false},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		if got := RangeFansOut(c.n, c.work); got != c.fansOut {
+			t.Errorf("%s: RangeFansOut = %v, want %v", c.name, got, c.fansOut)
+		}
+		r := &itemCounter{hits: make([]atomic.Int32, c.n)}
+		ParallelRange(r, c.n, c.work)
+		wantCalls := 1
+		if c.fansOut {
+			wantCalls = c.n
+		}
+		if got := int(r.calls.Load()); got != wantCalls {
+			t.Errorf("%s: %d RunRange calls, want %d", c.name, got, wantCalls)
+		}
+		for i := range r.hits {
+			if h := r.hits[i].Load(); h != 1 {
+				t.Errorf("%s: item %d ran %d times", c.name, i, h)
+			}
+		}
+	}
+
 }

@@ -18,7 +18,8 @@ import (
 //     submitting goroutine claim row chunks from a shared atomic cursor,
 //     which load-balances skewed rows without per-chunk channel traffic.
 
-// kernelKind enumerates the range kernels the pool can run.
+// kernelKind enumerates the range kernels the pool can run; kRange is
+// the one whose body lives outside this package (Ranger).
 type kernelKind uint8
 
 const (
@@ -29,6 +30,7 @@ const (
 	kMatMulTransAAcc
 	kEncodeHalf
 	kDecodeHalf
+	kRange
 )
 
 // convChunk is the element-block granularity for pooled dtype
@@ -48,6 +50,8 @@ type job struct {
 	hu []uint16
 	hf []float32
 	dt DType
+
+	r Ranger // kRange: the caller's own items
 
 	rows   int
 	chunk  int
@@ -74,6 +78,8 @@ func (j *job) runRange(r0, r1 int) {
 	case kDecodeHalf:
 		lo, hi := convRange(r0, r1, len(j.hu))
 		Decode(j.dt, j.hf[lo:hi], j.hu[lo:hi])
+	case kRange:
+		j.r.RunRange(r0, r1)
 	}
 }
 
@@ -116,10 +122,7 @@ var (
 // a floor of 2 so tests that raise GOMAXPROCS after init still exercise
 // true cross-goroutine execution.
 func startPool() {
-	poolWorkers = runtime.GOMAXPROCS(0) - 1
-	if poolWorkers < 2 {
-		poolWorkers = 2
-	}
+	poolWorkers = max(runtime.GOMAXPROCS(0)-1, 2)
 	poolCh = make(chan *job)
 	for i := 0; i < poolWorkers; i++ {
 		go func() {
@@ -131,29 +134,24 @@ func startPool() {
 	}
 }
 
-// dispatch runs the kernel serially when the FLOP estimate is below
-// parallelThreshold (or only one P is available) and through the worker
-// pool otherwise. The serial path performs zero allocations; the parallel
-// path recycles its job and so is allocation-free at steady state.
-func dispatch(kind kernelKind, dst, a, b *Matrix, bias []float32, relu bool, rows, work int) {
-	if rows == 0 {
-		return
-	}
-	if work < parallelThreshold || rows < 2 || runtime.GOMAXPROCS(0) < 2 {
-		j := job{kind: kind, dst: dst, a: a, b: b, bias: bias, relu: relu}
-		j.runRange(0, rows)
-		return
-	}
+// serial reports whether a job of rows items and work estimated FLOPs
+// stays on the submitting goroutine: too little work to repay the
+// hand-off, nothing to split, or only one P to run on.
+func serial(rows, work int) bool {
+	return work < parallelThreshold || rows < 2 || runtime.GOMAXPROCS(0) < 2
+}
+
+// submit runs j (kind and operands set by the caller) over [0, rows) on
+// the pool in cursor chunks of chunk items; chunk 0 picks ~4 chunks per
+// participant, which keeps the cursor cheap while still smoothing uneven
+// per-row cost. The job is recycled, so the path is allocation-free at
+// steady state.
+func submit(j *job, rows, chunk int) {
 	poolOnce.Do(startPool)
-	j := jobPool.Get().(*job)
-	j.kind, j.dst, j.a, j.b, j.bias, j.relu = kind, dst, a, b, bias, relu
-	j.rows = rows
-	// ~4 chunks per participant keeps the cursor cheap while still
-	// smoothing uneven per-row cost.
-	j.chunk = rows / (4 * (poolWorkers + 1))
-	if j.chunk < 1 {
-		j.chunk = 1
+	if chunk == 0 {
+		chunk = max(rows/(4*(poolWorkers+1)), 1)
 	}
+	j.rows, j.chunk = rows, chunk
 	j.cursor.Store(0)
 	// Hand the job to idle helpers only: if every helper is busy (e.g.
 	// many Hogwild threads issuing matmuls at once) the submitter simply
@@ -171,8 +169,25 @@ fanout:
 	j.drain()
 	j.done.Wait()
 	j.dst, j.a, j.b, j.bias = nil, nil, nil, nil
-	j.hu, j.hf = nil, nil
+	j.hu, j.hf, j.r = nil, nil, nil
 	jobPool.Put(j)
+}
+
+// dispatch runs the kernel serially when the FLOP estimate is below
+// parallelThreshold (or only one P is available) and through the worker
+// pool otherwise. The serial path performs zero allocations.
+func dispatch(kind kernelKind, dst, a, b *Matrix, bias []float32, relu bool, rows, work int) {
+	if rows == 0 {
+		return
+	}
+	if serial(rows, work) {
+		j := job{kind: kind, dst: dst, a: a, b: b, bias: bias, relu: relu}
+		j.runRange(0, rows)
+		return
+	}
+	j := jobPool.Get().(*job)
+	j.kind, j.dst, j.a, j.b, j.bias, j.relu = kind, dst, a, b, bias, relu
+	submit(j, rows, 0)
 }
 
 // dispatchConv runs a bulk dtype conversion over n elements, serially
@@ -184,35 +199,43 @@ func dispatchConv(kind kernelKind, dt DType, u []uint16, f []float32, n int) {
 		return
 	}
 	blocks := (n + convChunk - 1) / convChunk
-	if 4*n < parallelThreshold || blocks < 2 || runtime.GOMAXPROCS(0) < 2 {
+	if serial(blocks, 4*n) {
 		j := job{kind: kind, dt: dt, hu: u, hf: f}
 		j.runRange(0, blocks)
 		return
 	}
-	poolOnce.Do(startPool)
 	j := jobPool.Get().(*job)
 	j.kind, j.dt, j.hu, j.hf = kind, dt, u, f
-	j.dst, j.a, j.b, j.bias, j.relu = nil, nil, nil, nil, false
-	j.rows = blocks
-	j.chunk = blocks / (4 * (poolWorkers + 1))
-	if j.chunk < 1 {
-		j.chunk = 1
+	submit(j, blocks, 0)
+}
+
+// Ranger is pool work that is not a matrix kernel: RunRange(lo, hi)
+// processes items [lo, hi) of an index space the caller defines. Calls
+// for disjoint ranges may run concurrently, so the items must share no
+// mutable state.
+type Ranger interface {
+	RunRange(lo, hi int)
+}
+
+// RangeFansOut reports whether ParallelRange hands n items of perItem
+// estimated FLOPs each to the pool. The gate is per item, not total:
+// items are never split, so one item is the smallest unit a helper takes
+// and it alone has to repay the hand-off.
+func RangeFansOut(n, perItem int) bool { return !serial(n, perItem) }
+
+// ParallelRange runs r over [0, n): inline as one RunRange(0, n) when
+// RangeFansOut says no, otherwise item by item from the pool's shared
+// cursor, every item on exactly one goroutine. It returns when all items
+// are done. r rides the job as an interface, so a pointer receiver
+// costs no allocation.
+func ParallelRange(r Ranger, n, perItem int) {
+	if !RangeFansOut(n, perItem) {
+		r.RunRange(0, n)
+		return
 	}
-	j.cursor.Store(0)
-fanout:
-	for i := 0; i < poolWorkers; i++ {
-		j.done.Add(1)
-		select {
-		case poolCh <- j:
-		default:
-			j.done.Done()
-			break fanout
-		}
-	}
-	j.drain()
-	j.done.Wait()
-	j.hu, j.hf = nil, nil
-	jobPool.Put(j)
+	j := jobPool.Get().(*job)
+	j.kind, j.r = kRange, r
+	submit(j, n, 1)
 }
 
 // ParallelEncode narrows src into dst[:len(src)] using dt, spreading

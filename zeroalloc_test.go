@@ -1,6 +1,7 @@
 package recsim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/benchreport"
@@ -60,6 +61,58 @@ func TestQuantizedStepZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(10, func() { ht.Step(batch) }); avg > 2 {
 		t.Fatalf("quantized hybrid step allocates %.1f objects per step at steady state, want <= 2", avg)
+	}
+}
+
+// TestFanOutStepZeroAlloc holds the two step budgets with the table
+// hand-off active: sparse_heavy's per-table batch shape (~26 ids × 128
+// examples × dim 64, above the pool threshold) on small tables, at two
+// Ps. testing.AllocsPerRun pins GOMAXPROCS to 1, where every kernel runs
+// inline, so the steps are counted here the way it counts them. The
+// hybrid runs without overlap: the overlapped all-reduce's goroutine and
+// closure are the whole of that budget already (ROADMAP item 5) and no
+// part of the hand-off.
+func TestFanOutStepZeroAlloc(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the pool's recycled jobs are reallocated under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := benchreport.BenchStepConfig()
+	cfg.Sparse = UniformSparse(4, 2000, 40)
+	for i := range cfg.Sparse {
+		cfg.Sparse[i].MaxPooled = 64
+	}
+	cfg.EmbeddingDim = 64
+	batch := NewGenerator(cfg, 2).NextBatch(128)
+	if work := len(batch.Bags[0].Indices) * cfg.EmbeddingDim; !tensor.RangeFansOut(2, work) {
+		t.Fatalf("table work %d does not reach the hand-off", work)
+	}
+	allocsPerStep := func(step func()) uint64 {
+		const warm, runs = 12, 20
+		for i := 0; i < warm; i++ {
+			step()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs
+	}
+
+	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
+	if n := allocsPerStep(func() { tr.Step(batch) }); n != 0 {
+		t.Errorf("Trainer.Step allocates %d objects per step with tables on the pool, want 0", n)
+	}
+
+	ht, err := hybrid.New(cfg, hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ht.Close()
+	if n := allocsPerStep(func() { ht.Step(batch) }); n > 2 {
+		t.Errorf("hybrid step allocates %d objects per step with tables on the pool, want <= 2", n)
 	}
 }
 
