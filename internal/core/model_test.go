@@ -130,7 +130,12 @@ func TestModelGradCheckDot(t *testing.T) {
 			continue
 		}
 		ix := ids[0]
-		g, _ := sg.Row(ix)
+		var g []float32
+		sg.ForEach(func(id int32, row []float32) {
+			if id == ix {
+				g = row
+			}
+		})
 		w := m.Tables[ti].Weights.Row(int(ix))
 		for c := 0; c < 2 && c < len(w); c++ {
 			orig := w[c]
@@ -177,7 +182,12 @@ func TestModelGradCheckConcat(t *testing.T) {
 			continue
 		}
 		ix := ids[0]
-		g, _ := sg.Row(ix)
+		var g []float32
+		sg.ForEach(func(id int32, row []float32) {
+			if id == ix {
+				g = row
+			}
+		})
 		w := m.Tables[ti].Weights.Row(int(ix))
 		orig := w[0]
 		const eps = 1e-2

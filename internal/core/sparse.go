@@ -34,7 +34,7 @@ type SparseStep struct {
 	lr     float32            // base embedding learning rate
 
 	grads   []*embedding.SparseGrad // by feature
-	scratch []*embedding.Scratch    // by feature: dedup slabs and counter stripe
+	scratch []*embedding.Scratch    // by feature: dedup gather slab and counter stripe
 
 	// The phase in flight, read by RunRange.
 	phase sparsePhase
@@ -143,7 +143,7 @@ func (s *SparseStep) RunRange(lo, hi int) {
 		case phaseScatter:
 			sg.Reset()
 			if dd := b.DedupFor(ti); dd != nil {
-				tab.BagBackwardDedup(b.Bags[ti], dd, s.mats[ti], sg, sc)
+				tab.BagBackwardDedup(b.Bags[ti], dd, s.mats[ti], sg)
 			} else {
 				tab.BagBackward(b.Bags[ti], s.mats[ti], sg)
 			}

@@ -13,42 +13,33 @@ import "repro/internal/tensor"
 // with Unique in first-occurrence order. Dedup kernels that consume the
 // view (BagForwardDedup, BagBackwardDedup) are bit-identical to their
 // plain counterparts — the dedup changes memory traffic, not math — and
-// first-occurrence order keeps SparseGrad's first-touch iteration, and
-// therefore optimizer application order, unchanged.
+// first-occurrence order is SparseGrad's first-touch order, so optimizer
+// application order is unchanged.
 //
-// A DedupIndex is reusable: Build retains the map and slices across
+// A DedupIndex is reusable: Build retains its row-set and slices across
 // batches, so steady-state rebuilds are allocation-free once capacities
 // stabilize. It is not safe for concurrent Build calls.
 type DedupIndex struct {
-	Unique []int32 // unique row ids, first-occurrence order
+	Unique []int32 // unique row ids, first-occurrence order (the row-set's keys)
 	Remap  []int32 // len(Bag.Indices); position of each index in Unique
 
-	seen map[int32]int32 // row id -> position in Unique
+	rows rowSet // row id -> position in Unique
 }
 
 // Build fills the view from the bag, reusing all internal storage.
 func (d *DedupIndex) Build(bag Bag) {
-	if d.seen == nil {
-		d.seen = make(map[int32]int32)
-	} else {
-		clear(d.seen)
+	d.rows.reset()
+	d.Remap = ensureLen(d.Remap, len(bag.Indices))
+	for k, ix := range bag.Indices {
+		d.Remap[k], _ = d.rows.slot(ix)
 	}
-	d.Unique = d.Unique[:0]
-	d.Remap = d.Remap[:0]
-	for _, ix := range bag.Indices {
-		u, ok := d.seen[ix]
-		if !ok {
-			u = int32(len(d.Unique))
-			d.seen[ix] = u
-			d.Unique = append(d.Unique, ix)
-		}
-		d.Remap = append(d.Remap, u)
-	}
+	d.Unique = d.rows.keys
 }
 
 // Built reports whether the view holds a batch (an empty bag still counts
-// as built after Build; a zero DedupIndex does not).
-func (d *DedupIndex) Built() bool { return d.seen != nil }
+// as built after Build; a zero DedupIndex does not). Build's reset moves
+// the row-set's generation off zero for good.
+func (d *DedupIndex) Built() bool { return d.rows.gen != 0 }
 
 // Ratio returns total lookups / unique lookups, the RecD dedup win. An
 // all-unique batch yields exactly 1.
@@ -59,10 +50,10 @@ func (d *DedupIndex) Ratio() float64 {
 	return float64(len(d.Remap)) / float64(len(d.Unique))
 }
 
-// ensureSlab grows (without shrinking) a float32 slab to n elements.
-func ensureSlab(buf []float32, n int) []float32 {
+// ensureLen grows (without shrinking) buf to n elements.
+func ensureLen[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -79,7 +70,7 @@ func (t *Table) BagForwardDedup(bag Bag, d *DedupIndex, out *tensor.Matrix, sc *
 		panic("embedding: dedup forward output shape mismatch")
 	}
 	dim := t.Dim
-	sc.gather = ensureSlab(sc.gather, len(d.Unique)*dim)
+	sc.gather = ensureLen(sc.gather, len(d.Unique)*dim)
 	if t.DType == tensor.FP32 {
 		for u, ix := range d.Unique {
 			copy(sc.gather[u*dim:(u+1)*dim], t.Weights.Row(int(ix)))
@@ -112,28 +103,24 @@ func (t *Table) BagForwardDedup(bag Bag, d *DedupIndex, out *tensor.Matrix, sc *
 	t.lookups.add(sc.stripe, uint64(len(d.Unique)))
 }
 
-// BagBackwardDedup is the dedup counterpart of BagBackward: per-example
-// pooled-output gradients accumulate densely into a unique-row slab
-// (indexed by Remap — no per-occurrence map probes), then each unique row
-// folds once into acc. Accumulation visits occurrences in exactly the
-// plain kernel's order and unique rows in first-occurrence order, so the
-// resulting SparseGrad — values and first-touch key order — is
-// bit-identical to BagBackward's.
-func (t *Table) BagBackwardDedup(bag Bag, d *DedupIndex, dOut *tensor.Matrix, acc *SparseGrad, sc *Scratch) {
+// BagBackwardDedup is the dedup counterpart of BagBackward for an empty
+// acc (it panics otherwise): acc takes Unique as its rows, and each
+// example's pooled-output gradient accumulates straight into acc's slab
+// through Remap — no row-set probe per occurrence, no staging copy. The
+// slab starts at +0 and every row receives the same additions in the
+// plain kernel's order, and first-occurrence order is first-touch order,
+// so the resulting SparseGrad — values and key order — is bit-identical
+// to BagBackward's.
+func (t *Table) BagBackwardDedup(bag Bag, d *DedupIndex, dOut *tensor.Matrix, acc *SparseGrad) {
 	if dOut.Rows != bag.Batch() || dOut.Cols != t.Dim {
 		panic("embedding: dedup backward grad shape mismatch")
 	}
 	dim := t.Dim
-	n := len(d.Unique) * dim
-	sc.gaccum = ensureSlab(sc.gaccum, n)
-	clear(sc.gaccum[:n])
+	slab := acc.adopt(d.Unique)
 	for i := 0; i < bag.Batch(); i++ {
 		g := dOut.Row(i)
 		for _, u := range d.Remap[bag.Offsets[i]:bag.Offsets[i+1]] {
-			tensor.AddTo(sc.gaccum[int(u)*dim:(int(u)+1)*dim], g)
+			tensor.AddTo(slab[int(u)*dim:(int(u)+1)*dim], g)
 		}
-	}
-	for u, ix := range d.Unique {
-		acc.Add(ix, sc.gaccum[u*dim:(u+1)*dim])
 	}
 }

@@ -108,26 +108,44 @@ func TestDedupBackwardBitIdentical(t *testing.T) {
 	tensor.NormalInit(dOut, 1, rng)
 	plain := NewSparseGrad(8)
 	dd := NewSparseGrad(8)
-	sc := NewScratch()
 	tab.BagBackward(bag, dOut, plain)
-	tab.BagBackwardDedup(bag, &d, dOut, dd, sc)
+	tab.BagBackwardDedup(bag, &d, dOut, dd)
 
 	pk, dk := plain.RowIDs(), dd.RowIDs()
 	if len(pk) != len(dk) {
 		t.Fatalf("touched %d rows, plain touched %d", len(dk), len(pk))
 	}
-	for i := range pk {
-		if pk[i] != dk[i] {
-			t.Fatalf("first-touch order differs at %d: %d vs %d", i, dk[i], pk[i])
+	var pg [][]float32
+	plain.ForEach(func(_ int32, g []float32) { pg = append(pg, g) })
+	i := 0
+	dd.ForEach(func(ix int32, dg []float32) {
+		if pk[i] != ix {
+			t.Fatalf("first-touch order differs at %d: %d vs %d", i, ix, pk[i])
 		}
-		pg, _ := plain.Row(pk[i])
-		dg, _ := dd.Row(pk[i])
-		for j := range pg {
-			if pg[j] != dg[j] {
-				t.Fatalf("row %d grad differs at %d: %v vs %v", pk[i], j, dg[j], pg[j])
+		for j := range dg {
+			if pg[i][j] != dg[j] {
+				t.Fatalf("row %d grad differs at %d: %v vs %v", ix, j, dg[j], pg[i][j])
 			}
 		}
-	}
+		i++
+	})
+}
+
+// TestDedupBackwardNeedsEmptyGrad: the dedup scatter adopts Unique as
+// the accumulator's rows, so it refuses one that already holds some.
+func TestDedupBackwardNeedsEmptyGrad(t *testing.T) {
+	tab := NewTable("dedup", 10, 2, xrand.New(6))
+	bag := NewBag([][]int32{{1, 2}})
+	var d DedupIndex
+	d.Build(bag)
+	sg := NewSparseGrad(2)
+	sg.Add(3, []float32{1, 1})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("dedup backward into a non-empty SparseGrad did not panic")
+		}
+	}()
+	tab.BagBackwardDedup(bag, &d, tensor.New(1, 2), sg)
 }
 
 // TestDedupLookupCounter checks the counter charges unique reads only.
@@ -146,30 +164,32 @@ func TestDedupLookupCounter(t *testing.T) {
 }
 
 // TestDedupSteadyStateAllocFree: rebuilding the view and re-running both
-// kernels on warmed storage must not allocate.
+// kernels on warmed storage must not allocate, on a small skewed bag, a
+// sparse_heavy-shaped one and a strided one.
 func TestDedupSteadyStateAllocFree(t *testing.T) {
 	rng := xrand.New(5)
-	tab := NewTable("alloc", 300, 16, rng)
-	bag := skewedBag(rng, 64, 300, 8)
-	var d DedupIndex
-	out := tensor.New(64, 16)
-	dOut := tensor.New(64, 16)
-	tensor.NormalInit(dOut, 1, rng)
-	sg := NewSparseGrad(16)
-	sc := NewScratch()
-	for i := 0; i < 3; i++ {
-		d.Build(bag)
-		tab.BagForwardDedup(bag, &d, out, sc)
-		sg.Reset()
-		tab.BagBackwardDedup(bag, &d, dOut, sg, sc)
+	tab := NewTable("alloc", 300*4096, 16, rng)
+	bags := map[string]Bag{
+		"skewed":       skewedBag(rng, 64, 300, 8),
+		"sparse_heavy": sparseHeavyBag(6),
+		"strided":      stridedBag(),
 	}
-	avg := testing.AllocsPerRun(10, func() {
-		d.Build(bag)
-		tab.BagForwardDedup(bag, &d, out, sc)
-		sg.Reset()
-		tab.BagBackwardDedup(bag, &d, dOut, sg, sc)
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state dedup path allocates %.1f objects, want 0", avg)
+	for name, bag := range bags {
+		var d DedupIndex
+		out := tensor.New(bag.Batch(), 16)
+		dOut := tensor.New(bag.Batch(), 16)
+		tensor.NormalInit(dOut, 1, rng)
+		sg := NewSparseGrad(16)
+		sc := NewScratch()
+		step := func() {
+			d.Build(bag)
+			tab.BagForwardDedup(bag, &d, out, sc)
+			sg.Reset()
+			tab.BagBackwardDedup(bag, &d, dOut, sg)
+		}
+		step()
+		if avg := testing.AllocsPerRun(10, step); avg != 0 {
+			t.Errorf("%s: steady-state dedup path allocates %.1f objects, want 0", name, avg)
+		}
 	}
 }

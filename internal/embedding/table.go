@@ -57,11 +57,9 @@ func (c *stripedCount) reset() {
 type Scratch struct {
 	stripe int
 
-	// dedup staging slabs (BagForwardDedup / BagBackwardDedup): the
-	// unique-row gather copy and the dense unique-row gradient
-	// accumulator. Grown to the largest unique×dim seen, never shrunk.
+	// gather is BagForwardDedup's staging slab, the unique rows' copy.
+	// Grown to the largest unique×dim seen, never shrunk.
 	gather []float32
-	gaccum []float32
 }
 
 var scratchSeq atomic.Int64
@@ -306,41 +304,52 @@ func (t *Table) bagForward(bag Bag, out *tensor.Matrix, stripe int) {
 // With sum pooling, the gradient of every activated row in example i is
 // the example's pooled-output gradient.
 //
-// Storage is a flat slab indexed by a row→slot map so that Reset retains
-// every buffer: at steady state (Reset + re-accumulate each step) the
-// accumulator performs zero allocations. Iteration order (ForEach,
-// RowIDs) is first-touch order, which also makes optimizer application
-// deterministic.
+// Storage is a flat slab of rows whose slots the package's row-set
+// assigns in first-touch order, so Reset retains every buffer: at steady
+// state (Reset + re-accumulate each step) the accumulator performs zero
+// allocations. Iteration order (ForEach, RowIDs) is first-touch order,
+// which also makes optimizer application deterministic.
 type SparseGrad struct {
 	Dim  int
-	slot map[int32]int32 // row id -> slot index
-	keys []int32         // slot -> row id, in first-touch order
-	buf  []float32       // len(keys)*Dim slab of gradient rows
+	rows rowSet    // row id -> slab slot; rows.keys is the first-touch order
+	buf  []float32 // len(rows.keys)*Dim slab of gradient rows
 }
 
 // NewSparseGrad returns an empty accumulator for rows of width dim.
 func NewSparseGrad(dim int) *SparseGrad {
-	return &SparseGrad{Dim: dim, slot: make(map[int32]int32)}
+	return &SparseGrad{Dim: dim}
 }
 
 // grabRow returns the slab row for ix, claiming and zeroing a fresh slot
 // on first touch.
 func (s *SparseGrad) grabRow(ix int32) []float32 {
-	if si, ok := s.slot[ix]; ok {
-		return s.buf[int(si)*s.Dim : (int(si)+1)*s.Dim]
+	si, fresh := s.rows.slot(ix)
+	lo := int(si) * s.Dim
+	if !fresh {
+		return s.buf[lo : lo+s.Dim]
 	}
-	si := len(s.keys)
-	s.slot[ix] = int32(si)
-	s.keys = append(s.keys, ix)
-	need := (si + 1) * s.Dim
+	need := lo + s.Dim
 	if need <= cap(s.buf) {
 		s.buf = s.buf[:need]
 	} else {
 		s.buf = append(s.buf, make([]float32, need-len(s.buf))...)
 	}
-	row := s.buf[si*s.Dim : need]
+	row := s.buf[lo:need]
 	clear(row)
 	return row
+}
+
+// adopt makes keys, which must be distinct, the rows of the empty
+// accumulator in that order, and returns their zeroed slab for the
+// caller to accumulate into.
+func (s *SparseGrad) adopt(keys []int32) []float32 {
+	if s.NumRows() != 0 {
+		panic("embedding: dedup backward into a non-empty SparseGrad")
+	}
+	s.rows.adopt(keys)
+	s.buf = ensureLen(s.buf, len(keys)*s.Dim)
+	clear(s.buf)
+	return s.buf
 }
 
 // Add accumulates g into row ix.
@@ -348,40 +357,25 @@ func (s *SparseGrad) Add(ix int32, g []float32) {
 	tensor.AddTo(s.grabRow(ix), g)
 }
 
-// Row returns the accumulated gradient for row ix, if present.
-func (s *SparseGrad) Row(ix int32) ([]float32, bool) {
-	si, ok := s.slot[ix]
-	if !ok {
-		return nil, false
-	}
-	return s.buf[int(si)*s.Dim : (int(si)+1)*s.Dim], true
-}
-
 // RowIDs returns the touched row ids in first-touch order. The slice is
 // owned by the accumulator and valid until the next Reset.
-func (s *SparseGrad) RowIDs() []int32 { return s.keys }
+func (s *SparseGrad) RowIDs() []int32 { return s.rows.keys }
 
 // ForEach visits every touched row in first-touch order.
 func (s *SparseGrad) ForEach(fn func(ix int32, g []float32)) {
-	for si, ix := range s.keys {
+	for si, ix := range s.rows.keys {
 		fn(ix, s.buf[si*s.Dim:(si+1)*s.Dim])
 	}
 }
 
 // NumRows returns the number of distinct rows touched.
-func (s *SparseGrad) NumRows() int { return len(s.keys) }
+func (s *SparseGrad) NumRows() int { return len(s.rows.keys) }
 
 // Reset clears the accumulator, retaining all allocated storage for
 // reuse.
 func (s *SparseGrad) Reset() {
-	clear(s.slot)
-	s.keys = s.keys[:0]
+	s.rows.reset()
 	s.buf = s.buf[:0]
-}
-
-// Backward scatters dOut (B×dim) into a SparseGrad for this table.
-func (t *Table) Backward(bag Bag, dOut *tensor.Matrix, acc *SparseGrad) {
-	t.BagBackward(bag, dOut, acc)
 }
 
 // BagBackward is the batched gradient-scatter kernel: it walks the whole

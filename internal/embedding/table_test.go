@@ -163,16 +163,16 @@ func TestBackwardScatter(t *testing.T) {
 	bag := NewBag([][]int32{{0, 1}, {1}})
 	dOut := tensor.FromData(2, 2, []float32{1, 2, 10, 20})
 	sg := NewSparseGrad(2)
-	tab.Backward(bag, dOut, sg)
+	tab.BagBackward(bag, dOut, sg)
 	if sg.NumRows() != 2 {
 		t.Fatalf("NumRows = %d, want 2", sg.NumRows())
 	}
 	// Row 0 only from example 0: [1,2]. Row 1 from both: [11,22].
-	if g, ok := sg.Row(0); !ok || g[0] != 1 || g[1] != 2 {
-		t.Errorf("row0 grad = %v (present %v)", g, ok)
+	if g := rowOf(sg, 0); g == nil || g[0] != 1 || g[1] != 2 {
+		t.Errorf("row0 grad = %v", g)
 	}
-	if g, ok := sg.Row(1); !ok || g[0] != 11 || g[1] != 22 {
-		t.Errorf("row1 grad = %v (present %v)", g, ok)
+	if g := rowOf(sg, 1); g == nil || g[0] != 11 || g[1] != 22 {
+		t.Errorf("row1 grad = %v", g)
 	}
 	sg.Reset()
 	if sg.NumRows() != 0 {
@@ -189,12 +189,24 @@ func TestSparseGradReuseIsAllocFree(t *testing.T) {
 	dOut := tensor.New(3, 4)
 	tensor.NormalInit(dOut, 1, xrand.New(10))
 	sg := NewSparseGrad(4)
-	tab.Backward(bag, dOut, sg) // warm the slab and slot map
+	tab.BagBackward(bag, dOut, sg) // warm the slab and row-set
 	if avg := testing.AllocsPerRun(20, func() {
 		sg.Reset()
 		tab.BagBackward(bag, dOut, sg)
 	}); avg != 0 {
 		t.Errorf("steady-state BagBackward allocates %.1f objects per pass, want 0", avg)
+	}
+	// The same on a sparse_heavy-shaped bag and a strided one.
+	for name, big := range map[string]Bag{"sparse_heavy": sparseHeavyBag(4), "strided": stridedBag()} {
+		bigOut := tensor.New(big.Batch(), 4)
+		bigGrad := NewSparseGrad(4)
+		tab.BagBackward(big, bigOut, bigGrad)
+		if avg := testing.AllocsPerRun(10, func() {
+			bigGrad.Reset()
+			tab.BagBackward(big, bigOut, bigGrad)
+		}); avg != 0 {
+			t.Errorf("%s: steady-state BagBackward allocates %.1f objects per pass, want 0", name, avg)
+		}
 	}
 	// ForEach visits rows in first-touch order with the right values.
 	var ids []int32
@@ -202,7 +214,7 @@ func TestSparseGradReuseIsAllocFree(t *testing.T) {
 	if len(ids) != 4 || ids[0] != 0 || ids[1] != 7 || ids[2] != 13 || ids[3] != 21 {
 		t.Errorf("ForEach order = %v, want [0 7 13 21]", ids)
 	}
-	if g, ok := sg.Row(7); !ok || math.Abs(float64(g[0]-2*dOut.At(0, 0))) > 1e-6 {
+	if g := rowOf(sg, 7); g == nil || math.Abs(float64(g[0]-2*dOut.At(0, 0))) > 1e-6 {
 		t.Errorf("row 7 grad = %v, want duplicate-weighted %v", g, 2*dOut.At(0, 0))
 	}
 }
@@ -245,7 +257,7 @@ func TestForwardBackwardGradCheck(t *testing.T) {
 		return s
 	}
 	sg := NewSparseGrad(3)
-	tab.Backward(bag, c, sg)
+	tab.BagBackward(bag, c, sg)
 
 	// Probe a few weights.
 	for _, probe := range []struct{ row, col int }{{0, 0}, {2, 1}, {1, 2}, {5, 0}} {
@@ -259,7 +271,7 @@ func TestForwardBackwardGradCheck(t *testing.T) {
 		tab.Weights.Data[i] = orig
 		numeric := (fp - fm) / (2 * eps)
 		var analytic float64
-		if g, ok := sg.Row(int32(probe.row)); ok {
+		if g := rowOf(sg, int32(probe.row)); g != nil {
 			analytic = float64(g[probe.col])
 		}
 		if math.Abs(numeric-analytic) > 1e-3 {
@@ -280,8 +292,8 @@ func TestDuplicateIndexPooling(t *testing.T) {
 		t.Errorf("duplicate pooling = %v, want 10", out.At(0, 0))
 	}
 	sg := NewSparseGrad(1)
-	tab.Backward(bag, tensor.FromData(1, 1, []float32{1}), sg)
-	if g, ok := sg.Row(3); !ok || g[0] != 2 {
+	tab.BagBackward(bag, tensor.FromData(1, 1, []float32{1}), sg)
+	if g := rowOf(sg, 3); g == nil || g[0] != 2 {
 		t.Errorf("duplicate grad = %v, want 2", g)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/ingest"
 	"repro/internal/perfmodel"
+	"repro/internal/telemetry"
 	"repro/internal/train"
 	"repro/internal/xrand"
 )
@@ -261,9 +262,12 @@ func TestStarvationMeter(t *testing.T) {
 
 	// Throttle so each shard takes ~15ms to "read": the instant consumer
 	// is starved nearly 100% of the time.
-	p, err := ingest.Open(ds, cfg, ingest.Options{
-		BatchSize: 64, Readers: 1, Epochs: 1, ReadBandwidth: bytesPerShard / 0.015,
-	})
+	reg := telemetry.NewRegistry()
+	opt := ingest.Options{
+		BatchSize: 64, Readers: 1, Epochs: 1, ReadBandwidth: bytesPerShard / 0.015, Registry: reg,
+	}
+	opt.Trace = telemetry.NewTracer(opt.ShardCount(), 4096)
+	p, err := ingest.Open(ds, cfg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +276,17 @@ func TestStarvationMeter(t *testing.T) {
 	m := p.Meters()
 	if m.StarvationFrac() <= 0.2 {
 		t.Fatalf("throttled reader starvation %.3f, want > 0.2", m.StarvationFrac())
+	}
+	// The doctor reads starvation from both sides, the batch-wait spans
+	// and the meter, so the two must be one measurement.
+	var waitNs int64
+	for _, sp := range opt.Trace.Snapshot().Spans {
+		if sp.Phase == telemetry.PhaseBatchWait {
+			waitNs += sp.Dur()
+		}
+	}
+	if starved := reg.Snapshot().Get("ingest/starved_ns"); waitNs == 0 || waitNs != starved {
+		t.Fatalf("batch-wait spans total %d ns, starvation meter %d ns: want equal and > 0", waitNs, starved)
 	}
 	if mbps := m.ReadMBps(); mbps <= 0 {
 		t.Fatalf("read bandwidth meter %v", mbps)
