@@ -106,11 +106,7 @@ func NewAdagrad(params []nn.Param, lr float32) *Adagrad {
 // Step applies the AdaGrad update using accumulated squared gradients.
 func (a *Adagrad) Step() {
 	for pi, p := range a.param {
-		acc := a.accum[pi]
-		for i, g := range p.Grad {
-			acc[i] += g * g
-			p.Value[i] -= a.LR * g / (float32(math.Sqrt(float64(acc[i]))) + a.Eps)
-		}
+		tensor.AdagradStep(p.Value, p.Grad, a.accum[pi], a.LR, a.Eps)
 	}
 }
 

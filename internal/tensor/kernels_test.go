@@ -148,22 +148,28 @@ func TestKernelsMatchNaiveParallel(t *testing.T) {
 
 // TestKernelsConcurrentCallers hammers the shared worker pool from many
 // goroutines at once (the Hogwild pattern) and checks every result.
+// MatMulTransB packs b into a buffer on its job, so concurrent callers
+// must each get their own.
 func TestKernelsConcurrentCallers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	rng := xrand.New(7)
 	a := randShaped(rng, 48, 256)
 	b := randShaped(rng, 256, 96)
+	bT := randShaped(rng, 96, 256)
 	want := naiveMatMul(a, b)
+	wantT := New(48, 96)
+	MatMulTransB(wantT, a, bT)
 	done := make(chan bool)
 	const callers = 8
 	for c := 0; c < callers; c++ {
 		go func() {
-			dst := New(48, 96)
+			dst, dstT := New(48, 96), New(48, 96)
 			for i := 0; i < 20; i++ {
 				MatMul(dst, a, b)
+				MatMulTransB(dstT, a, bT)
 			}
-			done <- dst.Equal(want, 1e-3)
+			done <- dst.Equal(want, 1e-3) && dstT.Equal(wantT, 0)
 		}()
 	}
 	for c := 0; c < callers; c++ {

@@ -160,13 +160,19 @@ func MatMulBiasReLU(dst, a, b *Matrix, bias []float32, relu bool) {
 // instead: axpy2 folds two rank-1 row updates into one pass over the
 // destination (halving its load/store traffic), and dot2 computes two
 // inner products sharing the left operand's loads across four independent
-// accumulator chains.
+// accumulator chains. Where the CPU has AVX2, the 8-aligned prefix of
+// axpy2/axpy4 and MatMulTransB's first n&^7 columns run on the vector
+// kernels in simd_amd64.s, which compute the same bits as these loops.
 
 // axpy2 computes y += a0*x0 + a1*x1 in one pass.
 func axpy2(a0 float32, x0 []float32, a1 float32, x1 []float32, y []float32) {
 	n := min(len(y), min(len(x0), len(x1)))
 	x0, x1, y = x0[:n], x1[:n], y[:n]
 	i := 0
+	if vectorKernels && n >= 8 {
+		i = n &^ 7
+		axpy2Vec(a0, x0[:i], a1, x1[:i], y[:i])
+	}
 	for ; i+2 <= n; i += 2 {
 		y[i] += a0*x0[i] + a1*x1[i]
 		y[i+1] += a0*x0[i+1] + a1*x1[i+1]
@@ -183,6 +189,10 @@ func axpy4(a0 float32, x0 []float32, a1 float32, x1 []float32,
 	n := min(min(len(y), min(len(x0), len(x1))), min(len(x2), len(x3)))
 	x0, x1, x2, x3, y = x0[:n], x1[:n], x2[:n], x3[:n], y[:n]
 	i := 0
+	if vectorKernels && n >= 8 {
+		i = n &^ 7
+		axpy4Vec(a0, x0[:i], a1, x1[:i], a2, x2[:i], a3, x3[:i], y[:i])
+	}
 	for ; i+2 <= n; i += 2 {
 		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
 		y[i+1] += a0*x0[i+1] + a1*x1[i+1] + a2*x2[i+1] + a3*x3[i+1]
@@ -335,14 +345,58 @@ func MatMulTransB(dst, a, b *Matrix) {
 	dispatch(kMatMulTransB, dst, a, b, nil, false, a.Rows, a.Rows*a.Cols*b.Rows)
 }
 
-// matMulTransBRange computes rows [r0, r1) of dst = a·bᵀ; b's rows are
-// walked in tileRows panels reused across each tile of a's rows.
-func matMulTransBRange(dst, a, b *Matrix, r0, r1 int) {
+// packTransB copies b's first n&^7 rows into panel, grown as needed, as
+// k×8 blocks — block q holds columns 8q..8q+7 of dst, with the p-th
+// elements of its 8 rows of b adjacent — and returns the packed slice
+// (empty when the vector kernels are off or there is nothing to pack).
+func packTransB(panel []float32, b *Matrix) []float32 {
+	k, n8 := b.Cols, b.Rows&^7
+	if !vectorKernels || k == 0 {
+		n8 = 0
+	}
+	if cap(panel) < n8*k {
+		panel = make([]float32, n8*k)
+	}
+	panel = panel[:n8*k]
+	k8 := k &^ 7
+	for jb := 0; jb < n8; jb += 8 {
+		blk := panel[jb*k : (jb+8)*k]
+		if k8 > 0 {
+			packPanel8(&blk[0], &b.Data[jb*k], k, k8)
+		}
+		for c := 0; c < 8; c++ {
+			for p, v := range b.Data[(jb+c)*k+k8 : (jb+c+1)*k] {
+				blk[(k8+p)*8+c] = v
+			}
+		}
+	}
+	return panel
+}
+
+// matMulTransBRange computes rows [r0, r1) of dst = a·bᵀ. The columns
+// packed into panel (packTransB) run on the 4×8 vector kernel, one panel
+// block at a time across the range's rows; the rest walk b's rows in
+// tileRows panels reused across each tile of a's rows.
+func matMulTransBRange(dst, a, b *Matrix, panel []float32, r0, r1 int) {
 	k := a.Cols
 	n := b.Rows
+	n8 := 0
+	if len(panel) > 0 {
+		n8 = n &^ 7
+	}
+	for jb := 0; jb < n8; jb += 8 {
+		blk := &panel[jb*k]
+		i := r0
+		for ; i+4 <= r1; i += 4 {
+			transB4x8(&dst.Data[i*n+jb], n, &a.Data[i*k], k, blk, k)
+		}
+		for ; i < r1; i++ {
+			transB1x8(&dst.Data[i*n+jb], &a.Data[i*k], blk, k)
+		}
+	}
 	for ii := r0; ii < r1; ii += tileRows {
 		iEnd := min(ii+tileRows, r1)
-		for jj := 0; jj < n; jj += tileRows {
+		for jj := n8; jj < n; jj += tileRows {
 			jEnd := min(jj+tileRows, n)
 			for i := ii; i < iEnd; i++ {
 				arow := a.Data[i*k : (i+1)*k]

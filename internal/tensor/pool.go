@@ -14,9 +14,10 @@ import (
 //   - A parallel invocation is described by a job carrying typed operands
 //     (not a closure), so dispatching allocates nothing: closures passed
 //     across goroutines escape to the heap, kernel kinds do not.
-//   - Jobs are recycled through a sync.Pool, and workers plus the
-//     submitting goroutine claim row chunks from a shared atomic cursor,
-//     which load-balances skewed rows without per-chunk channel traffic.
+//   - Jobs are recycled through a free list (getJob/putJob), and workers
+//     plus the submitting goroutine claim row chunks from a shared atomic
+//     cursor, which load-balances skewed rows without per-chunk channel
+//     traffic.
 
 // kernelKind enumerates the range kernels the pool can run; kRange is
 // the one whose body lives outside this package (Ranger).
@@ -53,6 +54,12 @@ type job struct {
 
 	r Ranger // kRange: the caller's own items
 
+	// panel is kMatMulTransB's packed copy of b (packTransB), filled on
+	// the submitting goroutine before any helper sees the job. It stays
+	// with the job when it is recycled, so a steady stream of calls
+	// packs without allocating; each concurrent call has its own job.
+	panel []float32
+
 	rows   int
 	chunk  int
 	cursor atomic.Int64
@@ -67,7 +74,7 @@ func (j *job) runRange(r0, r1 int) {
 	case kMatMulBiasReLU:
 		matMulBiasReLURange(j.dst, j.a, j.b, j.bias, j.relu, r0, r1)
 	case kMatMulTransB:
-		matMulTransBRange(j.dst, j.a, j.b, r0, r1)
+		matMulTransBRange(j.dst, j.a, j.b, j.panel, r0, r1)
 	case kMatMulTransA:
 		matMulTransARange(j.dst, j.a, j.b, r0, r1)
 	case kMatMulTransAAcc:
@@ -114,8 +121,39 @@ var (
 	poolOnce    sync.Once
 	poolCh      chan *job
 	poolWorkers int
-	jobPool     = sync.Pool{New: func() any { return new(job) }}
 )
+
+// freeJobs holds recycled jobs. It is a locked stack rather than a
+// sync.Pool because a job carries its packed panel: a sync.Pool empties
+// itself across garbage collections (and drops items at random under the
+// race detector), which would reallocate panels on the serial path that
+// the step's zero-allocation budget covers. It holds at most as many
+// jobs as kernels ever ran at once.
+var freeJobs struct {
+	sync.Mutex
+	stack []*job
+}
+
+func getJob() *job {
+	freeJobs.Lock()
+	defer freeJobs.Unlock()
+	n := len(freeJobs.stack)
+	if n == 0 {
+		return new(job)
+	}
+	j := freeJobs.stack[n-1]
+	freeJobs.stack = freeJobs.stack[:n-1]
+	return j
+}
+
+// putJob drops j's operand references and recycles it.
+func putJob(j *job) {
+	j.dst, j.a, j.b, j.bias = nil, nil, nil, nil
+	j.hu, j.hf, j.r = nil, nil, nil
+	freeJobs.Lock()
+	freeJobs.stack = append(freeJobs.stack, j)
+	freeJobs.Unlock()
+}
 
 // startPool spawns the persistent helpers. The count is fixed at first
 // use: GOMAXPROCS-1 helpers (the submitter is the remaining worker), with
@@ -168,25 +206,26 @@ fanout:
 	}
 	j.drain()
 	j.done.Wait()
-	j.dst, j.a, j.b, j.bias = nil, nil, nil, nil
-	j.hu, j.hf, j.r = nil, nil, nil
-	jobPool.Put(j)
+	putJob(j)
 }
 
 // dispatch runs the kernel serially when the FLOP estimate is below
 // parallelThreshold (or only one P is available) and through the worker
-// pool otherwise. The serial path performs zero allocations.
+// pool otherwise. Both paths allocate nothing at steady state.
 func dispatch(kind kernelKind, dst, a, b *Matrix, bias []float32, relu bool, rows, work int) {
 	if rows == 0 {
 		return
 	}
+	j := getJob()
+	j.kind, j.dst, j.a, j.b, j.bias, j.relu = kind, dst, a, b, bias, relu
+	if kind == kMatMulTransB {
+		j.panel = packTransB(j.panel, b)
+	}
 	if serial(rows, work) {
-		j := job{kind: kind, dst: dst, a: a, b: b, bias: bias, relu: relu}
 		j.runRange(0, rows)
+		putJob(j)
 		return
 	}
-	j := jobPool.Get().(*job)
-	j.kind, j.dst, j.a, j.b, j.bias, j.relu = kind, dst, a, b, bias, relu
 	submit(j, rows, 0)
 }
 
@@ -204,7 +243,7 @@ func dispatchConv(kind kernelKind, dt DType, u []uint16, f []float32, n int) {
 		j.runRange(0, blocks)
 		return
 	}
-	j := jobPool.Get().(*job)
+	j := getJob()
 	j.kind, j.dt, j.hu, j.hf = kind, dt, u, f
 	submit(j, blocks, 0)
 }
@@ -233,7 +272,7 @@ func ParallelRange(r Ranger, n, perItem int) {
 		r.RunRange(0, n)
 		return
 	}
-	j := jobPool.Get().(*job)
+	j := getJob()
 	j.kind, j.r = kRange, r
 	submit(j, n, 1)
 }

@@ -1,0 +1,407 @@
+#include "textflag.h"
+
+// AVX2 kernels behind the element-wise and dX kernels (simd_amd64.go).
+// Each lane of a Y register carries one output element through exactly
+// the multiply and add sequence the Go loop applies to it, rounded after
+// every operation (VMULPS, VADDPS, VSUBPS, VDIVPS, VSQRTPS; no FMA), so
+// the results are bit-identical to the Go kernels. The element-wise
+// kernels process len(dst)/8 blocks of 8; their callers pass slices cut
+// to a multiple of 8 with every source at least as long as dst.
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET
+
+// func addToVec(dst, src []float32)
+TEXT ·addToVec(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	SHRQ $3, CX
+	JZ   addto_done
+
+addto_loop:
+	VMOVUPS (DI), Y0
+	VADDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	DECQ    CX
+	JNZ     addto_loop
+
+addto_done:
+	VZEROUPPER
+	RET
+
+// func addTo2Vec(dst, src0, src1 []float32)
+// dst += (src0 + src1)
+TEXT ·addTo2Vec(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src0_base+24(FP), SI
+	MOVQ src1_base+48(FP), DX
+	SHRQ $3, CX
+	JZ   addto2_done
+
+addto2_loop:
+	VMOVUPS (SI), Y0
+	VADDPS  (DX), Y0, Y0
+	VADDPS  (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     addto2_loop
+
+addto2_done:
+	VZEROUPPER
+	RET
+
+// func axpyVec(alpha float32, x, y []float32)
+// y += alpha*x
+TEXT ·axpyVec(SB), NOSPLIT, $0-56
+	VBROADCASTSS alpha+0(FP), Y0
+	MOVQ         x_base+8(FP), SI
+	MOVQ         y_base+32(FP), DI
+	MOVQ         y_len+40(FP), CX
+	SHRQ         $3, CX
+	JZ           axpy_done
+
+axpy_loop:
+	VMULPS  (SI), Y0, Y1
+	VADDPS  (DI), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     axpy_loop
+
+axpy_done:
+	VZEROUPPER
+	RET
+
+// func axpy2Vec(a0 float32, x0 []float32, a1 float32, x1 []float32, y []float32)
+// y += (a0*x0 + a1*x1)
+TEXT ·axpy2Vec(SB), NOSPLIT, $0-88
+	VBROADCASTSS a0+0(FP), Y0
+	MOVQ         x0_base+8(FP), SI
+	VBROADCASTSS a1+32(FP), Y1
+	MOVQ         x1_base+40(FP), DX
+	MOVQ         y_base+64(FP), DI
+	MOVQ         y_len+72(FP), CX
+	SHRQ         $3, CX
+	JZ           axpy2_done
+
+axpy2_loop:
+	VMULPS  (SI), Y0, Y2
+	VMULPS  (DX), Y1, Y3
+	VADDPS  Y3, Y2, Y2
+	VADDPS  (DI), Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     axpy2_loop
+
+axpy2_done:
+	VZEROUPPER
+	RET
+
+// func axpy4Vec(a0 float32, x0 []float32, a1 float32, x1 []float32, a2 float32, x2 []float32, a3 float32, x3 []float32, y []float32)
+// y += (((a0*x0 + a1*x1) + a2*x2) + a3*x3)
+TEXT ·axpy4Vec(SB), NOSPLIT, $0-152
+	VBROADCASTSS a0+0(FP), Y0
+	MOVQ         x0_base+8(FP), SI
+	VBROADCASTSS a1+32(FP), Y1
+	MOVQ         x1_base+40(FP), DX
+	VBROADCASTSS a2+64(FP), Y2
+	MOVQ         x2_base+72(FP), R8
+	VBROADCASTSS a3+96(FP), Y3
+	MOVQ         x3_base+104(FP), R9
+	MOVQ         y_base+128(FP), DI
+	MOVQ         y_len+136(FP), CX
+	SHRQ         $3, CX
+	JZ           axpy4_done
+
+axpy4_loop:
+	VMULPS  (SI), Y0, Y4
+	VMULPS  (DX), Y1, Y5
+	VADDPS  Y5, Y4, Y4
+	VMULPS  (R8), Y2, Y5
+	VADDPS  Y5, Y4, Y4
+	VMULPS  (R9), Y3, Y5
+	VADDPS  Y5, Y4, Y4
+	VADDPS  (DI), Y4, Y4
+	VMOVUPS Y4, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     axpy4_loop
+
+axpy4_done:
+	VZEROUPPER
+	RET
+
+// func adagradVec(value, grad, acc []float32, lr, eps float32)
+// acc += g*g; value -= (lr*g) / (sqrt(acc) + eps)
+TEXT ·adagradVec(SB), NOSPLIT, $0-80
+	MOVQ         value_base+0(FP), DI
+	MOVQ         value_len+8(FP), CX
+	MOVQ         grad_base+24(FP), SI
+	MOVQ         acc_base+48(FP), DX
+	VBROADCASTSS lr+72(FP), Y0
+	VBROADCASTSS eps+76(FP), Y1
+	SHRQ         $3, CX
+	JZ           adagrad_done
+
+adagrad_loop:
+	VMOVUPS (SI), Y2
+	VMULPS  Y2, Y2, Y3
+	VADDPS  (DX), Y3, Y3
+	VMOVUPS Y3, (DX)
+	VSQRTPS Y3, Y3
+	VADDPS  Y1, Y3, Y3
+	VMULPS  Y0, Y2, Y2
+	VDIVPS  Y3, Y2, Y2
+	VMOVUPS (DI), Y4
+	VSUBPS  Y2, Y4, Y4
+	VMOVUPS Y4, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     adagrad_loop
+
+adagrad_done:
+	VZEROUPPER
+	RET
+
+// func transB4x8(dst *float32, ldd int, a *float32, lda int, panel *float32, k int)
+//
+// dst[r][c] = a[r]·b[c] for 4 rows r of a (stride lda) and the 8 columns
+// c of one packed panel (k×8: the 8 columns' p-th elements are adjacent).
+// Like dot4, each output keeps an even-p and an odd-p chain, adds them,
+// then adds the last product when k is odd. k must be at least 1.
+TEXT ·transB4x8(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R9
+	MOVQ panel+32(FP), DX
+	MOVQ k+40(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R9
+	LEAQ (SI)(R9*1), R10
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+
+	// Y0-Y3: even-p chains of rows 0-3; Y4-Y7: odd-p chains.
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ   AX, AX
+	MOVQ   CX, BX
+	SHRQ   $1, BX
+	JZ     tb4_sum
+
+tb4_pairs:
+	VMOVUPS      (DX), Y8
+	VMOVUPS      32(DX), Y9
+	VBROADCASTSS (SI)(AX*1), Y10
+	VBROADCASTSS 4(SI)(AX*1), Y11
+	VBROADCASTSS (R10)(AX*1), Y12
+	VBROADCASTSS 4(R10)(AX*1), Y13
+	VMULPS       Y8, Y10, Y10
+	VMULPS       Y9, Y11, Y11
+	VMULPS       Y8, Y12, Y12
+	VMULPS       Y9, Y13, Y13
+	VADDPS       Y10, Y0, Y0
+	VADDPS       Y11, Y4, Y4
+	VADDPS       Y12, Y1, Y1
+	VADDPS       Y13, Y5, Y5
+	VBROADCASTSS (R11)(AX*1), Y10
+	VBROADCASTSS 4(R11)(AX*1), Y11
+	VBROADCASTSS (R12)(AX*1), Y12
+	VBROADCASTSS 4(R12)(AX*1), Y13
+	VMULPS       Y8, Y10, Y10
+	VMULPS       Y9, Y11, Y11
+	VMULPS       Y8, Y12, Y12
+	VMULPS       Y9, Y13, Y13
+	VADDPS       Y10, Y2, Y2
+	VADDPS       Y11, Y6, Y6
+	VADDPS       Y12, Y3, Y3
+	VADDPS       Y13, Y7, Y7
+	ADDQ         $64, DX
+	ADDQ         $8, AX
+	DECQ         BX
+	JNZ          tb4_pairs
+
+tb4_sum:
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+	TESTQ  $1, CX
+	JZ     tb4_store
+	VMOVUPS      (DX), Y8
+	VBROADCASTSS (SI)(AX*1), Y10
+	VBROADCASTSS (R10)(AX*1), Y11
+	VBROADCASTSS (R11)(AX*1), Y12
+	VBROADCASTSS (R12)(AX*1), Y13
+	VMULPS       Y8, Y10, Y10
+	VMULPS       Y8, Y11, Y11
+	VMULPS       Y8, Y12, Y12
+	VMULPS       Y8, Y13, Y13
+	VADDPS       Y10, Y0, Y0
+	VADDPS       Y11, Y1, Y1
+	VADDPS       Y12, Y2, Y2
+	VADDPS       Y13, Y3, Y3
+
+tb4_store:
+	VMOVUPS Y0, (DI)
+	ADDQ    R8, DI
+	VMOVUPS Y1, (DI)
+	ADDQ    R8, DI
+	VMOVUPS Y2, (DI)
+	ADDQ    R8, DI
+	VMOVUPS Y3, (DI)
+	VZEROUPPER
+	RET
+
+// func transB1x8(dst *float32, a *float32, panel *float32, k int)
+//
+// One row of transB4x8, for the rows left over after the groups of 4.
+TEXT ·transB1x8(SB), NOSPLIT, $0-32
+	MOVQ   dst+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   panel+16(FP), DX
+	MOVQ   k+24(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y4, Y4, Y4
+	XORQ   AX, AX
+	MOVQ   CX, BX
+	SHRQ   $1, BX
+	JZ     tb1_sum
+
+tb1_pairs:
+	VBROADCASTSS (SI)(AX*1), Y10
+	VBROADCASTSS 4(SI)(AX*1), Y11
+	VMULPS       (DX), Y10, Y10
+	VMULPS       32(DX), Y11, Y11
+	VADDPS       Y10, Y0, Y0
+	VADDPS       Y11, Y4, Y4
+	ADDQ         $64, DX
+	ADDQ         $8, AX
+	DECQ         BX
+	JNZ          tb1_pairs
+
+tb1_sum:
+	VADDPS Y4, Y0, Y0
+	TESTQ  $1, CX
+	JZ     tb1_store
+	VBROADCASTSS (SI)(AX*1), Y10
+	VMULPS       (DX), Y10, Y10
+	VADDPS       Y10, Y0, Y0
+
+tb1_store:
+	VMOVUPS Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func packPanel8(dst *float32, src *float32, ld int, k8 int)
+//
+// Transposes 8 rows of src (stride ld) into dst as k8×8: dst[p*8+c] =
+// src[c*ld+p] for c < 8 and p < k8, k8 a multiple of 8. A copy, one 8×8
+// block per iteration.
+TEXT ·packPanel8(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ld+16(FP), R8
+	MOVQ k8+24(FP), CX
+	SHLQ $2, R8
+	LEAQ (SI)(R8*4), R9
+	LEAQ (R8)(R8*2), R10
+	SHRQ $3, CX
+	JZ   pack_done
+
+pack_loop:
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(R8*1), Y1
+	VMOVUPS (SI)(R8*2), Y2
+	VMOVUPS (SI)(R10*1), Y3
+	VMOVUPS (R9), Y4
+	VMOVUPS (R9)(R8*1), Y5
+	VMOVUPS (R9)(R8*2), Y6
+	VMOVUPS (R9)(R10*1), Y7
+
+	// Interleave row pairs, then gather 4-row columns within each
+	// 128-bit lane, then join the lanes of rows 0-3 and rows 4-7.
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, 32(DI)
+	VMOVUPS Y10, 64(DI)
+	VMOVUPS Y11, 96(DI)
+	VMOVUPS Y12, 128(DI)
+	VMOVUPS Y13, 160(DI)
+	VMOVUPS Y14, 192(DI)
+	VMOVUPS Y15, 224(DI)
+
+	ADDQ $32, SI
+	ADDQ $32, R9
+	ADDQ $256, DI
+	DECQ CX
+	JNZ  pack_loop
+
+pack_done:
+	VZEROUPPER
+	RET

@@ -33,6 +33,22 @@ func Dot(a, b []float32) float32 {
 	return s
 }
 
+// vectorKernels selects the AVX2 kernels (simd_amd64.s) for the 8-aligned
+// prefix of the element-wise kernels, for MatMulTransB's packed columns
+// and for AdagradStep. It is on wherever the CPU has them. Both settings
+// compute the same bits: the Go loops are the reference the vector
+// kernels are tested against, and the only path on other CPUs.
+var vectorKernels = vectorCPU
+
+// SetVectorKernels turns the vector kernels on or off and returns the
+// previous setting; on a CPU without them they stay off. Results do not
+// depend on it: it lets tests run the Go kernels the vector ones are
+// checked against. It must not be called while a kernel runs.
+func SetVectorKernels(on bool) (was bool) {
+	was, vectorKernels = vectorKernels, on && vectorCPU
+	return was
+}
+
 // Axpy computes y += alpha*x element-wise, unrolled 4× to amortize loop
 // and bounds-check overhead (iterations are independent, so no extra
 // accumulators are needed).
@@ -42,6 +58,10 @@ func Axpy(alpha float32, x, y []float32) {
 	}
 	y = y[:len(x)]
 	i := 0
+	if vectorKernels && len(x) >= 8 {
+		i = len(x) &^ 7
+		axpyVec(alpha, x[:i], y[:i])
+	}
 	for ; i+4 <= len(x); i += 4 {
 		y[i] += alpha * x[i]
 		y[i+1] += alpha * x[i+1]
@@ -60,6 +80,10 @@ func AddTo(dst, src []float32) {
 	}
 	dst = dst[:len(src)]
 	i := 0
+	if vectorKernels && len(src) >= 8 {
+		i = len(src) &^ 7
+		addToVec(dst[:i], src[:i])
+	}
 	for ; i+4 <= len(src); i += 4 {
 		dst[i] += src[i]
 		dst[i+1] += src[i+1]
@@ -99,12 +123,34 @@ func AddTo2(dst, src0, src1 []float32) {
 	}
 	dst, src0, src1 = dst[:n], src0[:n], src1[:n]
 	i := 0
+	if vectorKernels && n >= 8 {
+		i = n &^ 7
+		addTo2Vec(dst[:i], src0[:i], src1[:i])
+	}
 	for ; i+2 <= n; i += 2 {
 		dst[i] += src0[i] + src1[i]
 		dst[i+1] += src0[i+1] + src1[i+1]
 	}
 	if i < n {
 		dst[i] += src0[i] + src1[i]
+	}
+}
+
+// AdagradStep applies one diagonal AdaGrad update element-wise:
+// acc += g², then value -= lr·g / (√acc + eps). Lengths must match; the
+// shortest bound is taken.
+func AdagradStep(value, grad, acc []float32, lr, eps float32) {
+	n := min(len(value), len(grad), len(acc))
+	value, grad, acc = value[:n], grad[:n], acc[:n]
+	i := 0
+	if vectorKernels && n >= 8 {
+		i = n &^ 7
+		adagradVec(value[:i], grad[:i], acc[:i], lr, eps)
+	}
+	for ; i < n; i++ {
+		g := grad[i]
+		acc[i] += g * g
+		value[i] -= lr * g / (float32(math.Sqrt(float64(acc[i]))) + eps)
 	}
 }
 

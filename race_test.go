@@ -2,7 +2,6 @@
 
 package recsim
 
-// raceDetectorEnabled gates allocation budgets over code that recycles
-// through sync.Pool, which under the race detector drops a quarter of
-// what is put back.
+// raceDetectorEnabled shortens tests whose Go loops the race detector
+// slows by an order of magnitude.
 const raceDetectorEnabled = true

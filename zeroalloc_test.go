@@ -73,9 +73,6 @@ func TestQuantizedStepZeroAlloc(t *testing.T) {
 // closure are the whole of that budget already (ROADMAP item 5) and no
 // part of the hand-off.
 func TestFanOutStepZeroAlloc(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("the pool's recycled jobs are reallocated under the race detector")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := benchreport.BenchStepConfig()
 	cfg.Sparse = UniformSparse(4, 2000, 40)
