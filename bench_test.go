@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/benchreport"
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/embedding"
 	"repro/internal/experiments"
@@ -58,8 +59,7 @@ func BenchmarkAutotune(b *testing.B) { benchExperiment(b, "vic") }
 // ---- substrate micro-benchmarks and DESIGN.md ablations ----
 
 // BenchmarkTrainStep measures one real training step of a mid-size model
-// (the same config cmd/benchrun's train_step entry measures, so the
-// committed BENCH reports stay comparable).
+// (benchreport.BenchStepConfig, the model of three bench/e2e workloads).
 func BenchmarkTrainStep(b *testing.B) {
 	cfg := benchreport.BenchStepConfig()
 	m := NewModel(cfg, 1)
@@ -75,8 +75,7 @@ func BenchmarkTrainStep(b *testing.B) {
 
 // BenchmarkTrainStepTraced is BenchmarkTrainStep with span tracing on:
 // the delta against the untraced number is the telemetry overhead, whose
-// acceptance bound is < 3% (cmd/benchrun records the same pair as the
-// telemetry_overhead_single speedup).
+// acceptance bound is < 3%.
 func BenchmarkTrainStepTraced(b *testing.B) {
 	cfg := benchreport.BenchStepConfig()
 	m := NewModel(cfg, 1)
@@ -94,26 +93,41 @@ func BenchmarkTrainStepTraced(b *testing.B) {
 // BenchmarkHybridStep measures one synchronous hybrid-parallel step on 2
 // in-process ranks over the same model/batch as BenchmarkTrainStep, so
 // the parallelization overhead (collectives + pack/unpack) is directly
-// readable against the single-process step. cmd/benchrun's hybrid_step
-// entry records the same setup.
+// readable against the single-process step. The bf16 case stores the
+// tables in bf16 (fp32 masters, split-SGD) and sends both the all-to-all
+// and the all-reduce through the bf16 codec, halving every wire payload.
 func BenchmarkHybridStep(b *testing.B) {
-	cfg := benchreport.BenchStepConfig()
-	ht, err := hybrid.New(cfg, hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		table tensor.DType
+		wire  collective.WireFormat
+	}{
+		{"fp32", tensor.FP32, collective.WireFP32},
+		{"bf16", tensor.BF16, collective.WireBF16},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := benchreport.BenchStepConfig()
+			cfg.TableDType = tc.table
+			ht, err := hybrid.New(cfg, hybrid.Config{
+				Ranks: 2, LR: 0.05, Seed: 1, WireA2A: tc.wire, WireAllReduce: tc.wire,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ht.Close()
+			gen := NewGenerator(cfg, 2)
+			batch := gen.NextBatch(128)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ht.Step(batch)
+			}
+			b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds(), "examples/sec")
+		})
 	}
-	defer ht.Close()
-	gen := NewGenerator(cfg, 2)
-	batch := gen.NextBatch(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ht.Step(batch)
-	}
-	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds(), "examples/sec")
 }
 
-// BenchmarkHybridStepTraced is BenchmarkHybridStep with span tracing on
-// across both rank shards (telemetry_overhead_hybrid in cmd/benchrun).
+// BenchmarkHybridStepTraced is the fp32 BenchmarkHybridStep with span
+// tracing on across both rank shards.
 func BenchmarkHybridStepTraced(b *testing.B) {
 	cfg := benchreport.BenchStepConfig()
 	hc := hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1}
@@ -136,7 +150,6 @@ func BenchmarkHybridStepTraced(b *testing.B) {
 // staged on-disk reader pipeline (2 decoders, RecD dedup) feeding
 // core.Trainer over the same model as BenchmarkTrainStep, so the cost of
 // training from disk instead of a resident batch is directly readable.
-// cmd/benchrun's ingest_step entry records the same setup.
 func BenchmarkIngestStep(b *testing.B) {
 	cfg := benchreport.BenchStepConfig()
 	dir := b.TempDir()
@@ -233,7 +246,22 @@ func BenchmarkAblationDenseLayerUnfused(b *testing.B) {
 	bias := make([]float32, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchreport.UnfusedDenseLayer(y, x, w, bias)
+		unfusedDenseLayer(y, x, w, bias)
+	}
+}
+
+// unfusedDenseLayer runs the pre-fusion dense-layer forward sequence
+// (matmul, then bias and ReLU passes) that tensor.MatMulBiasReLU replaced.
+func unfusedDenseLayer(y, x, w *tensor.Matrix, bias []float32) {
+	tensor.MatMul(y, x, w)
+	for r := 0; r < y.Rows; r++ {
+		row := y.Row(r)
+		tensor.AddTo(row, bias)
+		for j, v := range row {
+			if v < 0 {
+				row[j] = 0
+			}
+		}
 	}
 }
 

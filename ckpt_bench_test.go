@@ -29,10 +29,9 @@ func ckptBenchFixture() (*ckpt.ModelState, []*ckpt.Dirty, [][]int32) {
 
 // BenchmarkCkptSnapshot measures the checkpoint stall a training loop
 // pays at a save point: a full snapshot of the bench model vs the
-// incremental delta carrying only one step's touched rows (cmd/benchrun's
-// ckpt_snapshot/{full,delta} entries record the same pair; their ratio is
-// the ckpt_delta_vs_full speedup). Each iteration deletes the previous
-// checkpoint after the new one lands, so the store directory stays small.
+// incremental delta carrying only one step's touched rows. Each iteration
+// deletes the previous checkpoint after the new one lands, so the store
+// directory stays small.
 func BenchmarkCkptSnapshot(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		st, _, _ := ckptBenchFixture()

@@ -4,9 +4,8 @@
 // its dominant cost bucket; the faulted run flips to straggler-bound,
 // with the slow rank attributed from the collective rendezvous-wait
 // meters (the straggler reaches every barrier last and waits the
-// least). Finishes with a quantile readout from the zero-allocation
-// phase histograms and a bench-report diff under the CI gate's
-// tolerance policy.
+// least). The clean run ends with a quantile readout from the
+// zero-allocation phase histograms.
 package main
 
 import (
@@ -91,17 +90,6 @@ func demo() error {
 			fmt.Printf("\nstep latency: n=%d mean %.3fms p50 %.3fms p99 %.3fms max %.3fms\n",
 				q.Count, q.Mean/1e6, float64(q.P50)/1e6, float64(q.P99)/1e6, float64(q.Max)/1e6)
 		}
-	}
-
-	// The same tolerance policy gates CI: diff the two most recent
-	// committed bench reports.
-	old, new := "BENCH_20260808T110216Z.json", "BENCH_20260808T115935Z.json"
-	if _, err := os.Stat(old); err == nil {
-		d, err := recsim.CompareBenchReports(old, new, recsim.DefaultBenchTolerance())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n=== bench trajectory gate ===\n%s", d.Render())
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +29,32 @@ func TestParseFaultSchedule(t *testing.T) {
 			t.Errorf("ParseFaultSchedule(%q) accepted bad input", bad)
 		}
 	}
+}
+
+// FuzzParseFaultSchedule feeds arbitrary -faults strings to the parser:
+// it must return an error rather than panic, and a schedule it accepts
+// must parse back from its own String() to the same faults.
+func FuzzParseFaultSchedule(f *testing.F) {
+	for _, s := range []string{
+		"", "kill:1@12, delay:0@5+2ms ,fail:2@30", ",,fail:0@0,", "kill:+1@+2",
+		"delay:3@7+1h2m3.5s", "delay:0@1+-0s", "delay:0@0+9223372036854775807ns",
+		"kill:9223372036854775807@9223372036854775807", "kill:1@2+3ms", "delay:1@2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		fs, err := ParseFaultSchedule(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseFaultSchedule(fs.String())
+		if err != nil {
+			t.Fatalf("%q: its String() %q does not parse: %v", s, fs.String(), err)
+		}
+		if !slices.Equal(again.faults, fs.faults) {
+			t.Fatalf("%q parses to %v, its String() %q to %v", s, fs.faults, fs.String(), again.faults)
+		}
+	})
 }
 
 func TestKillAbortsAllRanks(t *testing.T) {

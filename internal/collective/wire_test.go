@@ -9,6 +9,23 @@ import (
 
 func wireFormats() []WireFormat { return []WireFormat{WireFP16, WireBF16, WireINT8} }
 
+// FuzzParseWireFormat: the -precision.wire parser returns an error rather
+// than panics, and a format it accepts parses back from its own String().
+func FuzzParseWireFormat(f *testing.F) {
+	for _, s := range []string{"", "fp32", "fp16", "bf16", "int8", "INT8", "wire(4)"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		w, err := ParseWireFormat(s)
+		if err != nil {
+			return
+		}
+		if again, err := ParseWireFormat(w.String()); err != nil || again != w {
+			t.Fatalf("%q parses to %v, whose String() parses to %v (%v)", s, w, again, err)
+		}
+	})
+}
+
 // relTol is the element tolerance of one quantization pass, relative to
 // the payload's magnitude scale.
 func relTol(w WireFormat) float64 {

@@ -21,8 +21,7 @@ const (
 // TrainerConfig holds the hyper-parameters of a single-node trainer.
 type TrainerConfig struct {
 	Optimizer   OptimizerKind
-	LR          float64 // dense learning rate
-	SparseLR    float64 // embedding learning rate (defaults to LR)
+	LR          float64 // dense and embedding learning rate
 	WarmupIters int     // linear LR warmup length
 }
 
@@ -47,20 +46,17 @@ func NewTrainer(m *Model, cfg TrainerConfig) *Trainer {
 	if cfg.LR <= 0 {
 		panic("core: trainer LR must be positive")
 	}
-	if cfg.SparseLR <= 0 {
-		cfg.SparseLR = cfg.LR
-	}
 	if cfg.Optimizer == "" {
 		cfg.Optimizer = OptAdagrad
 	}
 	t := &Trainer{Model: m, cfg: cfg, sched: optim.WarmupSchedule{Base: cfg.LR, WarmupIters: cfg.WarmupIters}}
 	_, owned := m.Cfg.ShardTables(1) // the single-process trainer is the one-owner case
-	dense, sparse, err := optim.New(cfg.Optimizer, m.DenseParams(), float32(cfg.LR), m.Tables, owned[0], float32(cfg.SparseLR))
+	dense, sparse, err := optim.New(cfg.Optimizer, m.DenseParams(), float32(cfg.LR), m.Tables, owned[0], float32(cfg.LR))
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
 	t.dense = dense
-	t.sparse = NewSparseStep(m.Tables, owned[0], sparse, float32(cfg.SparseLR))
+	t.sparse = NewSparseStep(m.Tables, owned[0], sparse, float32(cfg.LR))
 	m.sparse = t.sparse
 	return t
 }

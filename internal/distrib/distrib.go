@@ -124,7 +124,6 @@ type ClusterConfig struct {
 	Hogwild    int // Hogwild! threads per trainer
 	BatchSize  int
 	LR         float64
-	SparseLR   float64
 	EASGDAlpha float64
 	// EASGDPeriod is the number of iterations between elastic syncs.
 	EASGDPeriod int
@@ -146,9 +145,6 @@ func (c *ClusterConfig) Defaults() {
 	}
 	if c.LR == 0 {
 		c.LR = 0.05
-	}
-	if c.SparseLR == 0 {
-		c.SparseLR = c.LR
 	}
 	if c.EASGDAlpha == 0 {
 		c.EASGDAlpha = 0.3
@@ -174,7 +170,7 @@ func NewCluster(cfg core.Config, cc ClusterConfig, seed int64) (*Cluster, error)
 
 	owner, owned := cfg.ShardTables(cc.SparsePS)
 	cl.owner = owner
-	lr := float32(cc.SparseLR)
+	lr := float32(cc.LR)
 	for i, feats := range owned {
 		ps := &SparsePS{Shard: i, tables: map[int]*embedding.Table{}}
 		opts := make([]optim.Sparse, len(feats))

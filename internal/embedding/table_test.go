@@ -90,6 +90,15 @@ func TestHashIndexNoAllocs(t *testing.T) {
 	_ = sink
 }
 
+// BenchmarkHashIndex is the hashing trick on a bench-step table (10k rows,
+// dim 32) over ids spread by a multiplicative stride.
+func BenchmarkHashIndex(b *testing.B) {
+	tab := NewTable("bench", 10000, 32, xrand.New(5))
+	for id := uint64(0); b.Loop(); id++ {
+		tab.HashIndex(id * 2654435761)
+	}
+}
+
 func TestHashIndexSpread(t *testing.T) {
 	tab := NewTable("t", 64, 8, xrand.New(3))
 	seen := map[int32]bool{}

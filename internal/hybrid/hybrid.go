@@ -49,8 +49,7 @@ type Config struct {
 	// Ranks is the number of synchronous workers (default 2).
 	Ranks     int
 	Optimizer core.OptimizerKind
-	LR        float64 // dense learning rate
-	SparseLR  float64 // embedding learning rate (defaults to LR)
+	LR        float64 // dense and embedding learning rate
 	// WarmupIters is the linear LR warmup length.
 	WarmupIters int
 	// Overlap runs the bucketed all-reduce concurrently with the
@@ -113,9 +112,6 @@ func (c *Config) defaults() {
 	}
 	if c.LR == 0 {
 		c.LR = 0.05
-	}
-	if c.SparseLR <= 0 {
-		c.SparseLR = c.LR
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -283,12 +279,12 @@ func New(cfg core.Config, hc Config) (*Trainer, error) {
 			flatLen += len(p.Value)
 		}
 		r.flat = make([]float32, flatLen)
-		dense, sparse, err := optim.New(hc.Optimizer, r.params, float32(hc.LR), t.tables, r.owned, float32(hc.SparseLR))
+		dense, sparse, err := optim.New(hc.Optimizer, r.params, float32(hc.LR), t.tables, r.owned, float32(hc.LR))
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: %w", err)
 		}
 		r.dense = dense
-		r.sparse = core.NewSparseStep(t.tables, r.owned, sparse, float32(hc.SparseLR))
+		r.sparse = core.NewSparseStep(t.tables, r.owned, sparse, float32(hc.LR))
 		for _, ti := range r.owned {
 			t.dirty[ti] = r.sparse.Dirty()[ti]
 		}
@@ -643,6 +639,7 @@ func (r *rank) step(lr float64) error {
 	// only the *exposed* wait; the background shard gets the full
 	// all-reduce duration (the hidden part of the paper's overlap win).
 	overlap := t.HC.Overlap && n > 1
+	ts = tb
 	if overlap {
 		go func() {
 			t0 := telemetry.Now()
@@ -652,9 +649,7 @@ func (r *rank) step(lr float64) error {
 			trace.Emit(r.bgShard, telemetry.PhaseAllReduce, t0, t1)
 			r.arDone <- err
 		}()
-		ts = telemetry.Now()
 	} else {
-		ts = telemetry.Now()
 		arErr := r.allReduceBuckets()
 		te = telemetry.Now()
 		ar, arWait = te-ts, te-ts

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/embedding"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/train"
 	"repro/internal/xrand"
@@ -136,6 +137,39 @@ func TestDeterministicAndOverlapInvariant(t *testing.T) {
 		}
 		if base[i] != overlapped[i] {
 			t.Fatalf("step %d: overlap changed the math (%v vs %v)", i, base[i], overlapped[i])
+		}
+	}
+}
+
+// TestRankSpansTileStep: with overlap off and on, each rank shard's
+// interior phase spans sum to its step spans to the nanosecond, because
+// one clock reading marks every phase boundary.
+func TestRankSpansTileStep(t *testing.T) {
+	cfg := testCfg()
+	const steps = 20
+	for _, overlap := range []bool{false, true} {
+		hc := Config{Ranks: 2, Seed: 1, LR: 0.05, Overlap: overlap}
+		hc.Trace = telemetry.NewTracer(hc.ShardCount(), 4096)
+		ht, err := New(cfg, hc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
+		for i := 0; i < steps; i++ {
+			if _, _, err := ht.Step(gen.NextBatch(64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ht.Close()
+		a := telemetry.Attribute(hc.Trace.Snapshot())
+		if len(a.Shards) != hc.Ranks {
+			t.Fatalf("overlap=%v: %d step shards, want %d", overlap, len(a.Shards), hc.Ranks)
+		}
+		for _, sa := range a.Shards {
+			if sa.Steps != steps || sa.Coverage() != 1 {
+				t.Errorf("overlap=%v %s: %d steps, phases cover %.6f of %d ns",
+					overlap, sa.Name, sa.Steps, sa.Coverage(), sa.StepNS)
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // FlightRecorderConfig configures OpenFlightRecorder. The zero value of
 // every field has a sensible default; only Dir must be set for black-box
 // bundles to be written (without it the recorder still samples, detects
-// and marks, which is what the benchreport overhead specs measure).
+// and marks, which is what TestTimeseriesZeroAlloc holds to budget).
 type FlightRecorderConfig struct {
 	// Dir is where blackbox-<step>/ bundles are dumped. Empty disables
 	// dumping (findings are still recorded in memory).

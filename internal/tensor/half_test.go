@@ -59,6 +59,23 @@ func refF32ToBF16(f float32) uint16 {
 	return sign | uint16(exp-1+127)<<7 | uint16(q-128)
 }
 
+// FuzzParseDType: the -precision.tables parser returns an error rather
+// than panics, and a dtype it accepts parses back from its own String().
+func FuzzParseDType(f *testing.F) {
+	for _, s := range []string{"", "fp32", "float32", "bf16", "bfloat16", "fp16", "float16", "half", "FP16", "dtype(3)"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := ParseDType(s)
+		if err != nil {
+			return
+		}
+		if again, err := ParseDType(d.String()); err != nil || again != d {
+			t.Fatalf("%q parses to %v, whose String() parses to %v (%v)", s, d, again, err)
+		}
+	})
+}
+
 // Every one of the 2^16 bf16 bit patterns — including every NaN
 // payload — must survive bf16 -> fp32 -> bf16 bit-identically.
 func TestBF16ExhaustiveRoundTrip(t *testing.T) {

@@ -8,8 +8,8 @@
 //     synthetic click data, single-node and distributed trainers) whose
 //     hot path is allocation-free and kernel-fused: tiled GEMM variants
 //     on a persistent worker pool, fused bias/ReLU epilogues, slab
-//     sparse gradients, and recycled batch arenas (see DESIGN.md and
-//     cmd/benchrun for the measured trajectory);
+//     sparse gradients, and recycled batch arenas (see DESIGN.md, and
+//     bench/e2e for the measured end-to-end cost);
 //   - a synchronous hybrid-parallel training engine (internal/hybrid on
 //     internal/collective): data-parallel MLP replicas synchronized with
 //     a bucketed ring all-reduce and model-parallel embedding shards
@@ -41,10 +41,8 @@
 //     (p50/p95/p99/p999, mergeable across rank shards), a straggler
 //     detector joining per-rank rendezvous-wait meters into an
 //     imbalance index with slowest-rank attribution, per-table hot-row
-//     skew summaries, a boundedness classifier (Diagnose) fusing
-//     observed phases with the analytic model, and a bench-trajectory
-//     regression gate diffing BENCH_*.json reports under noise-aware
-//     tolerances (cmd/benchrun -compare);
+//     skew summaries, and a boundedness classifier (Diagnose) fusing
+//     observed phases with the analytic model;
 //   - durable checkpoint/restore and elastic fault tolerance
 //     (internal/ckpt): sharded content-hashed checkpoints (per-table
 //     embedding shards, dense replica, optimizer state) under a
@@ -88,7 +86,6 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/benchreport"
 	"repro/internal/ckpt"
 	"repro/internal/collective"
 	"repro/internal/core"
@@ -325,12 +322,6 @@ type (
 	BundleManifest = telemetry.BundleManifest
 	// TelemetryServeOption customizes ServeTelemetry (WithTimeseries).
 	TelemetryServeOption = telemetry.ServeOption
-	// BenchDiff is the noise-aware comparison of two BENCH_*.json
-	// reports (cmd/benchrun -compare, the CI regression gate).
-	BenchDiff = benchreport.Diff
-	// BenchTolerance is the gate's noise policy (throughput drop %,
-	// ns/op slowdown %, noise floor, alloc slack).
-	BenchTolerance = benchreport.Tolerance
 )
 
 // Online anomaly detector kinds (flight-recorder findings).
@@ -693,17 +684,6 @@ func SkewFromRowCounts(table string, counts []uint64) TableSkew {
 // ranked findings. See cmd/dlrmtrain -telemetry.doctor.
 func Diagnose(in DoctorInput) DoctorReport { return telemetry.Diagnose(in) }
 
-// CompareBenchReports diffs two BENCH_*.json files (old, new) under the
-// tolerance policy; BenchDiff.Regressed reports whether any gated
-// benchmark moved past it. DefaultBenchTolerance is the CI policy.
-func CompareBenchReports(oldPath, newPath string, tol BenchTolerance) (BenchDiff, error) {
-	return benchreport.CompareFiles(oldPath, newPath, tol)
-}
-
-// DefaultBenchTolerance is the CI regression-gate policy: >10%
-// examples/sec drop fails, zero-alloc contracts are exact.
-func DefaultBenchTolerance() BenchTolerance { return benchreport.DefaultTolerance() }
-
 // Experiments lists the regenerable paper artifacts.
 func Experiments() []string { return experiments.IDs() }
 
@@ -713,7 +693,7 @@ func RunExperiment(id string, opt ExperimentOptions) (ExperimentResult, error) {
 }
 
 // Version identifies the reproduction release.
-const Version = "2.0.0"
+const Version = "3.0.0"
 
 // Describe returns a one-line summary of a model config.
 func Describe(cfg ModelConfig) string {
