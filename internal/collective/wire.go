@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -20,14 +19,11 @@ const (
 	WireFP16
 	WireBF16
 	// WireINT8 quantizes each 64-element chunk to int8 with one
-	// float32 scale (maxabs/127) per chunk: 1.0625 bytes/element on
-	// chunk-aligned payloads. Built for pooled embedding rows, whose
-	// per-chunk dynamic range is narrow.
+	// float32 scale (maxabs/127) per chunk (tensor.QuantizeInt8):
+	// 1.0625 bytes/element on chunk-aligned payloads. Built for pooled
+	// embedding rows, whose per-chunk dynamic range is narrow.
 	WireINT8
 )
-
-// int8ChunkLen is the per-scale quantization granularity of WireINT8.
-const int8ChunkLen = 64
 
 func (w WireFormat) String() string {
 	switch w {
@@ -66,7 +62,7 @@ func (w WireFormat) BytesPerElem() float64 {
 	case WireFP16, WireBF16:
 		return 2
 	case WireINT8:
-		return 1 + 4.0/int8ChunkLen
+		return 1 + 4.0/tensor.Int8ChunkLen
 	}
 	return 4
 }
@@ -77,7 +73,7 @@ func wireBytes(w WireFormat, n int) int {
 	case WireFP16, WireBF16:
 		return 2 * n
 	case WireINT8:
-		return n + 4*((n+int8ChunkLen-1)/int8ChunkLen)
+		return tensor.Int8Bytes(n)
 	}
 	return 4 * n
 }
@@ -138,47 +134,7 @@ func encodeWire(w WireFormat, dst []byte, src []float32) []byte {
 			o = o[2:]
 		}
 	case WireINT8:
-		for base := 0; base < len(src); base += int8ChunkLen {
-			end := base + int8ChunkLen
-			if end > len(src) {
-				end = len(src)
-			}
-			chunk := src[base:end]
-			var maxAbs float32
-			for _, v := range chunk {
-				a := v
-				if a < 0 {
-					a = -a
-				}
-				if a > maxAbs {
-					maxAbs = a
-				}
-			}
-			scale := maxAbs / 127
-			b := math.Float32bits(scale)
-			o[0], o[1], o[2], o[3] = byte(b), byte(b>>8), byte(b>>16), byte(b>>24)
-			o = o[4:]
-			var inv float32
-			if scale > 0 {
-				inv = 1 / scale
-			}
-			for i, v := range chunk {
-				f := v * inv
-				var q int32
-				if f >= 0 { // round half away from zero: deterministic, symmetric
-					q = int32(f + 0.5)
-				} else {
-					q = int32(f - 0.5)
-				}
-				if q > 127 {
-					q = 127
-				} else if q < -127 {
-					q = -127
-				}
-				o[i] = byte(int8(q))
-			}
-			o = o[len(chunk):]
-		}
+		tensor.QuantizeInt8(o, src)
 	default:
 		panic("collective: encodeWire on " + w.String())
 	}
@@ -214,19 +170,7 @@ func decodeWire(w WireFormat, dst []float32, src []byte) {
 			s = s[2:]
 		}
 	case WireINT8:
-		for base := 0; base < len(dst); base += int8ChunkLen {
-			end := base + int8ChunkLen
-			if end > len(dst) {
-				end = len(dst)
-			}
-			scale := math.Float32frombits(uint32(s[0]) | uint32(s[1])<<8 |
-				uint32(s[2])<<16 | uint32(s[3])<<24)
-			s = s[4:]
-			for i := base; i < end; i++ {
-				dst[i] = float32(int8(s[i-base])) * scale
-			}
-			s = s[end-base:]
-		}
+		tensor.DequantizeInt8(dst, src)
 	default:
 		panic("collective: decodeWire on " + w.String())
 	}
@@ -260,19 +204,7 @@ func decodeAccumWire(w WireFormat, dst []float32, src []byte) {
 			s = s[2:]
 		}
 	case WireINT8:
-		for base := 0; base < len(dst); base += int8ChunkLen {
-			end := base + int8ChunkLen
-			if end > len(dst) {
-				end = len(dst)
-			}
-			scale := math.Float32frombits(uint32(s[0]) | uint32(s[1])<<8 |
-				uint32(s[2])<<16 | uint32(s[3])<<24)
-			s = s[4:]
-			for i := base; i < end; i++ {
-				dst[i] += float32(int8(s[i-base])) * scale
-			}
-			s = s[end-base:]
-		}
+		tensor.DequantizeAddInt8(dst, src)
 	default:
 		panic("collective: decodeAccumWire on " + w.String())
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
@@ -103,7 +104,7 @@ func TestWireBytesPerElem(t *testing.T) {
 	// The analytic bytes-per-element must match the exact codec size on
 	// chunk-aligned payloads (what the perfmodel formulas assume).
 	for _, w := range []WireFormat{WireFP32, WireFP16, WireBF16, WireINT8} {
-		n := 4 * int8ChunkLen
+		n := 4 * tensor.Int8ChunkLen
 		if got, want := float64(wireBytes(w, n)), w.BytesPerElem()*float64(n); got != want {
 			t.Fatalf("%v: wireBytes(%d)=%v, BytesPerElem implies %v", w, n, got, want)
 		}
@@ -284,7 +285,7 @@ func TestWireMetersCountWireBytes(t *testing.T) {
 }
 
 // Steady-state compressed collectives must not allocate: the hybrid
-// step budget (≤2 allocs) has no headroom for per-step encode buffers.
+// step budget (0 allocs) has no room for per-step encode buffers.
 func TestWireCollectivesSteadyStateAllocFree(t *testing.T) {
 	n, size := 2, 4096
 	for _, w := range wireFormats() {

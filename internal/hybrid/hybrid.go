@@ -66,10 +66,10 @@ type Config struct {
 	// collective meters ("collective/…"). Nil gets a private registry.
 	Registry *telemetry.Registry
 	// Trace, when non-nil, records per-rank step spans. Rank id writes
-	// onto shard TraceShard+id; with Overlap on, the background
-	// all-reduce goroutine of rank id writes its full (possibly hidden)
-	// duration onto shard TraceShard+Ranks+id, so the tracer must have
-	// 2·Ranks shards from TraceShard (Ranks otherwise).
+	// onto shard TraceShard+id; with Overlap on, the all-reduce worker
+	// of rank id writes its full (possibly hidden) duration onto shard
+	// TraceShard+Ranks+id, so the tracer must have 2·Ranks shards from
+	// TraceShard (Ranks otherwise).
 	Trace      *telemetry.Tracer
 	TraceShard int
 	// WireA2A compresses the pooled-activation and sparse-gradient
@@ -242,9 +242,10 @@ func New(cfg core.Config, hc Config) (*Trainer, error) {
 	main.SetWire(hc.WireA2A)
 	side.SetWire(hc.WireA2A)
 	ar.SetWire(hc.WireAllReduce)
-	if hc.Overlap && hc.Ranks > 1 {
-		// The bucketed all-reduce runs on a background goroutine when
-		// overlapped: its rendezvous waits hide under compute, off the
+	overlap := hc.Overlap && hc.Ranks > 1
+	if overlap {
+		// The bucketed all-reduce runs on each rank's all-reduce worker
+		// when overlapped: its rendezvous waits hide under compute, off the
 		// rank's critical path, so they must not feed the per-rank wait
 		// meters the straggler analysis subtracts from step wall time.
 		// (The exposed join is still visible as the rank shard's
@@ -268,7 +269,6 @@ func New(cfg core.Config, hc Config) (*Trainer, error) {
 			sendB:        make([][]float32, hc.Ranks),
 			recvB:        make([][]float32, hc.Ranks),
 			work:         make(chan float64, 1),
-			arDone:       make(chan error, 1),
 			curB:         -1,
 			shard:        hc.TraceShard + id,
 			bgShard:      hc.TraceShard + hc.Ranks + id,
@@ -291,6 +291,10 @@ func New(cfg core.Config, hc Config) (*Trainer, error) {
 		t.steps = append(t.steps, r.sparse)
 		t.ranks = append(t.ranks, r)
 		go r.loop()
+		if overlap {
+			r.arWork, r.arDone = make(chan struct{}, 1), make(chan error, 1)
+			go r.arLoop()
+		}
 	}
 	return t, nil
 }
@@ -452,7 +456,8 @@ func (t *Trainer) EvalModel() *core.Model {
 	return core.AssembleModel(t.Cfg, m0.Bottom.ShareWeights(), m0.Top.ShareWeights(), t.tables)
 }
 
-// Close stops the rank goroutines. The trainer must not be stepped again.
+// Close stops the rank goroutines and their all-reduce workers. The
+// trainer must not be stepped again.
 func (t *Trainer) Close() {
 	if t.closed {
 		return
@@ -460,6 +465,9 @@ func (t *Trainer) Close() {
 	t.closed = true
 	for _, r := range t.ranks {
 		close(r.work)
+		if r.arWork != nil {
+			close(r.arWork)
+		}
 	}
 }
 
@@ -490,11 +498,15 @@ type rank struct {
 	flat         []float32 // flattened dense grads for the bucketed all-reduce
 	denseView    tensor.Matrix
 
-	work   chan float64 // learning rate for the step; closed by Close
+	work chan float64 // learning rate for the step; closed by Close
+	// With Overlap, the rank's all-reduce worker (arLoop) runs one
+	// bucketed all-reduce per arWork signal and answers on arDone; nil
+	// otherwise. Close closes arWork.
+	arWork chan struct{}
 	arDone chan error
 
 	// tracer shards: the rank goroutine writes step spans onto shard;
-	// the overlapped all-reduce goroutine writes onto bgShard.
+	// the all-reduce worker writes onto bgShard.
 	shard, bgShard int
 
 	// per-step outputs
@@ -509,6 +521,23 @@ func (r *rank) loop() {
 	for lr := range r.work {
 		r.err = r.step(lr)
 		r.t.wg.Done()
+	}
+}
+
+// arLoop is the rank's overlapped all-reduce worker. It lives as long
+// as the trainer, so a step starts its all-reduce with a channel send
+// and allocates nothing. It records the full all-reduce duration (tARBg
+// and a bgShard span) before answering, so the rank reads both after
+// its receive.
+func (r *rank) arLoop() {
+	trace := r.t.HC.Trace
+	for range r.arWork {
+		t0 := telemetry.Now()
+		err := r.allReduceBuckets()
+		t1 := telemetry.Now()
+		r.tARBg = time.Duration(t1 - t0)
+		trace.Emit(r.bgShard, telemetry.PhaseAllReduce, t0, t1)
+		r.arDone <- err
 	}
 }
 
@@ -633,22 +662,16 @@ func (r *rank) step(lr float64) error {
 	tb := telemetry.Now()
 	trace.Emit(r.shard, telemetry.PhaseDenseBwd, tl, tb)
 
-	// 7. Synchronize. With Overlap the bucketed all-reduce proceeds on a
-	// second goroutine while the sparse gradients travel and scatter —
-	// identical math, less exposed communication. The rank shard records
-	// only the *exposed* wait; the background shard gets the full
-	// all-reduce duration (the hidden part of the paper's overlap win).
-	overlap := t.HC.Overlap && n > 1
+	// 7. Synchronize. With Overlap the bucketed all-reduce proceeds on
+	// the rank's all-reduce worker while the sparse gradients travel and
+	// scatter — identical math, less exposed communication. The rank
+	// shard records only the *exposed* wait; the background shard gets
+	// the full all-reduce duration (the hidden part of the paper's
+	// overlap win).
+	overlap := r.arWork != nil
 	ts = tb
 	if overlap {
-		go func() {
-			t0 := telemetry.Now()
-			err := r.allReduceBuckets()
-			t1 := telemetry.Now()
-			r.tARBg = time.Duration(t1 - t0)
-			trace.Emit(r.bgShard, telemetry.PhaseAllReduce, t0, t1)
-			r.arDone <- err
-		}()
+		r.arWork <- struct{}{}
 	} else {
 		arErr := r.allReduceBuckets()
 		te = telemetry.Now()

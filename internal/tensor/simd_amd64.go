@@ -48,3 +48,12 @@ func transB1x8(dst *float32, a *float32, panel *float32, k int)
 
 //go:noescape
 func packPanel8(dst *float32, src *float32, ld int, k8 int)
+
+//go:noescape
+func quantizeInt8Vec(dst []byte, src []float32)
+
+//go:noescape
+func dequantizeInt8Vec(dst []float32, src []byte)
+
+//go:noescape
+func dequantizeAddInt8Vec(dst []float32, src []byte)

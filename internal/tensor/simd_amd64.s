@@ -405,3 +405,238 @@ pack_loop:
 pack_done:
 	VZEROUPPER
 	RET
+
+// The int8 block codec (int8.go) over whole 64-element chunks: each
+// chunk is 4 bytes of float32 scale, then 64 int8s. Callers pass
+// len(src) (quantize) or len(dst) (dequantize) a multiple of 64 and the
+// other slice exactly 68 bytes per chunk.
+
+// func quantizeInt8Vec(dst []byte, src []float32)
+TEXT ·quantizeInt8Vec(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	SHRQ $6, CX
+	JZ   q8_done
+
+	MOVL         $0x7fffffff, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15            // |v| mask; its complement is the sign bit
+	MOVL         $0x3f000000, AX
+	VMOVD        AX, X14
+	VPBROADCASTD X14, Y14            // 0.5
+	MOVL         $0x42fe0000, AX
+	VMOVD        AX, X13             // 127.0
+	MOVL         $0x3f800000, AX
+	VMOVD        AX, X12             // 1.0
+	MOVL         $-127, AX
+	VMOVD        AX, X10
+	VPBROADCASTD X10, Y10            // int32 -127
+	MOVQ         $0x0703060205010400, AX
+	VMOVQ        AX, X9
+	VPMOVZXBD    X9, Y9              // dword order that undoes the packs' lane split
+	VXORPS       Y8, Y8, Y8
+
+q8_loop:
+	// max|v| with NaNs skipped. VMAXPS returns its second source when
+	// either source is NaN, so the running maximum is always the second
+	// source: seeded from 0, it never becomes NaN and a NaN lane leaves
+	// it unchanged, as `a > maxAbs` does. Max is exact, so the order the
+	// lanes are combined in does not matter.
+	VANDPS 0(SI), Y15, Y0
+	VANDPS 32(SI), Y15, Y1
+	VANDPS 64(SI), Y15, Y2
+	VANDPS 96(SI), Y15, Y3
+	VANDPS 128(SI), Y15, Y4
+	VANDPS 160(SI), Y15, Y5
+	VANDPS 192(SI), Y15, Y6
+	VANDPS 224(SI), Y15, Y7
+	VMAXPS Y8, Y0, Y0
+	VMAXPS Y8, Y1, Y1
+	VMAXPS Y8, Y2, Y2
+	VMAXPS Y8, Y3, Y3
+	VMAXPS Y0, Y4, Y0
+	VMAXPS Y1, Y5, Y1
+	VMAXPS Y2, Y6, Y2
+	VMAXPS Y3, Y7, Y3
+	VMAXPS Y1, Y0, Y0
+	VMAXPS Y3, Y2, Y2
+	VMAXPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS       X1, X0, X0
+	VPERMILPS    $0x4e, X0, X1
+	VMAXPS       X1, X0, X0
+	VPERMILPS    $0xb1, X0, X1
+	VMAXPS       X1, X0, X0
+
+	// scale = max/127; inv = 1/scale when scale > 0, else 0. The scale
+	// is never negative or NaN, so it is +0 exactly when its bits are 0.
+	VDIVSS X13, X0, X1
+	VMOVSS X1, (DI)
+	VXORPS X7, X7, X7
+	VMOVD  X1, AX
+	TESTL  AX, AX
+	JZ     q8_inv
+	VDIVSS X1, X12, X7
+
+q8_inv:
+	VBROADCASTSS X7, Y7
+	MOVQ         $2, DX
+
+q8_half:
+	// 32 elements: q = int32(v*inv + (0.5 with the product's sign)),
+	// truncated, raised to at least -127, then packed to bytes in order;
+	// the packs' signed saturation is the clamp at +127.
+	VMULPS     0(SI), Y7, Y0
+	VANDNPS    Y0, Y15, Y4
+	VORPS      Y14, Y4, Y4
+	VADDPS     Y4, Y0, Y0
+	VCVTTPS2DQ Y0, Y0
+	VPMAXSD    Y10, Y0, Y0
+	VMULPS     32(SI), Y7, Y1
+	VANDNPS    Y1, Y15, Y4
+	VORPS      Y14, Y4, Y4
+	VADDPS     Y4, Y1, Y1
+	VCVTTPS2DQ Y1, Y1
+	VPMAXSD    Y10, Y1, Y1
+	VMULPS     64(SI), Y7, Y2
+	VANDNPS    Y2, Y15, Y4
+	VORPS      Y14, Y4, Y4
+	VADDPS     Y4, Y2, Y2
+	VCVTTPS2DQ Y2, Y2
+	VPMAXSD    Y10, Y2, Y2
+	VMULPS     96(SI), Y7, Y3
+	VANDNPS    Y3, Y15, Y4
+	VORPS      Y14, Y4, Y4
+	VADDPS     Y4, Y3, Y3
+	VCVTTPS2DQ Y3, Y3
+	VPMAXSD    Y10, Y3, Y3
+	VPACKSSDW  Y1, Y0, Y0
+	VPACKSSDW  Y3, Y2, Y2
+	VPACKSSWB  Y2, Y0, Y0
+	VPERMD     Y0, Y9, Y0
+	VMOVDQU    Y0, 4(DI)
+	ADDQ       $128, SI
+	ADDQ       $32, DI
+	DECQ       DX
+	JNZ        q8_half
+
+	ADDQ $4, DI
+	DECQ CX
+	JNZ  q8_loop
+
+q8_done:
+	VZEROUPPER
+	RET
+
+// func dequantizeInt8Vec(dst []float32, src []byte)
+// dst = q*scale
+TEXT ·dequantizeInt8Vec(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	SHRQ $6, CX
+	JZ   dq8_done
+
+dq8_loop:
+	VBROADCASTSS (SI), Y8
+	VPMOVSXBD    4(SI), Y0
+	VPMOVSXBD    12(SI), Y1
+	VPMOVSXBD    20(SI), Y2
+	VPMOVSXBD    28(SI), Y3
+	VPMOVSXBD    36(SI), Y4
+	VPMOVSXBD    44(SI), Y5
+	VPMOVSXBD    52(SI), Y6
+	VPMOVSXBD    60(SI), Y7
+	VCVTDQ2PS    Y0, Y0
+	VCVTDQ2PS    Y1, Y1
+	VCVTDQ2PS    Y2, Y2
+	VCVTDQ2PS    Y3, Y3
+	VCVTDQ2PS    Y4, Y4
+	VCVTDQ2PS    Y5, Y5
+	VCVTDQ2PS    Y6, Y6
+	VCVTDQ2PS    Y7, Y7
+	VMULPS       Y8, Y0, Y0
+	VMULPS       Y8, Y1, Y1
+	VMULPS       Y8, Y2, Y2
+	VMULPS       Y8, Y3, Y3
+	VMULPS       Y8, Y4, Y4
+	VMULPS       Y8, Y5, Y5
+	VMULPS       Y8, Y6, Y6
+	VMULPS       Y8, Y7, Y7
+	VMOVUPS      Y0, 0(DI)
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	VMOVUPS      Y3, 96(DI)
+	VMOVUPS      Y4, 128(DI)
+	VMOVUPS      Y5, 160(DI)
+	VMOVUPS      Y6, 192(DI)
+	VMOVUPS      Y7, 224(DI)
+	ADDQ         $68, SI
+	ADDQ         $256, DI
+	DECQ         CX
+	JNZ          dq8_loop
+
+dq8_done:
+	VZEROUPPER
+	RET
+
+// func dequantizeAddInt8Vec(dst []float32, src []byte)
+// dst += q*scale
+TEXT ·dequantizeAddInt8Vec(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	SHRQ $6, CX
+	JZ   dqa8_done
+
+dqa8_loop:
+	VBROADCASTSS (SI), Y8
+	VPMOVSXBD    4(SI), Y0
+	VPMOVSXBD    12(SI), Y1
+	VPMOVSXBD    20(SI), Y2
+	VPMOVSXBD    28(SI), Y3
+	VPMOVSXBD    36(SI), Y4
+	VPMOVSXBD    44(SI), Y5
+	VPMOVSXBD    52(SI), Y6
+	VPMOVSXBD    60(SI), Y7
+	VCVTDQ2PS    Y0, Y0
+	VCVTDQ2PS    Y1, Y1
+	VCVTDQ2PS    Y2, Y2
+	VCVTDQ2PS    Y3, Y3
+	VCVTDQ2PS    Y4, Y4
+	VCVTDQ2PS    Y5, Y5
+	VCVTDQ2PS    Y6, Y6
+	VCVTDQ2PS    Y7, Y7
+	VMULPS       Y8, Y0, Y0
+	VMULPS       Y8, Y1, Y1
+	VMULPS       Y8, Y2, Y2
+	VMULPS       Y8, Y3, Y3
+	VMULPS       Y8, Y4, Y4
+	VMULPS       Y8, Y5, Y5
+	VMULPS       Y8, Y6, Y6
+	VMULPS       Y8, Y7, Y7
+	VADDPS       0(DI), Y0, Y0
+	VADDPS       32(DI), Y1, Y1
+	VADDPS       64(DI), Y2, Y2
+	VADDPS       96(DI), Y3, Y3
+	VADDPS       128(DI), Y4, Y4
+	VADDPS       160(DI), Y5, Y5
+	VADDPS       192(DI), Y6, Y6
+	VADDPS       224(DI), Y7, Y7
+	VMOVUPS      Y0, 0(DI)
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	VMOVUPS      Y3, 96(DI)
+	VMOVUPS      Y4, 128(DI)
+	VMOVUPS      Y5, 160(DI)
+	VMOVUPS      Y6, 192(DI)
+	VMOVUPS      Y7, 224(DI)
+	ADDQ         $68, SI
+	ADDQ         $256, DI
+	DECQ         CX
+	JNZ          dqa8_loop
+
+dqa8_done:
+	VZEROUPPER
+	RET

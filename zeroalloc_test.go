@@ -36,10 +36,9 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 // TestQuantizedStepZeroAlloc is the mixed-precision companion budget:
 // a full hybrid-parallel step with bf16 embedding tables (split-SGD
 // replica re-quantization on every touched row) and int8-compressed
-// collective wires must stay within the hybrid engine's ≤2 allocs/step
-// budget — the wire codecs run through reusable scratch, and the table
-// replicas are fixed slabs, so quantization adds no steady-state heap
-// traffic.
+// collective wires must not allocate — the wire codecs run through
+// reusable scratch, and the table replicas are fixed slabs, so
+// quantization adds no steady-state heap traffic.
 func TestQuantizedStepZeroAlloc(t *testing.T) {
 	cfg := benchreport.BenchStepConfig()
 	cfg.TableDType = tensor.BF16
@@ -59,8 +58,8 @@ func TestQuantizedStepZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if avg := testing.AllocsPerRun(10, func() { ht.Step(batch) }); avg > 2 {
-		t.Fatalf("quantized hybrid step allocates %.1f objects per step at steady state, want <= 2", avg)
+	if avg := testing.AllocsPerRun(10, func() { ht.Step(batch) }); avg != 0 {
+		t.Fatalf("quantized hybrid step allocates %.1f objects per step at steady state, want 0", avg)
 	}
 }
 
@@ -68,10 +67,7 @@ func TestQuantizedStepZeroAlloc(t *testing.T) {
 // hand-off active: sparse_heavy's per-table batch shape (~26 ids × 128
 // examples × dim 64, above the pool threshold) on small tables, at two
 // Ps. testing.AllocsPerRun pins GOMAXPROCS to 1, where every kernel runs
-// inline, so the steps are counted here the way it counts them. The
-// hybrid runs without overlap: the overlapped all-reduce's goroutine and
-// closure are the whole of that budget already (ROADMAP item 5) and no
-// part of the hand-off.
+// inline, so the steps are counted here the way it counts them.
 func TestFanOutStepZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := benchreport.BenchStepConfig()
@@ -103,13 +99,13 @@ func TestFanOutStepZeroAlloc(t *testing.T) {
 		t.Errorf("Trainer.Step allocates %d objects per step with tables on the pool, want 0", n)
 	}
 
-	ht, err := hybrid.New(cfg, hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1})
+	ht, err := hybrid.New(cfg, hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1, Overlap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ht.Close()
-	if n := allocsPerStep(func() { ht.Step(batch) }); n > 2 {
-		t.Errorf("hybrid step allocates %d objects per step with tables on the pool, want <= 2", n)
+	if n := allocsPerStep(func() { ht.Step(batch) }); n != 0 {
+		t.Errorf("overlapped hybrid step allocates %d objects per step with tables on the pool, want 0", n)
 	}
 }
 
