@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/telemetry"
@@ -180,47 +181,60 @@ func (s *Store) Dir() string { return s.dir }
 // Latest a directory listing.
 func ckName(step int, kind string) string { return fmt.Sprintf("ck-%08d-%s", step, kind) }
 
-// parseCkName extracts (step, kind) from a checkpoint directory name.
+// parseCkName extracts (step, kind) from a checkpoint directory name:
+// "ck-", the step in decimal digits, "-", then a known kind.
 func parseCkName(name string) (int, string, bool) {
-	var step int
-	var kind string
-	if _, err := fmt.Sscanf(name, "ck-%08d-%s", &step, &kind); err != nil {
+	rest, ok := strings.CutPrefix(name, "ck-")
+	digits, kind, dash := strings.Cut(rest, "-")
+	if !ok || !dash || digits == "" || (kind != KindFull && kind != KindDelta) {
 		return 0, "", false
 	}
-	if kind != KindFull && kind != KindDelta {
-		return 0, "", false
+	step := 0
+	for _, c := range []byte(digits) {
+		if c < '0' || c > '9' || step > (math.MaxInt-9)/10 {
+			return 0, "", false
+		}
+		step = step*10 + int(c-'0')
 	}
 	return step, kind, true
 }
 
 // List returns the completed checkpoints (those with a manifest) in
-// ascending step order.
+// ascending step order. Each name is parsed once.
 func (s *Store) List() ([]string, error) {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: listing store: %w", err)
 	}
-	var names []string
+	type entry struct {
+		name string
+		step int
+		full bool
+	}
+	var cks []entry
 	for _, de := range des {
 		if !de.IsDir() {
 			continue
 		}
-		if _, _, ok := parseCkName(de.Name()); !ok {
+		step, kind, ok := parseCkName(de.Name())
+		if !ok {
 			continue
 		}
 		if _, err := os.Stat(filepath.Join(s.dir, de.Name(), manifestName)); err != nil {
 			continue // incomplete write, never referenced
 		}
-		names = append(names, de.Name())
+		cks = append(cks, entry{de.Name(), step, kind == KindFull})
 	}
-	sort.Slice(names, func(i, j int) bool {
-		si, ki, _ := parseCkName(names[i])
-		sj, kj, _ := parseCkName(names[j])
-		if si != sj {
-			return si < sj
+	sort.Slice(cks, func(i, j int) bool {
+		if cks[i].step != cks[j].step {
+			return cks[i].step < cks[j].step
 		}
-		return ki == KindDelta && kj == KindFull // full sorts after, wins ties
+		return !cks[i].full && cks[j].full // full sorts after, wins ties
 	})
+	names := make([]string, len(cks))
+	for i, ck := range cks {
+		names[i] = ck.name
+	}
 	return names, nil
 }
 
@@ -614,32 +628,29 @@ func decodeTable(d *dec, st *ModelState, wantTable int) error {
 // SaveFull writes a full checkpoint of the state at st.Step and resets
 // the given dirty trackers (the checkpoint covers everything).
 func (s *Store) SaveFull(st *ModelState, dirty []*Dirty) (SaveInfo, error) {
-	return s.save(st, dirty, true)
+	return s.save(st, dirty, func(*Manifest) bool { return true })
 }
 
 // SaveDelta writes an incremental checkpoint carrying only the rows the
 // trackers have seen touched since the last save, chained to the latest
 // checkpoint. It fails on an empty store (a delta needs a base).
 func (s *Store) SaveDelta(st *ModelState, dirty []*Dirty) (SaveInfo, error) {
-	return s.save(st, dirty, false)
+	return s.save(st, dirty, func(*Manifest) bool { return false })
 }
 
 // AutoSave picks the checkpoint kind: full when the store is empty, no
 // trackers exist, or the delta chain has reached fullEvery links (the
 // periodic compaction); delta otherwise.
 func (s *Store) AutoSave(st *ModelState, dirty []*Dirty, fullEvery int) (SaveInfo, error) {
-	_, latest, err := s.Latest()
-	if err != nil {
-		return SaveInfo{}, err
-	}
-	full := latest == nil || dirty == nil
-	if !full && fullEvery > 0 && latest.Chain+1 >= fullEvery {
-		full = true
-	}
-	return s.save(st, dirty, full)
+	return s.save(st, dirty, func(latest *Manifest) bool {
+		return latest == nil || dirty == nil || fullEvery > 0 && latest.Chain+1 >= fullEvery
+	})
 }
 
-func (s *Store) save(st *ModelState, dirty []*Dirty, full bool) (SaveInfo, error) {
+// save writes one checkpoint, listing the store once: pickFull reports,
+// given the latest checkpoint's manifest (nil for an empty store),
+// whether to write a full checkpoint rather than a delta chained to it.
+func (s *Store) save(st *ModelState, dirty []*Dirty, pickFull func(latest *Manifest) bool) (SaveInfo, error) {
 	t0 := telemetry.Now()
 	if err := st.validate(); err != nil {
 		return SaveInfo{}, err
@@ -654,6 +665,7 @@ func (s *Store) save(st *ModelState, dirty []*Dirty, full bool) (SaveInfo, error
 	if base != nil && base.Step == st.Step {
 		return SaveInfo{}, fmt.Errorf("ckpt: step %d is already checkpointed as %s; refusing a second save at the same step", st.Step, baseName)
 	}
+	full := pickFull(base)
 	kind := KindFull
 	if !full {
 		kind = KindDelta

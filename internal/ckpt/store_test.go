@@ -633,6 +633,77 @@ func TestIncompleteCheckpointIgnored(t *testing.T) {
 	}
 }
 
+// mkCheckpointDir creates a directory in the store, with a manifest file
+// when complete. List reads no manifest, so its content does not matter.
+func mkCheckpointDir(t testing.TB, dir, name string, complete bool) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, name), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if complete {
+		if err := os.WriteFile(filepath.Join(dir, name, manifestName), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestListOrder pins List: completed checkpoints only, ascending by step,
+// a full sorting after the delta at its step; unpublished temp dirs,
+// manifest-less dirs, unknown kinds, stray names and plain files are
+// skipped.
+func TestListOrder(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		ckName(40, KindFull), ckName(7, KindDelta), ckName(120, KindDelta),
+		ckName(40, KindDelta), ckName(3, KindFull), ckName(100, KindFull),
+		ckName(200, KindFull) + ".tmp", "ck-00000050-partial", "ck-x-full", "notes",
+	} {
+		mkCheckpointDir(t, dir, name, true)
+	}
+	mkCheckpointDir(t, dir, ckName(300, KindFull), false)
+	if err := os.WriteFile(filepath.Join(dir, ckName(9, KindFull)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		ckName(3, KindFull), ckName(7, KindDelta), ckName(40, KindDelta),
+		ckName(40, KindFull), ckName(100, KindFull), ckName(120, KindDelta),
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("List = %v, want %v", got, want)
+	}
+}
+
+// BenchmarkStoreList lists a store of 400 completed checkpoints, the
+// size a run that checkpoints often and never prunes reaches.
+func BenchmarkStoreList(b *testing.B) {
+	dir := b.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for step := 1; step <= 400; step++ {
+		kind := KindDelta
+		if step%10 == 0 {
+			kind = KindFull
+		}
+		mkCheckpointDir(b, dir, ckName(step, kind), true)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := store.List(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestStoreMeters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	trace := telemetry.NewTracer(1, 16)

@@ -96,11 +96,12 @@ type Model struct {
 	dZ      *tensor.Matrix
 	dOut    *tensor.Matrix // B×1 logit-gradient column
 
-	// reusable arenas: per-row vector views for the interaction, and the
-	// sparse step with the per-table gradient accumulators and lookup
-	// scratches — scatter-only until a Trainer installs its own. Together
-	// they make steady-state Forward/Backward allocation-free.
-	vecs, dvecs []([]float32)
+	// reusable arenas: one example's interaction vectors and their
+	// gradients, (s+1)×d each, and the sparse step with the per-table
+	// gradient accumulators and lookup scratches — scatter-only until a
+	// Trainer installs its own. Together they make steady-state
+	// Forward/Backward allocation-free.
+	vecs, dvecs []float32
 	sparse      *SparseStep
 
 	// Trace, when non-nil, records phase spans (embedding lookup, dense
@@ -214,13 +215,20 @@ func (m *Model) ForwardPooled(dense *tensor.Matrix, pooled []*tensor.Matrix) []f
 	return logits
 }
 
-// ensureVecs sizes the reusable per-row vector-view arenas shared by
-// buildInteraction and the interaction backward pass.
-func (m *Model) ensureVecs(s int) {
-	if len(m.vecs) != s+1 {
-		m.vecs = make([][]float32, s+1)
-		m.dvecs = make([][]float32, s+1)
+// gatherVecs copies example r's interaction vectors — z, then each
+// pooled row — into the vecs arena as s+1 contiguous rows of d, the
+// layout tensor.DotPairs takes, and returns it.
+func (m *Model) gatherVecs(r int) []float32 {
+	d := m.Cfg.EmbeddingDim
+	n := (len(m.pooledIn) + 1) * d
+	if len(m.vecs) != n {
+		m.vecs, m.dvecs = make([]float32, n), make([]float32, n)
 	}
+	copy(m.vecs[:d], m.z.Row(r))
+	for i, p := range m.pooledIn {
+		copy(m.vecs[(i+1)*d:(i+2)*d], p.Row(r))
+	}
+	return m.vecs
 }
 
 // buildInteraction fills xTop from z and pooledIn according to the config.
@@ -230,22 +238,10 @@ func (m *Model) buildInteraction(B int) {
 	switch m.Cfg.Interaction {
 	case DotProduct:
 		// Layout per row: [z (d) | dot(v_i, v_j) for i<j over v_0=z, v_1..s=pooled]
-		m.ensureVecs(s)
-		vecs := m.vecs
 		for r := 0; r < B; r++ {
 			row := m.xTop.Row(r)
 			copy(row[:d], m.z.Row(r))
-			k := d
-			vecs[0] = m.z.Row(r)
-			for i := 0; i < s; i++ {
-				vecs[i+1] = m.pooledIn[i].Row(r)
-			}
-			for i := 0; i <= s; i++ {
-				for j := i + 1; j <= s; j++ {
-					row[k] = tensor.Dot(vecs[i], vecs[j])
-					k++
-				}
-			}
+			tensor.DotPairs(row[d:], m.gatherVecs(r), s+1, d)
 		}
 	default: // Concat: [z | pooled_0 | ... | pooled_{s-1}]
 		for r := 0; r < B; r++ {
@@ -289,9 +285,6 @@ func (m *Model) BackwardPooled(dLogits []float32) []*tensor.Matrix {
 	}
 	tok := m.Trace.Begin(telemetry.PhaseDenseBwd)
 	B := m.z.Rows
-	d := m.Cfg.EmbeddingDim
-	s := m.Cfg.NumSparse()
-
 	if m.dOut == nil || m.dOut.Rows != B {
 		m.dOut = tensor.New(B, 1)
 	}
@@ -300,43 +293,47 @@ func (m *Model) BackwardPooled(dLogits []float32) []*tensor.Matrix {
 	}
 	dXTop := m.Top.Backward(m.dOut)
 
-	if len(m.dPooled) != s || (s > 0 && m.dPooled[0].Rows != B) {
+	m.backwardInteraction(dXTop)
+	m.Bottom.Backward(m.dZ)
+	m.Trace.End(m.TraceShard, tok)
+	return m.dPooled
+}
+
+// backwardInteraction fills dZ and dPooled from the interaction output's
+// gradient dXTop (B×interactionDim) according to the config.
+func (m *Model) backwardInteraction(dXTop *tensor.Matrix) {
+	B := dXTop.Rows
+	d := m.Cfg.EmbeddingDim
+	s := m.Cfg.NumSparse()
+	if m.dZ == nil || m.dZ.Rows != B || len(m.dPooled) != s {
 		m.dPooled = make([]*tensor.Matrix, s)
 		for i := range m.dPooled {
 			m.dPooled[i] = tensor.New(B, d)
 		}
 		m.dZ = tensor.New(B, d)
 	}
-	m.dZ.Zero()
-	for i := range m.dPooled {
-		m.dPooled[i].Zero()
-	}
 
 	switch m.Cfg.Interaction {
 	case DotProduct:
-		m.ensureVecs(s)
-		vecs, dvecs := m.vecs, m.dvecs
+		// Per example the gradients start at zero, take the direct z
+		// gradient, then the pair terms, and overwrite the example's dZ
+		// and dPooled rows whole.
 		for r := 0; r < B; r++ {
 			g := dXTop.Row(r)
-			tensor.AddTo(m.dZ.Row(r), g[:d])
-			vecs[0], dvecs[0] = m.z.Row(r), m.dZ.Row(r)
-			for i := 0; i < s; i++ {
-				vecs[i+1], dvecs[i+1] = m.pooledIn[i].Row(r), m.dPooled[i].Row(r)
-			}
-			k := d
-			for i := 0; i <= s; i++ {
-				for j := i + 1; j <= s; j++ {
-					gd := g[k]
-					k++
-					if gd == 0 {
-						continue
-					}
-					tensor.Axpy(gd, vecs[j], dvecs[i])
-					tensor.Axpy(gd, vecs[i], dvecs[j])
-				}
+			vecs, dvecs := m.gatherVecs(r), m.dvecs
+			clear(dvecs)
+			tensor.AddTo(dvecs[:d], g[:d])
+			tensor.DotPairsBackward(dvecs, vecs, g[d:], s+1, d)
+			copy(m.dZ.Row(r), dvecs[:d])
+			for i, dp := range m.dPooled {
+				copy(dp.Row(r), dvecs[(i+1)*d:(i+2)*d])
 			}
 		}
 	default:
+		m.dZ.Zero()
+		for i := range m.dPooled {
+			m.dPooled[i].Zero()
+		}
 		for r := 0; r < B; r++ {
 			g := dXTop.Row(r)
 			tensor.AddTo(m.dZ.Row(r), g[:d])
@@ -345,10 +342,6 @@ func (m *Model) BackwardPooled(dLogits []float32) []*tensor.Matrix {
 			}
 		}
 	}
-
-	m.Bottom.Backward(m.dZ)
-	m.Trace.End(m.TraceShard, tok)
-	return m.dPooled
 }
 
 // DenseParams returns the MLP parameters (bottom then top) for optimizers

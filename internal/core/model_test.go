@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -323,6 +324,26 @@ func TestTrainerLearnsSyntheticTask(t *testing.T) {
 	}
 	if tr.Iter() != iters {
 		t.Errorf("Iter = %d, want %d", tr.Iter(), iters)
+	}
+}
+
+// TestTracedStepSplitsSparsePhases: a traced Trainer.Step records the
+// gradient scatter and the sparse optimizer's apply as separate spans,
+// one of each per step.
+func TestTracedStepSplitsSparsePhases(t *testing.T) {
+	const steps = 5
+	cfg := testConfig()
+	tr := NewTrainer(NewModel(cfg, xrand.New(18)), TrainerConfig{LR: 0.05})
+	trace := telemetry.NewTracer(1, 256)
+	tr.SetTrace(trace, 0)
+	for i := 0; i < steps; i++ {
+		tr.Step(makeBatch(cfg, 16, int64(19+i)))
+	}
+	snap := trace.Snapshot()
+	for _, p := range []telemetry.Phase{telemetry.PhaseSparseScatter, telemetry.PhaseSparseApply} {
+		if h := snap.PhaseHist(p); h.Count() != steps {
+			t.Errorf("%v: %d spans over %d steps, want one per step", p, h.Count(), steps)
+		}
 	}
 }
 

@@ -73,9 +73,9 @@ func (t *Trainer) StepBatch(b *MiniBatch) (float64, error) { return t.Step(b), n
 
 // SetTrace points the trainer (and its model) at a tracer shard. Step
 // then records a PhaseStep envelope plus the interior phase spans —
-// lookup, dense fwd/bwd, loss, sparse scatter, optimizer — all from the
-// trainer goroutine, which must be the shard's only writer. A nil tracer
-// turns tracing off.
+// lookup, dense fwd/bwd, loss, sparse scatter, optimizer, sparse apply —
+// all from the trainer goroutine, which must be the shard's only writer.
+// A nil tracer turns tracing off.
 func (t *Trainer) SetTrace(tr *telemetry.Tracer, shard int) {
 	t.trace, t.traceShard = tr, shard
 	t.Model.Trace, t.Model.TraceShard = tr, shard
@@ -116,7 +116,7 @@ func (t *Trainer) Step(b *MiniBatch) float64 {
 	tok = t.trace.Begin(telemetry.PhaseOptimizer)
 	t.dense.SetLR(float32(lr))
 	t.dense.Step()
-	tok = t.trace.Next(t.traceShard, tok, telemetry.PhaseSparseScatter)
+	tok = t.trace.Next(t.traceShard, tok, telemetry.PhaseSparseApply)
 	t.sparse.Apply(b, scale)
 	t.trace.End(t.traceShard, tok)
 	t.iter++

@@ -361,6 +361,12 @@ func (s *SparseGrad) Add(ix int32, g []float32) {
 // owned by the accumulator and valid until the next Reset.
 func (s *SparseGrad) RowIDs() []int32 { return s.rows.keys }
 
+// Slab returns the gradient rows back to back in RowIDs order: row k of
+// the slab, [k*Dim, (k+1)*Dim), is the gradient of RowIDs()[k]. The
+// slice is a read-only view owned by the accumulator, valid until the
+// next Reset or accumulation.
+func (s *SparseGrad) Slab() []float32 { return s.buf }
+
 // ForEach visits every touched row in first-touch order.
 func (s *SparseGrad) ForEach(fn func(ix int32, g []float32)) {
 	for si, ix := range s.rows.keys {

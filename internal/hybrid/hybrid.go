@@ -687,10 +687,15 @@ func (r *rank) step(lr float64) error {
 	a2a += te - ts
 	trace.Emit(r.shard, telemetry.PhaseAllToAll, ts, te)
 	if stepErr == nil {
-		r.applySparse(lr)
+		r.scatterSparse()
+	}
+	tApply := telemetry.Now()
+	trace.Emit(r.shard, telemetry.PhaseSparseScatter, te, tApply)
+	if stepErr == nil {
+		r.sparse.Apply(b, float32(lr/t.HC.LR))
 	}
 	tOptStart := telemetry.Now()
-	trace.Emit(r.shard, telemetry.PhaseSparseScatter, te, tOptStart)
+	trace.Emit(r.shard, telemetry.PhaseSparseApply, tApply, tOptStart)
 	if overlap {
 		// Always drain the background all-reduce; an abort unblocks it,
 		// so the send happens even on a torn step.
@@ -742,15 +747,13 @@ func (r *rank) allReduceBuckets() error {
 	return nil
 }
 
-// applySparse reassembles the global-order pooled-gradient matrix for
-// every owned table from the backward all-to-all, scatters it through the
-// bag (exactly the single-process walk), and applies the sparse optimizer
-// with the warmup-scaled learning rate.
-func (r *rank) applySparse(lr float64) {
+// scatterSparse reassembles the global-order pooled-gradient matrix for
+// every owned table from the backward all-to-all and scatters it through
+// the bag (exactly the single-process walk).
+func (r *rank) scatterSparse() {
 	t := r.t
 	n := t.HC.Ranks
 	d := t.Cfg.EmbeddingDim
-	scale := float32(lr / t.HC.LR)
 	for j := 0; j < n; j++ {
 		off := 0
 		rows := (t.bounds[j+1] - t.bounds[j]) * d
@@ -761,5 +764,4 @@ func (r *rank) applySparse(lr float64) {
 		}
 	}
 	r.sparse.Scatter(t.batch, r.dPooledOwned)
-	r.sparse.Apply(t.batch, scale)
 }

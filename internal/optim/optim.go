@@ -164,21 +164,31 @@ func (r *RowWiseAdagrad) SetLR(lr float32) { r.LR = lr }
 func (r *RowWiseAdagrad) Accum() []float32 { return r.accum }
 
 // Apply updates the rows present in sg using the row-wise accumulator,
-// in first-touch order.
+// in first-touch order. It walks the gradient slab eight rows at a time:
+// first the block's sums of squares (tensor.SumSquaresRows, eight
+// independent chains), then each row's update in order. Only reads of the
+// slab move earlier, and the rows of one SparseGrad are distinct, so the
+// result is that of updating row by row. The block lives on the stack:
+// Hogwild workers call Apply on one optimizer concurrently, so it keeps
+// no scratch of its own.
 func (r *RowWiseAdagrad) Apply(sg *embedding.SparseGrad) {
-	dim := float32(r.Table.Dim)
-	sg.ForEach(func(ix int32, g []float32) {
-		var sq float32
-		for _, v := range g {
-			sq += v * v
+	d := r.Table.Dim
+	dim := float32(d)
+	ids, slab := sg.RowIDs(), sg.Slab()
+	var sq [8]float32
+	for lo := 0; lo < len(ids); lo += len(sq) {
+		blk := ids[lo:min(lo+len(sq), len(ids))]
+		grads := slab[lo*d : (lo+len(blk))*d]
+		tensor.SumSquaresRows(sq[:len(blk)], grads, d)
+		for k, ix := range blk {
+			r.accum[ix] += sq[k] / dim
+			scale := -r.LR / (float32(math.Sqrt(float64(r.accum[ix]))) + r.Eps)
+			tensor.Axpy(scale, grads[k*d:(k+1)*d], r.Table.Weights.Row(int(ix)))
+			// Split-SGD: accumulator and master stay fp32; only the lookup
+			// replica is re-quantized (no-op for fp32 tables).
+			r.Table.SyncRow(int(ix))
 		}
-		r.accum[ix] += sq / dim
-		scale := -r.LR / (float32(math.Sqrt(float64(r.accum[ix]))) + r.Eps)
-		tensor.Axpy(scale, g, r.Table.Weights.Row(int(ix)))
-		// Split-SGD: accumulator and master stay fp32; only the lookup
-		// replica is re-quantized (no-op for fp32 tables).
-		r.Table.SyncRow(int(ix))
-	})
+	}
 }
 
 // EASGDSync performs one elastic-averaging exchange between a worker

@@ -10,8 +10,9 @@ import "repro/internal/telemetry"
 // MLP+interaction FLOP time at a 1:2 forward:backward ratio (the flops
 // term is 3× the forward pass), EmbLookup covers the full
 // lookup/scatter/optimizer traffic of the embedding tables (so it is
-// compared against the observed emb_lookup + sparse_scatter time by
-// callers that fold phases), Comm is the pooled-row all-to-all, and
+// compared against the observed emb_lookup + sparse_scatter +
+// sparse_apply time by callers that fold phases), Comm is the pooled-row
+// all-to-all, and
 // AllReduce the dense-gradient synchronization.
 func PredictedPhases(bd Breakdown) map[telemetry.Phase]float64 {
 	return map[telemetry.Phase]float64{

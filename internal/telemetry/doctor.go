@@ -59,13 +59,13 @@ const (
 )
 
 // computePhases are the on-device phases of the compute bucket.
-var computePhases = []Phase{PhaseEmbLookup, PhaseDenseFwd, PhaseLoss, PhaseDenseBwd, PhaseSparseScatter, PhaseOptimizer}
+var computePhases = []Phase{PhaseEmbLookup, PhaseDenseFwd, PhaseLoss, PhaseDenseBwd, PhaseSparseScatter, PhaseSparseApply, PhaseOptimizer}
 
 // Diagnose classifies a run. The decomposition works in average seconds
 // per rank-step across five buckets:
 //
 //   - compute: embedding lookup + dense fwd/bwd + loss + sparse scatter
-//   - optimizer, from span attribution.
+//     and apply + optimizer, from span attribution.
 //   - all-to-all / all-reduce: the larger of the observed exposed phase
 //     time and the Link-priced model time from the collective meters.
 //     The in-process collectives move bytes at memory speed while the

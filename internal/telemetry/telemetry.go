@@ -8,9 +8,9 @@
 // compute, and communication. This package is the repository's
 // measurement substrate for that discipline: every hot path (ingest
 // read/decode/shuffle/assemble, embedding lookup, all-to-all, dense
-// forward/backward, all-reduce, sparse scatter, optimizer) records spans
-// into fixed-capacity per-shard slabs, and every scattered meter
-// (collective bytes/calls, ingest MB/s, ring occupancy, starvation,
+// forward/backward, all-reduce, sparse scatter and apply, optimizer)
+// records spans into fixed-capacity per-shard slabs, and every scattered
+// meter (collective bytes/calls, ingest MB/s, ring occupancy, starvation,
 // dedup ratio) lives behind one Registry of cheap atomic instruments.
 // Span timings can then be joined against perfmodel's analytic phase
 // estimates (AttributionReport), reproducing the paper's time-breakdown
@@ -87,9 +87,12 @@ const (
 	// it is the *exposed* time (blocked waiting); an overlapped
 	// all-reduce records its full duration on a background shard.
 	PhaseAllReduce
-	// PhaseSparseScatter is the embedding-gradient scatter + sparse
-	// optimizer application.
+	// PhaseSparseScatter is the embedding-gradient scatter into the
+	// per-table sparse gradients.
 	PhaseSparseScatter
+	// PhaseSparseApply is the sparse optimizer's update of the touched
+	// embedding rows.
+	PhaseSparseApply
 	// PhaseOptimizer is the dense optimizer update.
 	PhaseOptimizer
 	// PhaseCheckpoint is a durable-checkpoint write (internal/ckpt):
@@ -118,6 +121,7 @@ var phaseNames = [NumPhases]string{
 	"dense_bwd",
 	"all_reduce",
 	"sparse_scatter",
+	"sparse_apply",
 	"optimizer",
 	"checkpoint",
 	"restore",

@@ -50,6 +50,15 @@ func transB1x8(dst *float32, a *float32, panel *float32, k int)
 func packPanel8(dst *float32, src *float32, ld int, k8 int)
 
 //go:noescape
+func sumSquares8Vec(sums *[8]float32, rows *float32, ld int, k8 int)
+
+//go:noescape
+func dotPairsVec(dst *float32, rows *float32, n int, ld int, k4 int)
+
+//go:noescape
+func dotPairsBwdVec(grads *float32, rows *float32, up *float32, n int, ld int, c8 int)
+
+//go:noescape
 func quantizeInt8Vec(dst []byte, src []float32)
 
 //go:noescape

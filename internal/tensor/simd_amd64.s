@@ -406,6 +406,400 @@ pack_done:
 	VZEROUPPER
 	RET
 
+// func sumSquares8Vec(sums *[8]float32, rows *float32, ld int, k8 int)
+//
+// sums[r] = Σ rows[r*ld+p]² over p < k8 for the 8 rows r (stride ld),
+// one row per lane and its chain in element order, as the one-row Go
+// loop adds them. Each 8×8 block is squared, transposed as packPanel8
+// transposes, and its 8 columns are added to the sums in order. k8 is a
+// positive multiple of 8.
+TEXT ·sumSquares8Vec(SB), NOSPLIT, $0-32
+	MOVQ   sums+0(FP), DI
+	MOVQ   rows+8(FP), SI
+	MOVQ   ld+16(FP), R8
+	MOVQ   k8+24(FP), CX
+	SHLQ   $2, R8
+	LEAQ   (SI)(R8*4), R9
+	LEAQ   (R8)(R8*2), R10
+	VXORPS Y15, Y15, Y15
+	SHRQ   $3, CX
+	JZ     ss8_store
+
+ss8_loop:
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(R8*1), Y1
+	VMOVUPS (SI)(R8*2), Y2
+	VMOVUPS (SI)(R10*1), Y3
+	VMOVUPS (R9), Y4
+	VMOVUPS (R9)(R8*1), Y5
+	VMOVUPS (R9)(R8*2), Y6
+	VMOVUPS (R9)(R10*1), Y7
+	VMULPS  Y0, Y0, Y0
+	VMULPS  Y1, Y1, Y1
+	VMULPS  Y2, Y2, Y2
+	VMULPS  Y3, Y3, Y3
+	VMULPS  Y4, Y4, Y4
+	VMULPS  Y5, Y5, Y5
+	VMULPS  Y6, Y6, Y6
+	VMULPS  Y7, Y7, Y7
+
+	// packPanel8's transpose, with Y6 standing in for its Y15, which
+	// holds the sums here.
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y6
+
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0xEE, Y6, Y13, Y7
+	VSHUFPS $0x44, Y6, Y13, Y6
+
+	// Columns 0-7 of the block, each added as soon as it is formed.
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VADDPS     Y8, Y15, Y15
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VADDPS     Y9, Y15, Y15
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VADDPS     Y10, Y15, Y15
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VADDPS     Y11, Y15, Y15
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VADDPS     Y12, Y15, Y15
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VADDPS     Y13, Y15, Y15
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VADDPS     Y14, Y15, Y15
+	VPERM2F128 $0x31, Y7, Y3, Y8
+	VADDPS     Y8, Y15, Y15
+
+	ADDQ $32, SI
+	ADDQ $32, R9
+	DECQ CX
+	JNZ  ss8_loop
+
+ss8_store:
+	VMOVUPS Y15, (DI)
+	VZEROUPPER
+	RET
+
+// func dotPairsVec(dst *float32, rows *float32, n int, ld int, k4 int)
+//
+// dst[k] = rows[i]·rows[j] over the first k4 elements for every pair
+// i < j of the n rows (stride ld), k counting pairs in lexicographic
+// order, as Dot computes it before its tail: four chains over p ≡ 0..3
+// (mod 4), combined as (s0+s1)+(s2+s3) by two horizontal adds. One
+// pair's four chains fill a 128-bit lane, so a Y accumulator carries two
+// pairs. Row i's pairs go eight at a time (four accumulators, to cover
+// the add latency), then four, two and one. n is at least 2 and k4 a
+// positive multiple of 4.
+TEXT ·dotPairsVec(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ n+16(FP), R9
+	MOVQ ld+24(FP), R8
+	MOVQ k4+32(FP), CX
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R11  // 3 rows
+	LEAQ (R8)(R8*4), R12  // 5 rows
+	LEAQ (R11)(R8*4), R10 // 7 rows
+	SHRQ $2, CX
+	DECQ R9               // pairs of row 0; rows left with pairs
+
+dp_row:
+	LEAQ (SI)(R8*1), DX // rows[i+1]
+	MOVQ R9, BX
+
+dp_group8:
+	CMPQ   BX, $8
+	JLT    dp_group4
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, R13
+	MOVQ   DX, R14
+	MOVQ   CX, AX
+
+dp8_loop:
+	VBROADCASTF128 (R13), Y4
+	VMOVUPS        (R14), X5
+	VINSERTF128    $1, (R14)(R8*1), Y5, Y5
+	VMOVUPS        (R14)(R8*2), X6
+	VINSERTF128    $1, (R14)(R11*1), Y6, Y6
+	VMOVUPS        (R14)(R8*4), X7
+	VINSERTF128    $1, (R14)(R12*1), Y7, Y7
+	VMOVUPS        (R14)(R11*2), X8
+	VINSERTF128    $1, (R14)(R10*1), Y8, Y8
+	VMULPS         Y4, Y5, Y5
+	VMULPS         Y4, Y6, Y6
+	VMULPS         Y4, Y7, Y7
+	VMULPS         Y4, Y8, Y8
+	VADDPS         Y5, Y0, Y0
+	VADDPS         Y6, Y1, Y1
+	VADDPS         Y7, Y2, Y2
+	VADDPS         Y8, Y3, Y3
+	ADDQ           $16, R13
+	ADDQ           $16, R14
+	DECQ           AX
+	JNZ            dp8_loop
+
+	// Y0..Y3 hold pairs (0,1), (2,3), (4,5), (6,7) of the group, low
+	// lane first. The first adds give each pair's (s0+s1, s2+s3), the
+	// next its total: pairs 0,2,4,6 in the low lane, 1,3,5,7 in the high.
+	VHADDPS      Y1, Y0, Y0
+	VHADDPS      Y3, Y2, Y2
+	VHADDPS      Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VUNPCKLPS    X1, X0, X2
+	VUNPCKHPS    X1, X0, X3
+	VMOVUPS      X2, (DI)
+	VMOVUPS      X3, 16(DI)
+	ADDQ         $32, DI
+	LEAQ         (DX)(R8*8), DX
+	SUBQ         $8, BX
+	JMP          dp_group8
+
+dp_group4:
+	CMPQ   BX, $4
+	JLT    dp_group2
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	MOVQ   SI, R13
+	MOVQ   DX, R14
+	MOVQ   CX, AX
+
+dp4_loop:
+	VBROADCASTF128 (R13), Y4
+	VMOVUPS        (R14), X5
+	VINSERTF128    $1, (R14)(R8*1), Y5, Y5
+	VMOVUPS        (R14)(R8*2), X6
+	VINSERTF128    $1, (R14)(R11*1), Y6, Y6
+	VMULPS         Y4, Y5, Y5
+	VMULPS         Y4, Y6, Y6
+	VADDPS         Y5, Y0, Y0
+	VADDPS         Y6, Y1, Y1
+	ADDQ           $16, R13
+	ADDQ           $16, R14
+	DECQ           AX
+	JNZ            dp4_loop
+
+	// Pairs 0,2 in the low lane, 1,3 in the high one, each total twice.
+	VHADDPS      Y1, Y0, Y0
+	VHADDPS      Y0, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VUNPCKLPS    X1, X0, X2
+	VMOVUPS      X2, (DI)
+	ADDQ         $16, DI
+	LEAQ         (DX)(R8*4), DX
+	SUBQ         $4, BX
+
+dp_group2:
+	CMPQ   BX, $2
+	JLT    dp_group1
+	VXORPS Y0, Y0, Y0
+	MOVQ   SI, R13
+	MOVQ   DX, R14
+	MOVQ   CX, AX
+
+dp2_loop:
+	VBROADCASTF128 (R13), Y4
+	VMOVUPS        (R14), X5
+	VINSERTF128    $1, (R14)(R8*1), Y5, Y5
+	VMULPS         Y4, Y5, Y5
+	VADDPS         Y5, Y0, Y0
+	ADDQ           $16, R13
+	ADDQ           $16, R14
+	DECQ           AX
+	JNZ            dp2_loop
+
+	VHADDPS      Y0, Y0, Y0
+	VHADDPS      Y0, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMOVSS       X0, (DI)
+	VMOVSS       X1, 4(DI)
+	ADDQ         $8, DI
+	LEAQ         (DX)(R8*2), DX
+	SUBQ         $2, BX
+
+dp_group1:
+	TESTQ  BX, BX
+	JZ     dp_next
+	VXORPS X0, X0, X0
+	MOVQ   SI, R13
+	MOVQ   CX, AX
+
+dp1_loop:
+	VMOVUPS (R13), X4
+	VMULPS  (DX), X4, X4
+	VADDPS  X4, X0, X0
+	ADDQ    $16, R13
+	ADDQ    $16, DX
+	DECQ    AX
+	JNZ     dp1_loop
+
+	VHADDPS X0, X0, X0
+	VHADDPS X0, X0, X0
+	VMOVSS  X0, (DI)
+	ADDQ    $4, DI
+
+dp_next:
+	ADDQ R8, SI
+	DECQ R9
+	JNZ  dp_row
+
+	VZEROUPPER
+	RET
+
+// func dotPairsBwdVec(grads *float32, rows *float32, up *float32, n int, ld int, c8 int)
+//
+// For the first c8 columns of the n rows (stride ld) of rows and grads:
+// for each pair i < j in lexicographic order whose up[k] is not ±0,
+// grads[i] += up[k]·rows[j] and grads[j] += up[k]·rows[i], each product
+// rounded before its add, as Axpy does. Columns are independent, so the
+// kernel walks windows of 32 columns (then 8) and runs every pair over
+// one window before the next. Within a window, row i's gradient and
+// values stay in registers across row i's pairs; its gradient has by
+// then received the adds of all earlier rows' pairs through memory. n is
+// at least 2 and c8 a positive multiple of 8.
+TEXT ·dotPairsBwdVec(SB), NOSPLIT, $0-48
+	MOVQ grads+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ up+16(FP), DX
+	MOVQ n+24(FP), R8
+	MOVQ ld+32(FP), R9
+	MOVQ c8+40(FP), CX
+	SHLQ $2, R9
+	SHRQ $3, CX
+
+bwd_window4:
+	CMPQ CX, $4
+	JLT  bwd_window1
+	MOVQ DX, R10 // up[k]
+	MOVQ DI, R11 // grads row i
+	MOVQ SI, R12 // rows row i
+	MOVQ R8, BX  // rows i..n-1
+
+bwd4_row:
+	VMOVUPS (R11), Y0
+	VMOVUPS 32(R11), Y1
+	VMOVUPS 64(R11), Y2
+	VMOVUPS 96(R11), Y3
+	VMOVUPS (R12), Y4
+	VMOVUPS 32(R12), Y5
+	VMOVUPS 64(R12), Y6
+	VMOVUPS 96(R12), Y7
+	MOVQ    R11, R13 // grads row j
+	MOVQ    R12, R14 // rows row j
+	MOVQ    BX, AX
+	DECQ    AX
+	JZ      bwd4_store
+
+bwd4_pair:
+	ADDQ         R9, R13
+	ADDQ         R9, R14
+	TESTL        $0x7fffffff, (R10)
+	JZ           bwd4_skip
+	VBROADCASTSS (R10), Y8
+	VMULPS       (R14), Y8, Y9
+	VMULPS       32(R14), Y8, Y10
+	VMULPS       64(R14), Y8, Y11
+	VMULPS       96(R14), Y8, Y12
+	VADDPS       Y9, Y0, Y0
+	VADDPS       Y10, Y1, Y1
+	VADDPS       Y11, Y2, Y2
+	VADDPS       Y12, Y3, Y3
+	VMULPS       Y4, Y8, Y9
+	VMULPS       Y5, Y8, Y10
+	VMULPS       Y6, Y8, Y11
+	VMULPS       Y7, Y8, Y12
+	VADDPS       (R13), Y9, Y9
+	VADDPS       32(R13), Y10, Y10
+	VADDPS       64(R13), Y11, Y11
+	VADDPS       96(R13), Y12, Y12
+	VMOVUPS      Y9, (R13)
+	VMOVUPS      Y10, 32(R13)
+	VMOVUPS      Y11, 64(R13)
+	VMOVUPS      Y12, 96(R13)
+
+bwd4_skip:
+	ADDQ $4, R10
+	DECQ AX
+	JNZ  bwd4_pair
+
+bwd4_store:
+	VMOVUPS Y0, (R11)
+	VMOVUPS Y1, 32(R11)
+	VMOVUPS Y2, 64(R11)
+	VMOVUPS Y3, 96(R11)
+	ADDQ    R9, R11
+	ADDQ    R9, R12
+	DECQ    BX
+	JNZ     bwd4_row
+
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $4, CX
+	JMP  bwd_window4
+
+bwd_window1:
+	TESTQ CX, CX
+	JZ    bwd_done
+	MOVQ  DX, R10
+	MOVQ  DI, R11
+	MOVQ  SI, R12
+	MOVQ  R8, BX
+
+bwd1_row:
+	VMOVUPS (R11), Y0
+	VMOVUPS (R12), Y1
+	MOVQ    R11, R13
+	MOVQ    R12, R14
+	MOVQ    BX, AX
+	DECQ    AX
+	JZ      bwd1_store
+
+bwd1_pair:
+	ADDQ         R9, R13
+	ADDQ         R9, R14
+	TESTL        $0x7fffffff, (R10)
+	JZ           bwd1_skip
+	VBROADCASTSS (R10), Y2
+	VMULPS       (R14), Y2, Y3
+	VADDPS       Y3, Y0, Y0
+	VMULPS       Y1, Y2, Y4
+	VADDPS       (R13), Y4, Y4
+	VMOVUPS      Y4, (R13)
+
+bwd1_skip:
+	ADDQ $4, R10
+	DECQ AX
+	JNZ  bwd1_pair
+
+bwd1_store:
+	VMOVUPS Y0, (R11)
+	ADDQ    R9, R11
+	ADDQ    R9, R12
+	DECQ    BX
+	JNZ     bwd1_row
+
+	ADDQ $32, DI
+	ADDQ $32, SI
+	DECQ CX
+	JMP  bwd_window1
+
+bwd_done:
+	VZEROUPPER
+	RET
+
 // The int8 block codec (int8.go) over whole 64-element chunks: each
 // chunk is 4 bytes of float32 scale, then 64 int8s. Callers pass
 // len(src) (quantize) or len(dst) (dequantize) a multiple of 64 and the

@@ -196,6 +196,140 @@ func FuzzMatMulTransB(f *testing.F) {
 	})
 }
 
+// fuzzFloats returns n float32s read from in as little-endian bit
+// patterns, cycling through it; all zeros when in is shorter than a float.
+func fuzzFloats(in []byte, n int) []float32 {
+	x := make([]float32, n)
+	if len(in) < 4 {
+		return x
+	}
+	for i := range x {
+		x[i] = math.Float32frombits(binary.LittleEndian.Uint32(in[(4*i)%(len(in)-3):]))
+	}
+	return x
+}
+
+// sumSquaresOracle is the one-row-at-a-time loop SumSquaresRows replaces.
+func sumSquaresOracle(sums, rows []float32, dim int) {
+	for r := range sums {
+		var sq float32
+		for _, v := range rows[r*dim : (r+1)*dim] {
+			sq += v * v
+		}
+		sums[r] = sq
+	}
+}
+
+// checkSumSquares runs SumSquaresRows with the vector kernels off and on
+// against the oracle, bit for bit.
+func checkSumSquares(t testing.TB, rows []float32, n, dim int) {
+	t.Helper()
+	want := make([]float32, n)
+	sumSquaresOracle(want, rows, dim)
+	for _, vec := range []bool{false, true} {
+		got := make([]float32, n)
+		withKernels(vec, func() { SumSquaresRows(got, rows, dim) })
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("SumSquaresRows n=%d dim=%d vector=%v: row %d = %v, oracle %v", n, dim, vec, i, got[i], want[i])
+		}
+	}
+}
+
+// FuzzSumSquaresRows decodes a row count, a width and the rows' bit
+// patterns from the input and checks both paths against the oracle.
+func FuzzSumSquaresRows(f *testing.F) {
+	f.Add([]byte{8, 8, 0, 0, 128, 63})
+	f.Add([]byte{17, 65, 1, 0, 0, 0, 0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 192, 127})
+	f.Add([]byte{9, 2, 0, 0, 0, 128})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		n, dim := int(in[0])%42, int(in[1])%131
+		checkSumSquares(t, fuzzFloats(in[2:], n*dim), n, dim)
+	})
+}
+
+// dotPairsOracle and dotPairsBackwardOracle are the dot interaction's
+// per-pair Dot and Axpy loops that DotPairs and DotPairsBackward replace.
+func dotPairsOracle(dst, rows []float32, n, d int) {
+	k := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			dst[k] = Dot(rows[i*d:(i+1)*d], rows[j*d:(j+1)*d])
+			k++
+		}
+	}
+}
+
+func dotPairsBackwardOracle(grads, rows, g []float32, n, d int) {
+	k := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			gd := g[k]
+			k++
+			if gd == 0 {
+				continue
+			}
+			Axpy(gd, rows[j*d:(j+1)*d], grads[i*d:(i+1)*d])
+			Axpy(gd, rows[i*d:(i+1)*d], grads[j*d:(j+1)*d])
+		}
+	}
+}
+
+// checkDotPairs runs DotPairs and DotPairsBackward (onto grads0) with the
+// vector kernels off and on against the oracles, bit for bit.
+func checkDotPairs(t testing.TB, rows, g, grads0 []float32, n, d int) {
+	t.Helper()
+	pairs := n * (n - 1) / 2
+	want, wantGrads := make([]float32, pairs), append([]float32(nil), grads0...)
+	withKernels(false, func() {
+		dotPairsOracle(want, rows, n, d)
+		dotPairsBackwardOracle(wantGrads, rows, g, n, d)
+	})
+	for _, vec := range []bool{false, true} {
+		got, gotGrads := make([]float32, pairs), append([]float32(nil), grads0...)
+		withKernels(vec, func() {
+			DotPairs(got, rows, n, d)
+			DotPairsBackward(gotGrads, rows, g, n, d)
+		})
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("DotPairs n=%d d=%d vector=%v: pair %d = %v, oracle %v", n, d, vec, i, got[i], want[i])
+		}
+		if i := sameBits(gotGrads, wantGrads); i >= 0 {
+			t.Fatalf("DotPairsBackward n=%d d=%d vector=%v: row %d element %d = %v, oracle %v",
+				n, d, vec, i/d, i%d, gotGrads[i], wantGrads[i])
+		}
+	}
+}
+
+// FuzzDotPairs decodes a row count, a width, the rows, the upstream
+// gradients (about one in four forced to +0 or -0) and the gradients'
+// starting values from the input and checks both kernels, both paths,
+// against the oracles.
+func FuzzDotPairs(f *testing.F) {
+	f.Add([]byte{9, 64, 0, 0, 128, 63, 0, 0, 0, 192})
+	f.Add([]byte{3, 33, 1, 0, 0, 0, 0, 0, 128, 127, 0, 0, 0, 128})
+	f.Add([]byte{2, 3, 0, 0, 128, 255, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		n, d := int(in[0])%11, int(in[1])%70
+		vals := fuzzFloats(in[2:], 2*n*d+n*n)
+		rows, grads0, g := vals[:n*d], vals[n*d:2*n*d], vals[2*n*d:2*n*d+max(n*(n-1)/2, 0)]
+		for k := range g {
+			switch in[(k+2)%len(in)] % 8 {
+			case 0:
+				g[k] = 0
+			case 1:
+				g[k] = float32(math.Copysign(0, -1))
+			}
+		}
+		checkDotPairs(t, rows, g, grads0, n, d)
+	})
+}
+
 // TestPooledMatMulTransBZeroAlloc holds the packed dX kernel to zero
 // allocations per call at steady state on the pool, where the panel is
 // packed into the recycled job's buffer. It counts with ReadMemStats, as

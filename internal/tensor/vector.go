@@ -34,8 +34,9 @@ func Dot(a, b []float32) float32 {
 }
 
 // vectorKernels selects the AVX2 kernels (simd_amd64.s) for the 8-aligned
-// prefix of the element-wise kernels, for MatMulTransB's packed columns
-// and for AdagradStep. It is on wherever the CPU has them. Both settings
+// prefix of the element-wise kernels, for MatMulTransB's packed columns,
+// for AdagradStep, SumSquaresRows and the dot-interaction pair kernels,
+// and for the int8 codec. It is on wherever the CPU has them. Both settings
 // compute the same bits: the Go loops are the reference the vector
 // kernels are tested against, and the only path on other CPUs.
 var vectorKernels = vectorCPU
@@ -152,6 +153,69 @@ func AdagradStep(value, grad, acc []float32, lr, eps float32) {
 		acc[i] += g * g
 		value[i] -= lr * g / (float32(math.Sqrt(float64(acc[i]))) + eps)
 	}
+}
+
+// SumSquaresRows sets sums[r] to the sum of squares of row r of rows:
+// len(sums) rows of length dim, stored back to back. Each sum is one
+// chain in element order, the bits of `for _, v := range row { s += v * v }`.
+// Rows go eight at a time — one per lane of the vector kernel, or one per
+// interleaved chain of the Go loop — so eight chains are in flight where
+// a row-at-a-time loop has one.
+func SumSquaresRows(sums, rows []float32, dim int) {
+	rows = rows[:len(sums)*dim]
+	r := 0
+	for ; r+8 <= len(sums); r += 8 {
+		blk := rows[r*dim : (r+8)*dim]
+		s := (*[8]float32)(sums[r : r+8])
+		p := 0
+		if vectorKernels && dim >= 8 {
+			p = dim &^ 7
+			sumSquares8Vec(s, &blk[0], dim, p)
+		} else {
+			*s = [8]float32{}
+		}
+		sumSquares8(s, blk, dim, p)
+	}
+	for ; r < len(sums); r++ {
+		var sq float32
+		for _, v := range rows[r*dim : (r+1)*dim] {
+			sq += v * v
+		}
+		sums[r] = sq
+	}
+}
+
+// sumSquares8 continues the eight rows' chains in sums from element from
+// to the end of the rows, one interleaved chain per row.
+func sumSquares8(sums *[8]float32, rows []float32, dim, from int) {
+	r0 := rows[from:dim]
+	r1 := rows[dim+from : 2*dim][:len(r0)]
+	r2 := rows[2*dim+from : 3*dim][:len(r0)]
+	r3 := rows[3*dim+from : 4*dim][:len(r0)]
+	r4 := rows[4*dim+from : 5*dim][:len(r0)]
+	r5 := rows[5*dim+from : 6*dim][:len(r0)]
+	r6 := rows[6*dim+from : 7*dim][:len(r0)]
+	r7 := rows[7*dim+from : 8*dim][:len(r0)]
+	s0, s1, s2, s3 := sums[0], sums[1], sums[2], sums[3]
+	s4, s5, s6, s7 := sums[4], sums[5], sums[6], sums[7]
+	for p, v := range r0 {
+		s0 += v * v
+		v = r1[p]
+		s1 += v * v
+		v = r2[p]
+		s2 += v * v
+		v = r3[p]
+		s3 += v * v
+		v = r4[p]
+		s4 += v * v
+		v = r5[p]
+		s5 += v * v
+		v = r6[p]
+		s6 += v * v
+		v = r7[p]
+		s7 += v * v
+	}
+	*sums = [8]float32{s0, s1, s2, s3, s4, s5, s6, s7}
 }
 
 // ScaleVec multiplies every element of x by a.
