@@ -310,7 +310,7 @@ func BenchmarkAblationLRUCacheHitRate(b *testing.B) {
 	b.ReportMetric(hit, "hit-rate@4096rows")
 }
 
-// Ablation: Hogwild flow overlap in the DES pipeline (serial vs 4 flows).
+// Ablation: overlapped trainer flows in the DES pipeline (serial vs 4 flows).
 func BenchmarkAblationPipelineOverlap(b *testing.B) {
 	run := func(flows int) float64 {
 		res, err := pipelineRun(flows)

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -102,6 +103,19 @@ func run(args []string, out io.Writer) error {
 	precWire := fs.String("precision.wire", "fp32", "collective wire format in hybrid mode: fp32, fp16, bf16 or int8 (per-chunk scaled)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Rejected here, these would panic deep in the build or never return:
+	// the synthetic stream never ends, and the run loop skips every batch
+	// smaller than the trainer's rank count.
+	switch {
+	case math.IsNaN(*lr) || math.IsInf(*lr, 0) || *lr <= 0:
+		return fmt.Errorf("dlrmtrain: -lr must be positive and finite, got %v", *lr)
+	case *iters < 0:
+		return fmt.Errorf("dlrmtrain: -iters must not be negative, got %d", *iters)
+	case *batch < 1:
+		return fmt.Errorf("dlrmtrain: -batch must be positive, got %d", *batch)
+	case *mode == "hybrid" && *batch < *ranks:
+		return fmt.Errorf("dlrmtrain: -batch %d is smaller than -ranks %d", *batch, *ranks)
 	}
 
 	tableDT, err := tensor.ParseDType(*precTables)

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -34,6 +37,43 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if err := run([]string{"-mode", "hybrid", "-platform", "TPUv4"}, &out); err == nil {
 		t.Error("unknown platform accepted")
+	}
+	// Each of these once panicked, spun forever or trained to NaN, so
+	// every case runs under its own deadline.
+	small := []string{"-dense", "4", "-sparse", "2", "-hash", "50", "-dim", "4", "-iters", "3"}
+	for _, bad := range [][]string{
+		{"-lr", "0"},
+		{"-lr", "-0.1"},
+		{"-lr", "NaN"},
+		{"-lr", "+Inf"},
+		{"-iters", "-3"},
+		{"-batch", "0"},
+		{"-batch", "-5"},
+		{"-mode", "hybrid", "-batch", "1"},
+	} {
+		args := append(append([]string(nil), small...), bad...)
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("panic: %v", r)
+				}
+			}()
+			var out strings.Builder
+			if err := run(args, &out); err == nil {
+				done <- errors.New("accepted")
+			} else {
+				done <- nil
+			}
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%v: %v", bad, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%v: run did not return", bad)
+		}
 	}
 }
 

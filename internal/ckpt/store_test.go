@@ -786,12 +786,12 @@ func typedState(seed int64) *ModelState {
 func assertReplicaSynced(t *testing.T, st *ModelState) {
 	t.Helper()
 	for ti, tab := range st.Tables {
-		out := tensor.New(1, tab.Dim)
+		out, sc := tensor.New(1, tab.Dim), embedding.NewScratch()
 		enc := make([]uint16, tab.Dim)
 		dec := make([]float32, tab.Dim)
 		for _, row := range []int{0, tab.HashSize / 2, tab.HashSize - 1} {
 			bag := embedding.NewBag([][]int32{{int32(row)}})
-			tab.Forward(bag, out)
+			tab.BagForwardInto(bag, out, sc)
 			want := tab.Weights.Row(row)
 			if tab.DType != tensor.FP32 {
 				tensor.Encode(tab.DType, enc, want)

@@ -203,7 +203,7 @@ func (c *Config) InteractionFLOPsPerExample() int64 {
 }
 
 // DenseParamBytes returns the fp32 bytes of MLP (dense) parameters, the
-// payload of EASGD synchronization with the dense parameter server.
+// payload of one dense gradient all-reduce.
 func (c *Config) DenseParamBytes() int64 {
 	var n int64
 	dims := c.BottomDims()

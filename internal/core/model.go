@@ -106,8 +106,8 @@ type Model struct {
 
 	// Trace, when non-nil, records phase spans (embedding lookup, dense
 	// forward/backward, sparse scatter) onto TraceShard. The model must
-	// be driven by a single goroutine per shard (it already is: workers
-	// use ShareWeights clones).
+	// be driven by a single goroutine per shard (it already is: each
+	// hybrid rank holds its own model).
 	Trace      *telemetry.Tracer
 	TraceShard int
 }
@@ -128,20 +128,12 @@ func NewModel(cfg Config, rng *xrand.RNG) *Model {
 }
 
 // AssembleModel builds a model over existing parameters with private
-// activation/gradient buffers: the view hybrid ranks, Hogwild workers and
-// evaluation compose. tables may be nil for a dense-only replica driven
+// activation/gradient buffers: the view hybrid ranks and evaluation
+// compose. tables may be nil for a dense-only replica driven
 // through ForwardPooled/BackwardPooled.
 func AssembleModel(cfg Config, bottom, top *nn.MLP, tables []*embedding.Table) *Model {
 	return &Model{Cfg: cfg, Bottom: bottom, Top: top, Tables: tables,
 		sparse: newSparseView(tables)}
-}
-
-// ShareWeights returns a model aliasing this model's parameters (MLP
-// weights and embedding tables) with private activation/gradient buffers.
-// This is the worker view for Hogwild! training.
-func (m *Model) ShareWeights() *Model {
-	// Embedding rows are updated lock-free in place.
-	return AssembleModel(m.Cfg, m.Bottom.ShareWeights(), m.Top.ShareWeights(), m.Tables)
 }
 
 // Clone returns a deep copy with independent parameters.
@@ -345,7 +337,7 @@ func (m *Model) backwardInteraction(dXTop *tensor.Matrix) {
 }
 
 // DenseParams returns the MLP parameters (bottom then top) for optimizers
-// and EASGD synchronization.
+// and checkpoints.
 func (m *Model) DenseParams() []nn.Param {
 	return append(m.Bottom.Params(), m.Top.Params()...)
 }

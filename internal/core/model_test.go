@@ -204,10 +204,13 @@ func TestModelGradCheckConcat(t *testing.T) {
 	}
 }
 
+// TestShareWeightsModel checks the evaluation view hybrid.EvalModel
+// builds: an AssembleModel over ShareWeights MLPs and the same tables
+// aliases every parameter but keeps its own activations.
 func TestShareWeightsModel(t *testing.T) {
 	cfg := testConfig()
 	m := NewModel(cfg, xrand.New(8))
-	w := m.ShareWeights()
+	w := AssembleModel(cfg, m.Bottom.ShareWeights(), m.Top.ShareWeights(), m.Tables)
 	// Same underlying weights.
 	if &w.Tables[0].Weights.Data[0] != &m.Tables[0].Weights.Data[0] {
 		t.Error("tables must be shared")
@@ -216,7 +219,7 @@ func TestShareWeightsModel(t *testing.T) {
 	if m.DenseParams()[0].Value[0] != 123 {
 		t.Error("MLP weights must be shared")
 	}
-	// Forward on the clone must not clobber the original's caches in a
+	// Forward on the view must not clobber the original's caches in a
 	// way that breaks the original's backward (separate activations).
 	b := makeBatch(cfg, 4, 9)
 	m.Forward(b)
@@ -224,7 +227,7 @@ func TestShareWeightsModel(t *testing.T) {
 	// original backward still works against its own cache
 	grads := m.Backward(make([]float32, 4))
 	if len(grads) != cfg.NumSparse() {
-		t.Error("backward after clone forward failed")
+		t.Error("backward after view forward failed")
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 // proceed concurrently with results identical to the serial walk. The
 // phase operands live in the step, so one goroutine drives a step. A
 // step built by AssembleModel owns nothing and walks every table: the
-// scatter-only view of a Hogwild worker, which hands its SparseGrads to
-// the owner's ApplyTable.
+// lookup-and-scatter view a Trainer replaces with its own step, and the
+// one an evaluation model keeps.
 type SparseStep struct {
 	tables []*embedding.Table // every table, by feature index
 	owned  []int              // features this step updates, ascending
@@ -34,7 +34,7 @@ type SparseStep struct {
 	lr     float32            // base embedding learning rate
 
 	grads   []*embedding.SparseGrad // by feature
-	scratch []*embedding.Scratch    // by feature: dedup gather slab and counter stripe
+	scratch []*embedding.Scratch    // by feature: dedup gather slab
 
 	// The phase in flight, read by RunRange.
 	phase sparsePhase
@@ -148,19 +148,11 @@ func (s *SparseStep) RunRange(lo, hi int) {
 				tab.BagBackward(b.Bags[ti], s.mats[ti], sg)
 			}
 		case phaseApply:
-			s.ApplyTable(ti, sg, s.scale)
+			s.opt[ti].SetLR(s.lr * s.scale)
+			s.opt[ti].Apply(sg)
+			s.dirty[ti].Mark(sg.RowIDs())
 		}
 	}
-}
-
-// ApplyTable runs owned feature ti's optimizer over sg (this step's or
-// a worker view's) at lrScale times the base learning rate and marks the
-// touched rows. Concurrent calls for one feature race on rows and marks
-// alike: Hogwild.
-func (s *SparseStep) ApplyTable(ti int, sg *embedding.SparseGrad, lrScale float32) {
-	s.opt[ti].SetLR(s.lr * lrScale)
-	s.opt[ti].Apply(sg)
-	s.dirty[ti].Mark(sg.RowIDs())
 }
 
 // Dirty returns the touched-row trackers by feature, nil unless owned.

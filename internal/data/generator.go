@@ -196,18 +196,19 @@ func (g *Generator) Config() core.Config { return g.cfg }
 
 // Fork returns a generator that shares this generator's hidden teacher —
 // and therefore its label function — but draws features from an
-// independent stream seeded by seed. Distributed trainers and held-out
-// evaluation sets must Fork one base generator so they see the same
-// planted task.
+// independent stream seeded by seed. Separate training streams and
+// held-out evaluation sets must Fork one base generator so they see the
+// same planted task.
 func (g *Generator) Fork(seed int64) *Generator {
 	rng := xrand.New(seed)
+	t := g.teacher
 	f := &Generator{
 		cfg:  g.cfg,
 		opts: g.opts,
 		rng:  rng,
 		// Weight-sharing clone: same label function, but private
 		// activation buffers so forks are safe on separate goroutines.
-		teacher: g.teacher.ShareWeights(),
+		teacher: core.AssembleModel(t.Cfg, t.Bottom.ShareWeights(), t.Top.ShareWeights(), t.Tables),
 		bias:    g.bias,
 	}
 	for _, s := range g.cfg.Sparse {

@@ -164,6 +164,29 @@ func TestLabelsAreLearnable(t *testing.T) {
 	}
 }
 
+// TestGeneratorForkSharesTask: two forks of one generator are learnable
+// by a single model interchangeably (shared teacher).
+func TestGeneratorForkSharesTask(t *testing.T) {
+	base := NewGenerator(genConfig(), 21, DefaultOptions())
+	// Labels from both forks must have similar base rates (same task).
+	rate := func(g *Generator) float64 {
+		pos, n := 0.0, 0.0
+		for i := 0; i < 10; i++ {
+			for _, y := range g.NextBatch(128).Labels {
+				n++
+				if y > 0.5 {
+					pos++
+				}
+			}
+		}
+		return pos / n
+	}
+	ra, rb := rate(base.Fork(1)), rate(base.Fork(2))
+	if diff := ra - rb; diff > 0.1 || diff < -0.1 {
+		t.Errorf("forked generators disagree on base rate: %v vs %v", ra, rb)
+	}
+}
+
 func TestEvalSet(t *testing.T) {
 	g := NewGenerator(genConfig(), 7, DefaultOptions())
 	set := g.EvalSet(3, 16)

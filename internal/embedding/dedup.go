@@ -100,7 +100,7 @@ func (t *Table) BagForwardDedup(bag Bag, d *DedupIndex, out *tensor.Matrix, sc *
 			tensor.AddTo(row, sc.gather[a:a+dim])
 		}
 	}
-	t.lookups.add(sc.stripe, uint64(len(d.Unique)))
+	t.lookups.Add(uint64(len(d.Unique)))
 }
 
 // BagBackwardDedup is the dedup counterpart of BagBackward for an empty

@@ -43,7 +43,7 @@ func TestTypedForwardReadsQuantizedRows(t *testing.T) {
 		tab := NewTableTyped("r", 50, 6, dt, xrand.New(2))
 		bag := NewBag([][]int32{{3}, {7, 7}, {1, 2, 3}})
 		out := tensor.New(3, 6)
-		tab.Forward(bag, out)
+		tab.BagForwardInto(bag, out, NewScratch())
 		dec := make([]float32, 6)
 		want := make([]float32, 6)
 		for i, idxs := range [][]int32{{3}, {7, 7}, {1, 2, 3}} {

@@ -18,67 +18,26 @@ import (
 	"repro/internal/xrand"
 )
 
-// counterStripes is the cell count of the striped lookup counter (power
-// of two). Hogwild workers land on distinct stripes via their Scratch, so
-// the per-batch counter update stops bouncing one cache line between
-// cores.
-const counterStripes = 8
-
-// stripedCount is a cache-line-padded striped uint64 counter.
-type stripedCount struct {
-	cells [counterStripes]struct {
-		n atomic.Uint64
-		_ [56]byte // pad to one cache line
-	}
-}
-
-func (c *stripedCount) add(stripe int, n uint64) {
-	c.cells[stripe&(counterStripes-1)].n.Add(n)
-}
-
-func (c *stripedCount) load() uint64 {
-	var sum uint64
-	for i := range c.cells {
-		sum += c.cells[i].n.Load()
-	}
-	return sum
-}
-
-func (c *stripedCount) reset() {
-	for i := range c.cells {
-		c.cells[i].n.Store(0)
-	}
-}
-
-// Scratch is per-worker state for the batched lookup path. It pins the
-// counter stripe a worker updates; stripes are assigned round-robin at
-// construction so concurrent Hogwild workers spread across the striped
-// counter instead of contending on a single atomic.
+// Scratch is per-worker state for the batched lookup path.
 type Scratch struct {
-	stripe int
-
 	// gather is BagForwardDedup's staging slab, the unique rows' copy.
 	// Grown to the largest unique×dim seen, never shrunk.
 	gather []float32
 }
 
-var scratchSeq atomic.Int64
-
-// NewScratch returns a worker-local scratch with a fresh counter stripe.
-func NewScratch() *Scratch {
-	return &Scratch{stripe: int(scratchSeq.Add(1))}
-}
+// NewScratch returns an empty worker-local scratch.
+func NewScratch() *Scratch { return &Scratch{} }
 
 // Table is one embedding lookup table with hashSize rows of dim floats.
 type Table struct {
 	Name     string
 	HashSize int
 	Dim      int
-	// Weights is the hashSize×dim parameter matrix. Hogwild workers
-	// share it and update it without locks, as in the paper's CPU
-	// training stack. With a reduced DType this is the fp32 master
-	// copy: optimizer math runs here (split-SGD, Kalamkar et al.) and
-	// the lookup path reads the quantized replica below.
+	// Weights is the hashSize×dim parameter matrix. One sparse step
+	// owns the table and is its only writer. With a reduced DType this
+	// is the fp32 master copy: optimizer math runs here (split-SGD,
+	// Kalamkar et al.) and the lookup path reads the quantized replica
+	// below.
 	Weights *tensor.Matrix
 	// DType is the lookup-path storage precision. FP32 tables read
 	// Weights directly; BF16/FP16 tables read half and must SyncRow
@@ -88,10 +47,11 @@ type Table struct {
 	// fp32), kept in sync with Weights by SyncRow/SyncAll.
 	half []uint16
 
-	// lookups counts individual row accesses (striped atomics; shared
-	// across workers). The trace package uses it for the Fig 6/7 style
-	// access-frequency characterization.
-	lookups stripedCount
+	// lookups counts individual row accesses. It is atomic because a
+	// registry snapshot reads it mid-step and forked generators share
+	// their teacher's tables across goroutines. The trace package uses
+	// it for the Fig 6/7 style access-frequency characterization.
+	lookups atomic.Uint64
 }
 
 // NewTable allocates and initializes an fp32 table. Rows are
@@ -195,10 +155,7 @@ func (t *Table) Bytes() int64 {
 }
 
 // Lookups returns the cumulative number of row accesses served.
-func (t *Table) Lookups() uint64 { return t.lookups.load() }
-
-// ResetLookups zeroes the access counter.
-func (t *Table) ResetLookups() { t.lookups.reset() }
+func (t *Table) Lookups() uint64 { return t.lookups.Load() }
 
 // Bag is a batch of pooled lookups in offsets/indices form (one sparse
 // feature, B examples). Example i activates
@@ -246,22 +203,12 @@ func (b Bag) Validate(hashSize int) error {
 	return nil
 }
 
-// Forward sum-pools the bag's rows into out (B×dim). out must be
-// pre-allocated with Batch() rows. Counter updates land on stripe 0; the
-// training hot path uses BagForwardInto with a per-worker Scratch.
-func (t *Table) Forward(bag Bag, out *tensor.Matrix) {
-	t.bagForward(bag, out, 0)
-}
-
 // BagForwardInto is the batched pooled-lookup kernel: it walks the whole
 // mini-batch, sum-pooling each example's rows into out (B×dim), and
-// charges the lookup counter on the scratch's stripe. out must be
-// pre-allocated with Batch() rows; sc must not be nil.
+// charges the lookup counter. out must be pre-allocated with Batch()
+// rows. The plain kernel stages nothing in sc; it takes one so its
+// signature matches BagForwardDedup's.
 func (t *Table) BagForwardInto(bag Bag, out *tensor.Matrix, sc *Scratch) {
-	t.bagForward(bag, out, sc.stripe)
-}
-
-func (t *Table) bagForward(bag Bag, out *tensor.Matrix, stripe int) {
 	if out.Rows != bag.Batch() || out.Cols != t.Dim {
 		panic(fmt.Sprintf("embedding: output shape %dx%d, want %dx%d",
 			out.Rows, out.Cols, bag.Batch(), t.Dim))
@@ -297,7 +244,7 @@ func (t *Table) bagForward(bag Bag, out *tensor.Matrix, stripe int) {
 			}
 		}
 	}
-	t.lookups.add(stripe, uint64(bag.TotalLookups()))
+	t.lookups.Add(uint64(bag.TotalLookups()))
 }
 
 // SparseGrad accumulates per-row gradients for one table across a batch.

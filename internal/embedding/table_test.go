@@ -3,6 +3,7 @@ package embedding
 import (
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -135,7 +136,7 @@ func TestForwardSumPooling(t *testing.T) {
 	tab := NewTable("t", 10, 4, rng)
 	bag := NewBag([][]int32{{0, 1}, {2}, {}})
 	out := tensor.New(3, 4)
-	tab.Forward(bag, out)
+	tab.BagForwardInto(bag, out, NewScratch())
 	for j := 0; j < 4; j++ {
 		want := tab.Weights.At(0, j) + tab.Weights.At(1, j)
 		if math.Abs(float64(out.At(0, j)-want)) > 1e-6 {
@@ -151,10 +152,6 @@ func TestForwardSumPooling(t *testing.T) {
 	if tab.Lookups() != 3 {
 		t.Errorf("Lookups = %d, want 3", tab.Lookups())
 	}
-	tab.ResetLookups()
-	if tab.Lookups() != 0 {
-		t.Error("ResetLookups failed")
-	}
 }
 
 func TestForwardPanicsOnShape(t *testing.T) {
@@ -164,7 +161,7 @@ func TestForwardPanicsOnShape(t *testing.T) {
 		}
 	}()
 	tab := NewTable("t", 10, 4, xrand.New(5))
-	tab.Forward(NewBag([][]int32{{1}}), tensor.New(2, 4))
+	tab.BagForwardInto(NewBag([][]int32{{1}}), tensor.New(2, 4), NewScratch())
 }
 
 func TestBackwardScatter(t *testing.T) {
@@ -228,23 +225,22 @@ func TestSparseGradReuseIsAllocFree(t *testing.T) {
 	}
 }
 
-// TestStripedLookupCounter checks that scratch-striped counting aggregates
-// across stripes.
-func TestStripedLookupCounter(t *testing.T) {
+// TestLookupCounterSumsAcrossScratch checks that the table's one counter
+// sums the lookups of several Scratch values, each on its own goroutine.
+func TestLookupCounterSumsAcrossScratch(t *testing.T) {
 	tab := NewTable("t", 10, 2, xrand.New(13))
 	bag := NewBag([][]int32{{0, 1, 2}})
-	out := tensor.New(1, 2)
-	scratches := []*Scratch{NewScratch(), NewScratch(), NewScratch()}
-	for _, sc := range scratches {
-		tab.BagForwardInto(bag, out, sc)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tab.BagForwardInto(bag, tensor.New(1, 2), NewScratch())
+		}()
 	}
-	tab.Forward(bag, out) // stripe 0 path
+	wg.Wait()
 	if got := tab.Lookups(); got != 12 {
-		t.Errorf("Lookups = %d, want 12 across stripes", got)
-	}
-	tab.ResetLookups()
-	if tab.Lookups() != 0 {
-		t.Error("ResetLookups failed")
+		t.Errorf("Lookups = %d, want 12 across scratches", got)
 	}
 }
 
@@ -258,7 +254,7 @@ func TestForwardBackwardGradCheck(t *testing.T) {
 
 	objective := func() float64 {
 		out := tensor.New(2, 3)
-		tab.Forward(bag, out)
+		tab.BagForwardInto(bag, out, NewScratch())
 		var s float64
 		for i, v := range out.Data {
 			s += float64(v) * float64(c.Data[i])
@@ -296,7 +292,7 @@ func TestDuplicateIndexPooling(t *testing.T) {
 	tab.Weights.Set(3, 0, 5)
 	bag := NewBag([][]int32{{3, 3}})
 	out := tensor.New(1, 1)
-	tab.Forward(bag, out)
+	tab.BagForwardInto(bag, out, NewScratch())
 	if out.At(0, 0) != 10 {
 		t.Errorf("duplicate pooling = %v, want 10", out.At(0, 0))
 	}

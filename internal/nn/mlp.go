@@ -154,8 +154,9 @@ func (m *MLP) Params() []Param {
 }
 
 // ShareWeights returns a new MLP that aliases this MLP's weights but owns
-// private gradient and activation buffers. Hogwild! workers each hold one
-// weight-sharing clone and update the shared weights lock-free.
+// private gradient and activation buffers: the dense half of an
+// evaluation view (hybrid.EvalModel) and of a forked generator's teacher,
+// which read the owner's weights through activations of their own.
 func (m *MLP) ShareWeights() *MLP {
 	c := &MLP{Dims: m.Dims}
 	for _, l := range m.layers {

@@ -1,9 +1,8 @@
 // Package optim implements the optimizers used for recommendation model
 // training at Facebook (§III-B6 of the paper): dense SGD and Adagrad for
-// the MLP stacks, row-wise sparse Adagrad for embedding tables, the
-// Elastic-Averaging SGD (EASGD) coupling between trainers and the dense
-// parameter server, and the learning-rate scaling/warmup schedules that
-// large-batch training requires (§VI-C).
+// the MLP stacks, row-wise sparse Adagrad for embedding tables, and the
+// learning-rate scaling/warmup schedules that large-batch training
+// requires (§VI-C).
 package optim
 
 import (
@@ -168,9 +167,9 @@ func (r *RowWiseAdagrad) Accum() []float32 { return r.accum }
 // first the block's sums of squares (tensor.SumSquaresRows, eight
 // independent chains), then each row's update in order. Only reads of the
 // slab move earlier, and the rows of one SparseGrad are distinct, so the
-// result is that of updating row by row. The block lives on the stack:
-// Hogwild workers call Apply on one optimizer concurrently, so it keeps
-// no scratch of its own.
+// result is that of updating row by row. The block is a fixed
+// eight-float array on the stack, so Apply needs no scratch field and
+// allocates nothing.
 func (r *RowWiseAdagrad) Apply(sg *embedding.SparseGrad) {
 	d := r.Table.Dim
 	dim := float32(d)
@@ -188,38 +187,6 @@ func (r *RowWiseAdagrad) Apply(sg *embedding.SparseGrad) {
 			// replica is re-quantized (no-op for fp32 tables).
 			r.Table.SyncRow(int(ix))
 		}
-	}
-}
-
-// EASGDSync performs one elastic-averaging exchange between a worker
-// parameter vector and the center (dense parameter server) copy
-// (Zhang, Choromanska, LeCun 2015). Both sides move toward each other by
-// alpha times their difference:
-//
-//	delta = alpha * (worker - center)
-//	worker -= delta
-//	center += delta
-//
-// In the paper's pipeline (Fig 4) every trainer runs this exchange against
-// the master dense parameters at a configurable period.
-func EASGDSync(worker, center []float32, alpha float32) {
-	if len(worker) != len(center) {
-		panic("optim: EASGD length mismatch")
-	}
-	for i := range worker {
-		delta := alpha * (worker[i] - center[i])
-		worker[i] -= delta
-		center[i] += delta
-	}
-}
-
-// EASGDSyncParams runs EASGDSync across aligned parameter lists.
-func EASGDSyncParams(worker, center []nn.Param, alpha float32) {
-	if len(worker) != len(center) {
-		panic("optim: EASGD param-count mismatch")
-	}
-	for i := range worker {
-		EASGDSync(worker[i].Value, center[i].Value, alpha)
 	}
 }
 

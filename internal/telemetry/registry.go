@@ -127,7 +127,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // RegisterFunc installs a snapshot-time metric: fn is evaluated on every
 // Snapshot. Use it to surface externally owned counters (embedding-table
-// lookup stripes, ring depths) without copying them on the hot path.
+// lookup counts, ring depths) without copying them on the hot path.
 func (r *Registry) RegisterFunc(name string, fn func() int64) {
 	if r == nil {
 		return

@@ -147,7 +147,7 @@ func TestKernelsMatchNaiveParallel(t *testing.T) {
 }
 
 // TestKernelsConcurrentCallers hammers the shared worker pool from many
-// goroutines at once (the Hogwild pattern) and checks every result.
+// goroutines at once (as hybrid ranks do) and checks every result.
 // MatMulTransB packs b into a buffer on its job, so concurrent callers
 // must each get their own.
 func TestKernelsConcurrentCallers(t *testing.T) {

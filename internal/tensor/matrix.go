@@ -7,8 +7,7 @@
 //
 // The package is deliberately small and allocation-conscious: every kernel
 // writes into a caller-provided destination so the training loop can reuse
-// buffers across iterations, which matters when Hogwild workers hammer the
-// same model concurrently.
+// buffers across iterations and a steady-state step allocates nothing.
 package tensor
 
 import (

@@ -192,7 +192,7 @@ func submit(j *job, rows, chunk int) {
 	j.rows, j.chunk = rows, chunk
 	j.cursor.Store(0)
 	// Hand the job to idle helpers only: if every helper is busy (e.g.
-	// many Hogwild threads issuing matmuls at once) the submitter simply
+	// several hybrid ranks issuing matmuls at once) the submitter simply
 	// does the work itself, which self-balances the pool.
 fanout:
 	for i := 0; i < poolWorkers; i++ {

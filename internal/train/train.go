@@ -5,8 +5,7 @@
 // once against a small trainer seam (Stepper) that the single-process
 // core.Trainer and the synchronous hybrid.Trainer both satisfy. What
 // differs between trainers sits under the step (DESIGN.md, "The run
-// loop"); distrib.Cluster stays outside, because N concurrent Hogwild
-// threads on per-thread generators are not a BatchSource loop.
+// loop").
 package train
 
 import (

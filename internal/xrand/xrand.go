@@ -1,9 +1,10 @@
 // Package xrand provides deterministic, seedable random number generation
 // helpers shared across the simulator and the training stack.
 //
-// Every stochastic component in this repository (data synthesis, Hogwild
-// workers, discrete-event jitter, fleet sampling) draws from an explicitly
-// seeded xrand.RNG so that experiments are reproducible run to run.
+// Every stochastic component in this repository (data synthesis, model
+// initialization, discrete-event jitter, fleet sampling) draws from an
+// explicitly seeded xrand.RNG so that experiments are reproducible run to
+// run.
 package xrand
 
 import (

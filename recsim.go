@@ -5,7 +5,7 @@
 // It bundles eleven capabilities:
 //
 //   - a real DLRM training stack (models, embedding tables, optimizers,
-//     synthetic click data, single-node and distributed trainers) whose
+//     synthetic click data, single-process and hybrid trainers) whose
 //     hot path is allocation-free and kernel-fused: tiled GEMM variants
 //     on a persistent worker pool, fused bias/ReLU epilogues, slab
 //     sparse gradients, and recycled batch arenas (see DESIGN.md, and
@@ -693,7 +693,7 @@ func RunExperiment(id string, opt ExperimentOptions) (ExperimentResult, error) {
 }
 
 // Version identifies the reproduction release.
-const Version = "3.0.0"
+const Version = "4.0.0"
 
 // Describe returns a one-line summary of a model config.
 func Describe(cfg ModelConfig) string {
