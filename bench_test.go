@@ -73,6 +73,52 @@ func BenchmarkTrainStep(b *testing.B) {
 	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds(), "examples/sec")
 }
 
+// BenchmarkSparseHeavyStep measures Trainer.Step at the bench/e2e
+// sparse_heavy shape (8 tables of 200k × 64 fp32, 40 ids per example,
+// batch 128), on a fresh generator batch per step drawn outside the
+// timer: the rows a step touches are as cold as in a training run, which
+// BenchmarkTrainStep's one reused batch never lets them be. It reports
+// the three sparse phases from the trainer's own spans.
+func BenchmarkSparseHeavyStep(b *testing.B) {
+	sparse := UniformSparse(8, 200000, 40)
+	for i := range sparse {
+		sparse[i].MaxPooled = 64
+	}
+	cfg := ModelConfig{
+		Name: "sparse_heavy", DenseFeatures: 16, Sparse: sparse, EmbeddingDim: 64,
+		BottomMLP: []int{64}, TopMLP: []int{64}, Interaction: InteractionDot,
+	}
+	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
+	gen := NewGenerator(cfg, 2)
+	var batch *MiniBatch
+	for i := 0; i < 20; i++ { // warm the heap and the pool
+		batch = gen.NextBatchInto(128, batch)
+		tr.Step(batch)
+	}
+	tracer := telemetry.NewTracer(1, 64)
+	tr.SetTrace(tracer, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch = gen.NextBatchInto(128, batch)
+		b.StartTimer()
+		tr.Step(batch)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds(), "examples/sec")
+	for _, ph := range []struct {
+		name  string
+		phase telemetry.Phase
+	}{
+		{"lookup_ms", telemetry.PhaseEmbLookup},
+		{"scatter_ms", telemetry.PhaseSparseScatter},
+		{"apply_ms", telemetry.PhaseSparseApply},
+	} {
+		h := tracer.PhaseHist(ph.phase)
+		b.ReportMetric(h.Mean()/1e6, ph.name)
+	}
+}
+
 // BenchmarkTrainStepTraced is BenchmarkTrainStep with span tracing on:
 // the delta against the untraced number is the telemetry overhead, whose
 // acceptance bound is < 3%.

@@ -275,3 +275,83 @@ func TestOnlySparseHeavyFansOut(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseStepPrefetchBitIdentical runs the sparse step with the vector
+// kernels on, which also turns on the row prefetches in the fp32 lookup
+// and the row-wise AdaGrad apply, against the Go kernels alone, which
+// issue none. Over 20 steps of a skewed shape (one large table and two
+// small ones, Zipf ids, an odd dim so rows start mid-line, enough unique
+// rows that Apply prefetches many blocks ahead), the pooled outputs of
+// every step and the final masters, accumulators and lookup replicas
+// must match bit for bit, for fp32 and bf16 tables, with and without
+// dedup.
+func TestSparseStepPrefetchBitIdentical(t *testing.T) {
+	const dim, batch, steps = 13, 64, 20
+	const lr = float32(0.1)
+	rows := []int{70000, 300, 90}
+	ids := []int{24, 6, 3}
+	type run struct{ pooled, state [][]float32 }
+	train := func(dt tensor.DType, dedup, vector bool) run {
+		defer tensor.SetVectorKernels(tensor.SetVectorKernels(vector))
+		rng := xrand.New(3)
+		tabs := make([]*embedding.Table, len(rows))
+		owned := make([]int, len(rows))
+		for i := range tabs {
+			tabs[i] = embedding.NewTableTyped("t", rows[i], dim, dt, rng)
+			owned[i] = i
+		}
+		_, opts, err := optim.New(OptAdagrad, nil, 0, tabs, owned, lr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := NewSparseStep(tabs, owned, opts, lr)
+		outs, dOuts := make([]*tensor.Matrix, len(rows)), make([]*tensor.Matrix, len(rows))
+		for ti := range outs {
+			outs[ti], dOuts[ti] = tensor.New(batch, dim), tensor.New(batch, dim)
+		}
+		data := xrand.New(9)
+		var r run
+		for s := 0; s < steps; s++ {
+			b := &MiniBatch{Dense: tensor.New(batch, 1)}
+			for ti := range rows {
+				z := data.Zipf(1.1, uint64(rows[ti]-1))
+				per := make([][]int32, batch)
+				for i := range per {
+					for k := 1 + data.Intn(ids[ti]); k > 0; k-- {
+						per[i] = append(per[i], int32(z.Uint64()))
+					}
+				}
+				b.Bags = append(b.Bags, embedding.NewBag(per))
+			}
+			if dedup {
+				b.AttachDedup()
+			}
+			step.Lookup(b, outs)
+			for ti := range dOuts {
+				r.pooled = append(r.pooled, append([]float32(nil), outs[ti].Data...))
+				tensor.UniformInit(dOuts[ti], 1, data)
+			}
+			step.Scatter(b, dOuts)
+			step.Apply(b, 1)
+		}
+		sc := embedding.NewScratch()
+		for ti, tab := range tabs {
+			replica := tensor.New(rows[ti], dim)
+			tab.BagForwardInto(allRowsBag(rows[ti]), replica, sc)
+			r.state = append(r.state, tab.Weights.Data, opts[ti].Accum(), replica.Data)
+		}
+		return r
+	}
+	for _, dt := range []tensor.DType{tensor.FP32, tensor.BF16} {
+		for _, dedup := range []bool{false, true} {
+			name := fmt.Sprintf("%v/dedup=%v", dt, dedup)
+			want, got := train(dt, dedup, false), train(dt, dedup, true)
+			for i := range want.pooled {
+				requireSameBits(t, fmt.Sprintf("%s: pooled output %d", name, i), got.pooled[i], want.pooled[i])
+			}
+			for i := range want.state {
+				requireSameBits(t, fmt.Sprintf("%s: state %d", name, i), got.state[i], want.state[i])
+			}
+		}
+	}
+}

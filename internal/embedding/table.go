@@ -203,17 +203,36 @@ func (b Bag) Validate(hashSize int) error {
 	return nil
 }
 
+// lookupAhead is how many examples ahead of the one it pools
+// BagForwardInto prefetches. On sparse_heavy a sweep of 1, 2, 4 and 8
+// was flat within noise (CHANGES.md): one example's rows are already
+// more lines than a core keeps in flight.
+const lookupAhead = 4
+
 // BagForwardInto is the batched pooled-lookup kernel: it walks the whole
 // mini-batch, sum-pooling each example's rows into out (B×dim), and
 // charges the lookup counter. out must be pre-allocated with Batch()
 // rows. The plain kernel stages nothing in sc; it takes one so its
 // signature matches BagForwardDedup's.
+//
+// On an fp32 table, while it pools example i it prefetches the rows of
+// example i+lookupAhead, so each example's misses overlap the pooling
+// before it. A prefetch moves no value, so the sums are those of the
+// plain walk. Reduced-dtype tables get no prefetch: no benchmark
+// workload runs one, so its gain could not be measured.
 func (t *Table) BagForwardInto(bag Bag, out *tensor.Matrix, sc *Scratch) {
 	if out.Rows != bag.Batch() || out.Cols != t.Dim {
 		panic(fmt.Sprintf("embedding: output shape %dx%d, want %dx%d",
 			out.Rows, out.Cols, bag.Batch(), t.Dim))
 	}
-	for i := 0; i < bag.Batch(); i++ {
+	n, prefetch := bag.Batch(), t.DType == tensor.FP32
+	if prefetch {
+		tensor.PrefetchRows(t.Weights.Data, bag.Indices[:bag.Offsets[min(lookupAhead, n)]], t.Dim)
+	}
+	for i := 0; i < n; i++ {
+		if j := i + lookupAhead; prefetch && j < n {
+			tensor.PrefetchRows(t.Weights.Data, bag.Indices[bag.Offsets[j]:bag.Offsets[j+1]], t.Dim)
+		}
 		row := out.Row(i)
 		for j := range row {
 			row[j] = 0

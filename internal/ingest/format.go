@@ -324,21 +324,23 @@ func growI32(s []int32, n int) []int32 {
 }
 
 // decodeShard parses a raw shard image into blk, reusing its slabs. It
-// validates the header against the manifest schema and bounds-checks
-// index counts against the buffer, not each index against the hash space
-// — the assembler builds Bags whose consumers validate at the boundary.
+// validates the header against the manifest schema, bounds-checks index
+// counts against the buffer and checks every index against its feature's
+// hash space, so a corrupt or hostile shard is an error here rather than
+// an out-of-range row in a lookup. Its errors name the example and
+// feature; the caller adds the shard.
 func decodeShard(raw []byte, man *Manifest, blk *block) error {
 	if len(raw) < shardHeader {
-		return fmt.Errorf("ingest: shard truncated (%d bytes)", len(raw))
+		return fmt.Errorf("shard truncated (%d bytes)", len(raw))
 	}
 	if binary.LittleEndian.Uint32(raw) != shardMagic {
-		return fmt.Errorf("ingest: bad shard magic %#x", binary.LittleEndian.Uint32(raw))
+		return fmt.Errorf("bad shard magic %#x", binary.LittleEndian.Uint32(raw))
 	}
 	dense := int(binary.LittleEndian.Uint32(raw[4:]))
 	sparse := int(binary.LittleEndian.Uint32(raw[8:]))
 	count := int(binary.LittleEndian.Uint32(raw[12:]))
 	if dense != man.DenseFeatures || sparse != len(man.Sparse) {
-		return fmt.Errorf("ingest: shard schema %dd/%ds, manifest %dd/%ds",
+		return fmt.Errorf("shard schema %dd/%ds, manifest %dd/%ds",
 			dense, sparse, man.DenseFeatures, len(man.Sparse))
 	}
 
@@ -365,12 +367,12 @@ func decodeShard(raw []byte, man *Manifest, blk *block) error {
 	p := shardHeader
 	for i := 0; i < count; i++ {
 		if p >= len(raw) {
-			return fmt.Errorf("ingest: shard truncated at example %d", i)
+			return fmt.Errorf("shard truncated at example %d", i)
 		}
 		blk.labels[i] = raw[p]
 		p++
 		if p+4*dense > len(raw) {
-			return fmt.Errorf("ingest: shard truncated in dense block of example %d", i)
+			return fmt.Errorf("shard truncated in dense block of example %d", i)
 		}
 		for j := 0; j < dense; j++ {
 			blk.dense[i*dense+j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[p:]))
@@ -378,22 +380,36 @@ func decodeShard(raw []byte, man *Manifest, blk *block) error {
 		}
 		for f := 0; f < sparse; f++ {
 			if p+2 > len(raw) {
-				return fmt.Errorf("ingest: shard truncated in feature %d of example %d", f, i)
+				return fmt.Errorf("shard truncated in feature %d of example %d", f, i)
 			}
 			n := int(binary.LittleEndian.Uint16(raw[p:]))
 			p += 2
 			if p+4*n > len(raw) {
-				return fmt.Errorf("ingest: shard truncated in indices of example %d", i)
+				return fmt.Errorf("shard truncated in indices of example %d", i)
 			}
+			// The loop keeps only the largest index, branch-free (an id
+			// below zero is above MaxInt32 as a uint32); the rare shard
+			// that fails the check is scanned again for the error.
+			idx, top := blk.featIdx[f], uint32(0)
 			for k := 0; k < n; k++ {
-				blk.featIdx[f] = append(blk.featIdx[f], int32(binary.LittleEndian.Uint32(raw[p:])))
+				v := binary.LittleEndian.Uint32(raw[p:])
+				top = max(top, v)
+				idx = append(idx, int32(v))
 				p += 4
 			}
-			blk.featOff[f][i+1] = int32(len(blk.featIdx[f]))
+			if hash := man.Sparse[f].HashSize; top > math.MaxInt32 || int(top) >= hash {
+				for _, ix := range idx[len(idx)-n:] {
+					if ix < 0 || int(ix) >= hash {
+						return fmt.Errorf("index %d of example %d feature %d out of [0,%d)", ix, i, f, hash)
+					}
+				}
+			}
+			blk.featIdx[f] = idx
+			blk.featOff[f][i+1] = int32(len(idx))
 		}
 	}
 	if p != len(raw) {
-		return fmt.Errorf("ingest: %d trailing bytes after %d examples", len(raw)-p, count)
+		return fmt.Errorf("%d trailing bytes after %d examples", len(raw)-p, count)
 	}
 	return nil
 }

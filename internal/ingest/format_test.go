@@ -1,8 +1,12 @@
 package ingest
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -203,5 +207,72 @@ func TestOpenDatasetErrors(t *testing.T) {
 	raw[0] ^= 0xff
 	if err := decodeShard(raw, &ds.Manifest, &blk); err == nil {
 		t.Error("bad magic decoded without error")
+	}
+}
+
+// indexOffset walks a raw shard to the byte offset of the first index of
+// example ex, feature f (which must have one).
+func indexOffset(t *testing.T, raw []byte, man *Manifest, ex, f int) int {
+	t.Helper()
+	p := shardHeader
+	for i := 0; ; i++ {
+		p += 1 + 4*man.DenseFeatures
+		for g := range man.Sparse {
+			n := int(binary.LittleEndian.Uint16(raw[p:]))
+			p += 2
+			if i == ex && g == f {
+				if n == 0 {
+					t.Fatalf("example %d feature %d has no index", ex, f)
+				}
+				return p
+			}
+			p += 4 * n
+		}
+	}
+}
+
+// TestDecodeRejectsOutOfRangeIndex: a shard whose index falls outside its
+// feature's hash space is refused by the reader, with an error naming the
+// shard, the example and the feature, instead of reaching a lookup.
+func TestDecodeRejectsOutOfRangeIndex(t *testing.T) {
+	cfg := testCfg()
+	for _, bad := range []int32{int32(cfg.Sparse[1].HashSize), -1} {
+		dir := writeTestDataset(t, cfg, 5, 1, 6)
+		ds, err := OpenDataset(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := ds.Manifest.Shards[0].File
+		raw, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := indexOffset(t, raw, &ds.Manifest, 3, 1)
+		binary.LittleEndian.PutUint32(raw[off:], uint32(bad))
+		if err := os.WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		var blk block
+		err = decodeShard(raw, &ds.Manifest, &blk)
+		if err == nil || !strings.Contains(err.Error(), "example 3 feature 1") {
+			t.Fatalf("index %d: decode error %v, want one naming example 3 feature 1", bad, err)
+		}
+		p, err := Open(ds, cfg, Options{BatchSize: 2, Epochs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			var mb *core.MiniBatch
+			if mb, err = p.NextBatch(); err == nil {
+				p.Recycle(mb)
+			}
+		}
+		p.Close()
+		ds.Close()
+		if errors.Is(err, io.EOF) || !strings.Contains(err.Error(), file) ||
+			!strings.Contains(err.Error(), "example 3 feature 1") {
+			t.Fatalf("index %d: pipeline error %v, want one naming %s, example 3 and feature 1", bad, err, file)
+		}
 	}
 }

@@ -345,7 +345,7 @@ func (p *Pipeline) decodeLoop(shard int) {
 		p.opt.Trace.Emit(shard, telemetry.PhaseIngestRead, t0, t1)
 
 		if err := decodeShard(blk.raw, &p.ds.Manifest, blk); err != nil {
-			p.fail(err)
+			p.fail(fmt.Errorf("ingest: decoding shard %s: %w", sh.File, err))
 			return
 		}
 		t2 := telemetry.Now()

@@ -1,5 +1,7 @@
 package tensor
 
+import "unsafe"
+
 // vectorCPU reports whether this CPU runs the AVX2 kernels in
 // simd_amd64.s: CPUID must list AVX and AVX2, and the OS must save the
 // YMM registers across context switches (OSXSAVE, then XCR0 bits 1-2).
@@ -66,3 +68,6 @@ func dequantizeInt8Vec(dst []float32, src []byte)
 
 //go:noescape
 func dequantizeAddInt8Vec(dst []float32, src []byte)
+
+//go:noescape
+func prefetchRows(base unsafe.Pointer, ids *int32, n int, rowBytes int)

@@ -1034,3 +1034,40 @@ dqa8_loop:
 dqa8_done:
 	VZEROUPPER
 	RET
+
+// func prefetchRows(base unsafe.Pointer, ids *int32, n int, rowBytes int)
+//
+// Issues PREFETCHT0 for every 64-byte line of each row
+// [base+id*rowBytes, base+(id+1)*rowBytes) for the n ids (sign-extended
+// int32s). A row that starts mid-line takes (start%64 + rowBytes + 63)/64
+// lines from its first line down. A prefetch is a hint that never faults,
+// so any id is safe; no memory is written. rowBytes is at least 1.
+TEXT ·prefetchRows(SB), NOSPLIT, $0-32
+	MOVQ base+0(FP), SI
+	MOVQ ids+8(FP), DI
+	MOVQ n+16(FP), CX
+	MOVQ rowBytes+24(FP), DX
+	TESTQ CX, CX
+	JLE   pf_done
+
+pf_row:
+	MOVLQSX (DI), AX
+	IMULQ   DX, AX
+	ADDQ    SI, AX
+	MOVQ    AX, BX
+	ANDQ    $63, BX
+	LEAQ    63(BX)(DX*1), BX
+	SHRQ    $6, BX
+	ANDQ    $-64, AX
+
+pf_line:
+	PREFETCHT0 (AX)
+	ADDQ       $64, AX
+	DECQ       BX
+	JNZ        pf_line
+	ADDQ       $4, DI
+	DECQ       CX
+	JNZ        pf_row
+
+pf_done:
+	RET

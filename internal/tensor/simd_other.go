@@ -2,6 +2,8 @@
 
 package tensor
 
+import "unsafe"
+
 // Only amd64 has vector kernels; elsewhere the Go kernels are the one
 // path, and these stubs exist so the shared call sites compile.
 const vectorCPU = false
@@ -26,5 +28,8 @@ func dotPairsBwdVec(grads *float32, rows *float32, up *float32, n int, ld int, c
 func quantizeInt8Vec(dst []byte, src []float32)      { panic(noVector) }
 func dequantizeInt8Vec(dst []float32, src []byte)    { panic(noVector) }
 func dequantizeAddInt8Vec(dst []float32, src []byte) { panic(noVector) }
+
+// prefetchRows is a hint, so its stub does nothing rather than panic.
+func prefetchRows(base unsafe.Pointer, ids *int32, n int, rowBytes int) {}
 
 const noVector = "tensor: vector kernel called on a platform without one"
