@@ -27,11 +27,14 @@ func ckptBenchFixture() (*ckpt.ModelState, []*ckpt.Dirty, [][]int32) {
 	return tr.CkptState(), dirty, touched
 }
 
-// BenchmarkCkptSnapshot measures the checkpoint stall a training loop
-// pays at a save point: a full snapshot of the bench model vs the
-// incremental delta carrying only one step's touched rows. Each iteration
-// deletes the previous checkpoint after the new one lands, so the store
-// directory stays small.
+// BenchmarkCkptSnapshot measures back-to-back saves of the bench model:
+// a full snapshot vs the incremental delta carrying only one step's
+// touched rows. A save returns after the snapshot, but it first waits for
+// the previous save's background write, so with no training between
+// saves an iteration costs the whole write, not the stall a training
+// loop pays (SaveInfo.Wall, "ckpt/save_ns"). Each iteration deletes the
+// previous checkpoint, published by then, so the store directory stays
+// small.
 func BenchmarkCkptSnapshot(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		st, _, _ := ckptBenchFixture()

@@ -19,9 +19,18 @@
 // bit-identical — same Merkle root — as a full checkpoint written
 // directly from the live state, which is the equivalence tests pin.
 //
+// A save runs in two halves. On the caller's goroutine, between steps,
+// it snapshots the state: every shard is encoded into one staging buffer
+// the Store owns, and the trackers are reset. A background writer then
+// hashes the staged shards, writes them and the manifest, and publishes
+// the checkpoint with a rename, while training continues. At most one
+// write is in flight; the next save and every method that reads the
+// store wait for it first, and a failed write's error surfaces there,
+// naming the checkpoint, after which the next save is full.
+//
 // The package is trainer-agnostic: core.Trainer and hybrid.Trainer
 // export their live parameters as a ModelState (slices aliasing live
-// memory, so saving streams straight from the arenas and restoring
+// memory, so a snapshot copies straight from the arenas and restoring
 // writes straight back into them) and attach Dirty trackers to their
 // sparse-update paths.
 package ckpt
@@ -105,7 +114,7 @@ func (st *ModelState) validate() error {
 // Dirty is a touched-row bitmap for one embedding table, the incremental
 // side of delta checkpoints. Trainers Mark the row ids of every applied
 // SparseGrad (allocation-free; the ids are already deduplicated per
-// step), and a Store save serializes the marked rows and Resets the
+// step), and a Store save snapshots the marked rows and Resets the
 // tracker. Rows iterate in ascending order, keeping delta files a
 // deterministic function of the state they capture.
 type Dirty struct {

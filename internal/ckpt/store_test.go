@@ -1,10 +1,14 @@
 package ckpt
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/embedding"
 	"repro/internal/telemetry"
@@ -362,8 +366,7 @@ func TestDeltaCompactionRootEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveInfo, err := liveStore.SaveFull(live, nil)
-	if err != nil {
+	if _, err := liveStore.SaveFull(live, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -378,15 +381,28 @@ func TestDeltaCompactionRootEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuiltInfo, err := rebuiltStore.SaveFull(rebuilt, nil)
-	if err != nil {
+	if _, err := rebuiltStore.SaveFull(rebuilt, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	if liveInfo.Root != rebuiltInfo.Root {
+	if liveRoot, rebuiltRoot := tipRoot(t, liveStore), tipRoot(t, rebuiltStore); liveRoot != rebuiltRoot {
 		t.Fatalf("compacted root %s != live root %s: delta chain is not bit-identical",
-			rebuiltInfo.Root, liveInfo.Root)
+			rebuiltRoot, liveRoot)
 	}
+}
+
+// tipRoot waits for the store's last write and returns the Merkle root
+// its tip manifest on disk records, failing on an empty one.
+func tipRoot(t *testing.T, store *Store) string {
+	t.Helper()
+	name, man, err := store.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man == nil || len(man.Root) != 64 {
+		t.Fatalf("tip %q has no Merkle root", name)
+	}
+	return man.Root
 }
 
 func TestAutoSavePolicy(t *testing.T) {
@@ -465,6 +481,9 @@ func TestCorruptionDetection(t *testing.T) {
 		mutate(st, dirty, 0.5)
 		st.Step = 4
 		if _, err := store.SaveDelta(st, dirty); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := store.Latest(); err != nil { // the shards are on disk
 			t.Fatal(err)
 		}
 		return store, dir, st
@@ -879,4 +898,262 @@ func TestFingerprintDTypeMismatch(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "bf16") {
 		t.Fatalf("dtype mismatch error should name the dtype, got: %v", err)
 	}
+}
+
+// TestCyclicDeltaChainRefused: Root covers only the entries, not Base or
+// BaseRoot, so a delta can name itself, or a later delta, as its base
+// with a matching base_root and still pass every manifest check. Restore
+// used to follow such a chain forever and Verify called the store
+// healthy. Both must refuse it, and return.
+func TestCyclicDeltaChainRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		relink [][2]int // {delta step, step of the delta it is made to name as base}
+	}{
+		{"SelfBased", [][2]int{{30, 30}}},
+		{"TwoCycle", [][2]int{{20, 30}}}, // 30 already names 20
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := testState(14)
+			dirty := newDirtySet(st)
+			dir := t.TempDir()
+			store, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Step = 10
+			if _, err := store.SaveFull(st, dirty); err != nil {
+				t.Fatal(err)
+			}
+			for _, step := range []int{20, 30} {
+				mutate(st, dirty, float32(step))
+				st.Step = step
+				if _, err := store.SaveDelta(st, dirty); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := store.Latest(); err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range tc.relink {
+				name, base := ckName(l[0], KindDelta), ckName(l[1], KindDelta)
+				man, err := store.readManifest(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				baseMan, err := store.readManifest(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				man.Base, man.BaseRoot = base, baseMan.Root
+				js, err := json.Marshal(man)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name, manifestName), js, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			errs := make(chan error, 2)
+			go func() {
+				_, err := store.Restore(testState(14))
+				errs <- err
+				errs <- store.Verify()
+			}()
+			for _, call := range []string{"Restore", "Verify"} {
+				select {
+				case err := <-errs:
+					if err == nil || !strings.Contains(err.Error(), "not an earlier one") {
+						t.Fatalf("%s on a cyclic chain = %v, want an error refusing the base", call, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s did not return within 5 s on a cyclic chain", call)
+				}
+			}
+		})
+	}
+}
+
+// TestFailedWriteLosesNoRows injects a full disk on one shard of a delta,
+// and separately a failed publish, into the background writer. The error
+// surfaces one call late, from whichever of AutoSave and Latest comes
+// first, and names the checkpoint; the store then still holds the last
+// good checkpoint, and the next save is full, so the rows whose marks
+// the failed snapshot consumed reach disk.
+func TestFailedWriteLosesNoRows(t *testing.T) {
+	for _, tc := range []struct {
+		name, op, suffix string
+		err              error
+	}{
+		{"ENOSPC", "write", "table-0001.delta", syscall.ENOSPC},
+		{"Rename", "rename", "", errors.New("injected rename failure")},
+	} {
+		for _, first := range []string{"AutoSave", "Latest"} {
+			t.Run(tc.name+"/"+first, func(t *testing.T) {
+				st := testState(15)
+				dirty := newDirtySet(st)
+				dir := t.TempDir()
+				store, err := OpenStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, step := range []int{10, 20} {
+					mutate(st, dirty, float32(step))
+					st.Step = step
+					if _, err := store.AutoSave(st, dirty, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				good := snapshot(st)
+				if _, _, err := store.Latest(); err != nil {
+					t.Fatal(err)
+				}
+
+				// Between 20 and 30, one row no later step touches.
+				mutate(st, dirty, 0.25)
+				st.Tables[0].Weights.Row(7)[0] += 3
+				dirty[0].Mark([]int32{7})
+				st.Step = 30
+				writeHook = func(op, path string) error {
+					if op == tc.op && strings.HasSuffix(path, tc.suffix) {
+						return tc.err
+					}
+					return nil
+				}
+				heal := func() { writeHook = func(string, string) error { return nil } }
+				defer heal()
+				info, err := store.AutoSave(st, dirty, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Kind != KindDelta {
+					t.Fatalf("save at 30 is %s, want a delta", info.Kind)
+				}
+
+				mutate(st, dirty, 0.125)
+				st.Step = 40
+				if first == "AutoSave" {
+					_, err = store.AutoSave(st, dirty, 0)
+				} else {
+					_, _, err = store.Latest()
+				}
+				if err == nil || !strings.Contains(err.Error(), info.Name) || !errors.Is(err, tc.err) {
+					t.Fatalf("%s after the failed write = %v, want %v naming %s", first, err, tc.err, info.Name)
+				}
+				heal() // the writer has ended: the wait above returned its error
+				name, _, err := store.Latest()
+				if err != nil || name != ckName(20, KindDelta) {
+					t.Fatalf("Latest after the failure = %q, %v; want the last good %s", name, err, ckName(20, KindDelta))
+				}
+				restored := testState(15)
+				if _, err := store.Restore(restored); err != nil {
+					t.Fatal(err)
+				}
+				assertEqualSnapshot(t, good, restored)
+
+				next, err := store.AutoSave(st, dirty, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next.Kind != KindFull {
+					t.Fatalf("first save after a failed write is %s, want full", next.Kind)
+				}
+				scramble(restored)
+				if _, err := store.Restore(restored); err != nil {
+					t.Fatal(err)
+				}
+				if restored.Step != 40 {
+					t.Fatalf("restored step %d, want 40", restored.Step)
+				}
+				assertEqualSnapshot(t, snapshot(st), restored)
+				if err := store.Verify(); err != nil {
+					t.Fatal(err)
+				}
+				des, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, de := range des {
+					if strings.HasSuffix(de.Name(), ".tmp") {
+						t.Fatalf("failed write left %s behind", de.Name())
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzRestoreManifest rewrites the tip manifest of a small store (a full
+// checkpoint and one delta on it) with mutated bytes. Restore must
+// return an error or the exact state at the tip, and Verify must return;
+// neither may panic or hang.
+func FuzzRestoreManifest(f *testing.F) {
+	dir := f.TempDir()
+	st := testState(16)
+	dirty := newDirtySet(st)
+	store, err := OpenStore(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	st.Step = 1
+	if _, err := store.SaveFull(st, dirty); err != nil {
+		f.Fatal(err)
+	}
+	mutate(st, dirty, 0.5)
+	st.Step = 2
+	if _, err := store.SaveDelta(st, dirty); err != nil {
+		f.Fatal(err)
+	}
+	want := snapshot(st)
+	tipName, tip, err := store.Latest()
+	if err != nil {
+		f.Fatal(err)
+	}
+	manPath := filepath.Join(dir, tipName, manifestName)
+	orig, err := os.ReadFile(manPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(orig)
+	self := *tip
+	self.Base, self.BaseRoot = tipName, tip.Root
+	for _, m := range []Manifest{self, {Version: 1, Step: 2, Kind: KindFull, Root: tip.Root}} {
+		js, err := json.Marshal(&m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(js)
+	}
+	f.Add([]byte(strings.Replace(string(orig), `"step": 2`, `"step": 3`, 1)))
+
+	restored := testState(16)
+	f.Fuzz(func(t *testing.T, js []byte) {
+		if err := os.WriteFile(manPath, js, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scramble(restored)
+		var restoreErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, restoreErr = s.Restore(restored)
+			_ = s.Verify()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Restore or Verify did not return within 10 s")
+		}
+		if restoreErr == nil {
+			if restored.Step != 2 {
+				t.Fatalf("restore succeeded at step %d, want 2", restored.Step)
+			}
+			assertEqualSnapshot(t, want, restored)
+		}
+	})
 }

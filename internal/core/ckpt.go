@@ -41,10 +41,10 @@ func (t *Trainer) CkptState() *ckpt.ModelState {
 // consume and reset them.
 func (t *Trainer) DirtyRows() []*ckpt.Dirty { return t.sparse.Dirty() }
 
-// SaveCheckpoint writes a checkpoint of the trainer into store,
-// delegating the full-vs-delta choice to ckpt.Store.AutoSave: full when
-// the store is empty or the delta chain has fullEvery links, incremental
-// (touched rows only) otherwise.
+// SaveCheckpoint snapshots the trainer into store, whose background
+// writer then publishes it, delegating the full-vs-delta choice to
+// ckpt.Store.AutoSave: full when the store is empty or the delta chain
+// has fullEvery links, incremental (touched rows only) otherwise.
 func (t *Trainer) SaveCheckpoint(store *ckpt.Store, fullEvery int) (ckpt.SaveInfo, error) {
 	return store.AutoSave(t.CkptState(), t.DirtyRows(), fullEvery)
 }

@@ -32,8 +32,9 @@ func (t *Trainer) CkptState() *ckpt.ModelState {
 // consume and reset them.
 func (t *Trainer) DirtyRows() []*ckpt.Dirty { return t.dirty }
 
-// SaveCheckpoint writes a checkpoint of the trainer into store,
-// delegating the full-vs-delta choice to ckpt.Store.AutoSave. Saving a
+// SaveCheckpoint snapshots the trainer into store, whose background
+// writer then publishes it, delegating the full-vs-delta choice to
+// ckpt.Store.AutoSave. Saving a
 // poisoned trainer is refused: after a mid-step abort the parameter
 // state may be torn across ranks.
 func (t *Trainer) SaveCheckpoint(store *ckpt.Store, fullEvery int) (ckpt.SaveInfo, error) {

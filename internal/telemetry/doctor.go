@@ -74,7 +74,9 @@ var computePhases = []Phase{PhaseEmbLookup, PhaseDenseFwd, PhaseLoss, PhaseDense
 //     both real stalls and modeled wire cost visible.
 //   - reader: batch-wait spans and the ingest starvation meter (same
 //     signal measured from both sides; the max is used).
-//   - checkpoint: checkpoint spans and the ckpt save meter.
+//   - checkpoint: checkpoint spans and the ckpt save meter, both the
+//     training goroutine's stall (the wait for the previous write plus
+//     the snapshot); the background write itself is not charged.
 //
 // The verdict names the largest bucket, unless the imbalance index says
 // the spread across ranks, not the mean, is the problem.

@@ -96,9 +96,12 @@ const (
 	PhaseSparseApply
 	// PhaseOptimizer is the dense optimizer update.
 	PhaseOptimizer
-	// PhaseCheckpoint is a durable-checkpoint write (internal/ckpt):
-	// dense + touched-row serialization, hashing, and disk IO. It runs
-	// between steps, so attribution reports it outside step windows.
+	// PhaseCheckpoint is the training goroutine's checkpoint stall
+	// (internal/ckpt): the wait for the previous save's background write
+	// plus the snapshot of the dense and table shards into the store's
+	// staging buffer. Hashing and disk IO run on the writer and record no
+	// span (its time is the "ckpt/write_ns" counter). It falls between
+	// steps, so attribution reports it outside step windows.
 	PhaseCheckpoint
 	// PhaseRestore is a checkpoint restore (manifest verification plus
 	// the base-and-delta chain replay into live parameters).

@@ -148,7 +148,8 @@ type Result struct {
 	// BytesRestored totals the verified checkpoint bytes restores read.
 	BytesRestored int64
 	// Saves counts checkpoints written; LastRoot is the final manifest
-	// Merkle root ("" when no checkpoint was written).
+	// Merkle root, read back once the last write has published ("" when
+	// no checkpoint was written).
 	Saves    int
 	LastRoot string
 }
@@ -162,12 +163,25 @@ type Result struct {
 // positionable source the loss curve is then bit-identical to an
 // uninterrupted run's — a fault before the first checkpoint restarts
 // from the seed and replays the whole prefix. An uninterrupted run is
-// the fault-free case of the same loop.
-func Run(c Config) (*Result, error) {
+// the fault-free case of the same loop. Checkpoints are written in the
+// background; a run returns only after the last write has published,
+// and a failed write fails the run.
+func Run(c Config) (res *Result, err error) {
 	if c.Build == nil || c.Source == nil {
 		return nil, fmt.Errorf("train: run needs a Build closure and a Source factory")
 	}
-	res := &Result{Losses: make([]float64, c.Steps)}
+	res = &Result{Losses: make([]float64, c.Steps)}
+	if c.Store != nil {
+		defer func() {
+			_, man, werr := c.Store.Latest() // the barrier: no write outlives the run
+			if werr != nil && err == nil {
+				err = werr
+			}
+			if werr == nil && man != nil && res.Saves > 0 {
+				res.LastRoot = man.Root
+			}
+		}()
+	}
 
 	// start is the one place a run restores or cold-starts.
 	start := func() (Stepper, error) {
@@ -209,7 +223,6 @@ func Run(c Config) (*Result, error) {
 				return fmt.Errorf("train: checkpoint at step %d: %w", step+1, err)
 			}
 			res.Saves++
-			res.LastRoot = info.Root
 			c.logf("checkpoint: saved %s", info)
 		}
 		if c.OnStep != nil {

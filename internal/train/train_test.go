@@ -1,10 +1,13 @@
 package train_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -256,5 +259,60 @@ func TestRunTable(t *testing.T) {
 				sameBits(t, "recovered", stateBits(r.live.CkptState()), want)
 			})
 		}
+	}
+}
+
+// pinnedRoots are the Merkle roots of the checkpoints TestSaveRootsPinned
+// writes, recorded when saves still ran synchronously on the training
+// goroutine. Moving the writer must not change one byte of a checkpoint.
+var pinnedRoots = map[string]string{
+	"ck-00000010-full":  "e7e75883f401699ad1d262c361db97e76400153eac411587d8e722b41ff9be70",
+	"ck-00000020-delta": "8fe56cbe212fa99f71107d77c01faf64606de743c6b9de7680399fd04f51628f",
+	"ck-00000030-delta": "d8fb146ab7cc8c2107b862bb5c2a15bd55e3b4baf9a8606d86a76025d1510130",
+	"ck-00000040-full":  "4299056f8d5c939074741a9ae9cc33b7e257860156326af644967eb72e0f8c34",
+	"ck-00000050-delta": "fed1f3ef3d4f171a0696edb3f94fdae02b274bb614b00e188a822c8e8249f8a9",
+	"ck-00000060-delta": "349b0d78f7e8ea2cbbb70a23e17e592be709267ddbddb32c1eea9820204673a8",
+}
+
+// TestSaveRootsPinned runs a fixed small core trainer that checkpoints
+// every 10 steps with a full compaction every third save and reads each
+// checkpoint's root back from its manifest on disk.
+func TestSaveRootsPinned(t *testing.T) {
+	store := openStore(t)
+	r := &rig{opt: core.OptAdagrad, failAt: -1}
+	res, err := train.Run(train.Config{
+		Build: r.build, Steps: 60,
+		Source: data.ReplaySource(testCfg(), 7, data.DefaultOptions(), batch),
+		Store:  store, CkptEvery: 10, FullEvery: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, name := range names {
+		js, err := os.ReadFile(filepath.Join(store.Dir(), name, "MANIFEST.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man ckpt.Manifest
+		if err := json.Unmarshal(js, &man); err != nil {
+			t.Fatal(err)
+		}
+		got[name] = man.Root
+	}
+	if len(got) != len(pinnedRoots) {
+		t.Fatalf("store holds %v, want %d checkpoints", names, len(pinnedRoots))
+	}
+	for name, want := range pinnedRoots {
+		if got[name] != want {
+			t.Errorf("%s has root %q, want %q", name, got[name], want)
+		}
+	}
+	if res.LastRoot != got[names[len(names)-1]] {
+		t.Errorf("Result.LastRoot %q, tip manifest root %q", res.LastRoot, got[names[len(names)-1]])
 	}
 }

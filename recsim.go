@@ -246,8 +246,9 @@ type (
 	// (full/delta), base chain pins, model fingerprint, per-shard hashes,
 	// and the Merkle root over them.
 	CheckpointManifest = ckpt.Manifest
-	// CheckpointSaveInfo summarizes one checkpoint write (kind, files,
-	// bytes, delta rows, Merkle root, wall time).
+	// CheckpointSaveInfo summarizes one checkpoint save (kind, files,
+	// bytes, delta rows, the caller's stall). The write runs in the
+	// background, so the Merkle root comes from the store's Latest.
 	CheckpointSaveInfo = ckpt.SaveInfo
 	// RestoreInfo summarizes one restore (chain length applied, verified
 	// bytes moved, wall time).
@@ -693,7 +694,7 @@ func RunExperiment(id string, opt ExperimentOptions) (ExperimentResult, error) {
 }
 
 // Version identifies the reproduction release.
-const Version = "5.0.0"
+const Version = "6.0.0"
 
 // Describe returns a one-line summary of a model config.
 func Describe(cfg ModelConfig) string {
