@@ -119,6 +119,43 @@ func BenchmarkSparseHeavyStep(b *testing.B) {
 	}
 }
 
+// BenchmarkDenseHeavyStep measures Trainer.Step at the bench/e2e
+// dense_heavy shape (256 dense features, 512-256 MLPs on both sides of a
+// dot interaction over four tiny tables, batch 64), where the GEMMs and
+// the dense optimizer are nearly the whole step. It reports the dense
+// phases from the trainer's own spans.
+func BenchmarkDenseHeavyStep(b *testing.B) {
+	cfg := ModelConfig{
+		Name: "dense_heavy", DenseFeatures: 256, Sparse: UniformSparse(4, 10000, 2),
+		EmbeddingDim: 32, BottomMLP: []int{512, 256}, TopMLP: []int{512, 256}, Interaction: InteractionDot,
+	}
+	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
+	gen := NewGenerator(cfg, 2)
+	batch := gen.NextBatch(64)
+	for i := 0; i < 20; i++ { // warm the heap and the pool
+		tr.Step(batch)
+	}
+	tracer := telemetry.NewTracer(1, 64)
+	tr.SetTrace(tracer, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Step(batch)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(64*b.N)/b.Elapsed().Seconds(), "examples/sec")
+	for _, ph := range []struct {
+		name  string
+		phase telemetry.Phase
+	}{
+		{"fwd_ms", telemetry.PhaseDenseFwd},
+		{"bwd_ms", telemetry.PhaseDenseBwd},
+		{"optim_ms", telemetry.PhaseOptimizer},
+	} {
+		h := tracer.PhaseHist(ph.phase)
+		b.ReportMetric(h.Mean()/1e6, ph.name)
+	}
+}
+
 // BenchmarkTrainStepTraced is BenchmarkTrainStep with span tracing on:
 // the delta against the untraced number is the telemetry overhead, whose
 // acceptance bound is < 3%.

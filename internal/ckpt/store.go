@@ -755,6 +755,10 @@ func (s *Store) SaveDelta(st *ModelState, dirty []*Dirty) (SaveInfo, error) {
 // AutoSave picks the checkpoint kind: full when the store is empty, no
 // trackers exist, the delta chain has reached fullEvery links (the
 // periodic compaction) or the previous write failed; delta otherwise.
+// fullEvery 1 makes every save full; fullEvery 0 (or less) never
+// compacts, so after the first full every save is a delta chained to
+// the one before. (train.Config.FullEvery 0, "always full", is this
+// fullEvery 1.)
 func (s *Store) AutoSave(st *ModelState, dirty []*Dirty, fullEvery int) (SaveInfo, error) {
 	return s.save(st, dirty, func(latest *tip) bool {
 		return latest == nil || dirty == nil || fullEvery > 0 && latest.chain+1 >= fullEvery
@@ -881,10 +885,16 @@ func (s *Store) save(st *ModelState, dirty []*Dirty, pickFull func(latest *tip) 
 // publishes the checkpoint with one rename. It reads only the staging
 // buffer and man, never live parameters, and returns the manifest root.
 // Its errors name the checkpoint, because they reach the caller one save
-// late. (This is where durability — fsync of the shards, the manifest
-// and the directory — belongs.)
+// late.
+//
+// A full checkpoint is made durable and then retires its predecessors:
+// its shards, manifest and directory are fsynced before the rename and
+// the store directory after it, and only then is every checkpoint at an
+// earlier step removed, so an unsynced full is never the only copy. A
+// delta is neither synced nor deletes anything.
 func (s *Store) write(name string, man *Manifest) (string, error) {
 	t0 := telemetry.Now()
+	full := man.Kind == KindFull
 	tmp := filepath.Join(s.dir, name+".tmp")
 	fail := func(format string, args ...any) (string, error) {
 		_ = os.RemoveAll(tmp) // an unpublished temp dir is garbage either way
@@ -903,7 +913,7 @@ func (s *Store) write(name string, man *Manifest) (string, error) {
 		off += ent.Bytes
 		sum := sha256.Sum256(buf)
 		ent.SHA256 = hex.EncodeToString(sum[:])
-		if err := writeFile(filepath.Join(tmp, ent.File), buf); err != nil {
+		if err := writeFile(filepath.Join(tmp, ent.File), buf, full); err != nil {
 			return fail("shard %s: %w", ent.File, err)
 		}
 	}
@@ -912,8 +922,13 @@ func (s *Store) write(name string, man *Manifest) (string, error) {
 	if err != nil {
 		return fail("encoding manifest: %w", err)
 	}
-	if err := writeFile(filepath.Join(tmp, manifestName), append(js, '\n')); err != nil {
+	if err := writeFile(filepath.Join(tmp, manifestName), append(js, '\n'), full); err != nil {
 		return fail("manifest: %w", err)
+	}
+	if full {
+		if err := syncDir(tmp); err != nil {
+			return fail("syncing: %w", err)
+		}
 	}
 	final := filepath.Join(s.dir, name)
 	if err := os.RemoveAll(final); err != nil {
@@ -928,21 +943,84 @@ func (s *Store) write(name string, man *Manifest) (string, error) {
 		return fail("publishing: %w", err)
 	}
 	s.bytesWritten.Add(off)
+	if full {
+		if err := syncDir(s.dir); err != nil {
+			return fail("syncing the store directory: %w", err)
+		}
+		if err := s.prune(man.Step); err != nil {
+			return fail("%w", err)
+		}
+	}
 	s.writeNs.Add(telemetry.Now() - t0)
 	return man.Root, nil
 }
 
-// writeHook runs before each file the writer creates ("write") and
-// before the publishing rename ("rename"); an error fails that
-// operation. It does nothing outside tests, which swap it to inject a
-// full disk or a failed publish.
+// prune removes every checkpoint directory, published or not, at a step
+// before step: a durable full checkpoint at step supersedes them all.
+// Later steps go first, so an interrupted prune leaves each remaining
+// delta's base in place.
+func (s *Store) prune(step int) error {
+	des, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("listing superseded checkpoints: %w", err)
+	}
+	for i := len(des) - 1; i >= 0; i-- { // ReadDir sorts by name, so by step
+		name, _ := strings.CutSuffix(des[i].Name(), ".tmp")
+		if st, _, ok := parseCkName(name); ok && st < step && des[i].IsDir() {
+			if err := os.RemoveAll(filepath.Join(s.dir, des[i].Name())); err != nil {
+				return fmt.Errorf("removing superseded %s: %w", des[i].Name(), err)
+			}
+		}
+	}
+	return nil
+}
+
+// writeHook runs before each file the writer creates ("write"), before
+// each fsync ("sync", of a file or a directory) and before the
+// publishing rename ("rename"); an error fails that operation. It does
+// nothing outside tests, which swap it to inject a full disk, a failed
+// sync or a failed publish.
 var writeHook = func(op, path string) error { return nil }
 
-func writeFile(path string, data []byte) error {
+// writeFile creates path holding data, fsyncing it before it is closed
+// when sync is set.
+func writeFile(path string, data []byte, sync bool) error {
 	if err := writeHook("write", path); err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = syncFile(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = syncFile(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func syncFile(f *os.File) error {
+	if err := writeHook("sync", f.Name()); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // wait is the barrier every method that reads the store passes first: it

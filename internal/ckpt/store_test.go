@@ -424,12 +424,13 @@ func TestAutoSavePolicy(t *testing.T) {
 			t.Fatalf("save %d: kind %s, want %s (fullEvery=3 compaction)", i, info.Kind, want)
 		}
 	}
+	// The second full (step 30) superseded the first chain.
 	names, err := store.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != len(wantKinds) {
-		t.Fatalf("store lists %d checkpoints, want %d", len(names), len(wantKinds))
+	if want := []string{ckName(30, KindFull), ckName(40, KindDelta)}; strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("store lists %v, want the live chain %v", names, want)
 	}
 	if err := store.Verify(); err != nil {
 		t.Fatal(err)
@@ -1081,6 +1082,149 @@ func TestFailedWriteLosesNoRows(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFullSaveRetiresSupersededChain makes 12 saves with a full every
+// third: each full is fsynced (its shards, manifest and directory, then
+// the store directory) and then removes every checkpoint before it, while
+// a delta syncs and removes nothing. At the end only the live chain is
+// on disk, and it restores bit for bit and verifies.
+func TestFullSaveRetiresSupersededChain(t *testing.T) {
+	st := testState(16)
+	dirty := newDirtySet(st)
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var synced []string
+	writeHook = func(op, path string) error {
+		if op == "sync" {
+			synced = append(synced, path)
+		}
+		return nil
+	}
+	defer func() { writeHook = func(string, string) error { return nil } }()
+	for i := 1; i <= 12; i++ {
+		mutate(st, dirty, float32(i)*0.5)
+		st.Step = 10 * i
+		synced = synced[:0] // the previous write has ended
+		info, err := store.AutoSave(st, dirty, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := store.Latest(); err != nil { // so has this one
+			t.Fatal(err)
+		}
+		if info.Kind == KindDelta && len(synced) != 0 {
+			t.Fatalf("delta %s synced %v, want nothing", info.Name, synced)
+		}
+		if info.Kind == KindFull {
+			// Files, the manifest, the checkpoint directory and the store.
+			if want := info.Files + 3; len(synced) != want || synced[len(synced)-1] != dir {
+				t.Fatalf("full %s synced %v, want %d syncs ending with the store directory", info.Name, synced, want)
+			}
+		}
+	}
+	want := []string{ckName(100, KindFull), ckName(110, KindDelta), ckName(120, KindDelta)}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk []string
+	for _, de := range des {
+		onDisk = append(onDisk, de.Name())
+	}
+	if strings.Join(onDisk, " ") != strings.Join(want, " ") {
+		t.Fatalf("store directory holds %v, want only the live chain %v", onDisk, want)
+	}
+	good := snapshot(st)
+	restored := testState(16)
+	scramble(restored)
+	info, err := store.Restore(restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Chain != 3 || restored.Step != 120 {
+		t.Fatalf("restored step %d over a chain of %d, want step 120 over 3", restored.Step, info.Chain)
+	}
+	assertEqualSnapshot(t, good, restored)
+	if err := store.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedFullKeepsSupersededChain fails the full save that would
+// retire a chain, at a shard's fsync, at the store directory's fsync
+// (after the rename published it) and at the rename: every checkpoint
+// before it stays on disk, and the store still restores and verifies.
+func TestFailedFullKeepsSupersededChain(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		fails     func(op, path, dir string) bool
+		published bool // the full is on disk despite the error
+	}{
+		{"ShardSync", func(op, path, _ string) bool { return op == "sync" && strings.HasSuffix(path, "table-0001.full") }, false},
+		{"StoreSync", func(op, path, dir string) bool { return op == "sync" && path == dir }, true},
+		{"Rename", func(op, _, _ string) bool { return op == "rename" }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := testState(17)
+			dirty := newDirtySet(st)
+			dir := t.TempDir()
+			store, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, step := range []int{10, 20, 30} {
+				mutate(st, dirty, float32(step))
+				st.Step = step
+				if _, err := store.AutoSave(st, dirty, 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			older, err := store.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			injected := errors.New("injected failure")
+			writeHook = func(op, path string) error {
+				if tc.fails(op, path, dir) {
+					return injected
+				}
+				return nil
+			}
+			defer func() { writeHook = func(string, string) error { return nil } }()
+			mutate(st, dirty, 40)
+			st.Step = 40
+			info, err := store.AutoSave(st, dirty, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Kind != KindFull {
+				t.Fatalf("save at 40 is %s, want the compacting full", info.Kind)
+			}
+			if _, _, err := store.Latest(); !errors.Is(err, injected) {
+				t.Fatalf("Latest after the failed full = %v, want %v", err, injected)
+			}
+			names, err := store.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.published {
+				older = append(older, info.Name)
+			}
+			if strings.Join(names, " ") != strings.Join(older, " ") {
+				t.Fatalf("store holds %v after the failed full, want %v", names, older)
+			}
+			if err := store.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := store.Restore(testState(17)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

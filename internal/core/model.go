@@ -271,7 +271,9 @@ func (m *Model) BackwardPooled(dLogits []float32) []*tensor.Matrix {
 	dXTop := m.Top.Backward(m.dOut)
 
 	m.backwardInteraction(dXTop)
-	m.Bottom.Backward(m.dZ)
+	// The bottom stack reads the dense features: their gradient has no
+	// reader, so its input-gradient GEMM is skipped.
+	m.Bottom.BackwardParams(m.dZ)
 	return m.dPooled
 }
 

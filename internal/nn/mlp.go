@@ -66,11 +66,14 @@ func (l *denseLayer) forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // backward consumes dY (gradient w.r.t. this layer's output), accumulates
-// into gradW/gradB, and returns dX. dY may be mutated in place (the ReLU
-// mask is applied to it). Steady-state calls allocate nothing: the weight
-// gradient accumulates in place (MatMulTransAAcc) and the input-gradient
-// buffer is reused across batches.
-func (l *denseLayer) backward(dy *tensor.Matrix) *tensor.Matrix {
+// into gradW/gradB, and returns dX — or nil without computing it when
+// inputGrad is false, which skips the layer's dY·Wᵀ GEMM: the bottom
+// stack's first layer reads the dense features, whose gradient nothing
+// uses. dY may be mutated in place (the ReLU mask is applied to it).
+// Steady-state calls allocate nothing: the weight gradient accumulates in
+// place (MatMulTransAAcc) and the input-gradient buffer is reused across
+// batches.
+func (l *denseLayer) backward(dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	// Fused pass: apply the ReLU mask and accumulate the bias gradient
 	// (column sums of dY) row-by-row while each row is cache-hot.
 	for i := 0; i < dy.Rows; i++ {
@@ -82,6 +85,9 @@ func (l *denseLayer) backward(dy *tensor.Matrix) *tensor.Matrix {
 	}
 	// Weight gradient: Xᵀ·dY, accumulated in place.
 	tensor.MatMulTransAAcc(l.gradW, l.x, dy)
+	if !inputGrad {
+		return nil
+	}
 	// Input gradient: dY·Wᵀ.
 	if l.dxB == nil || l.dxB.Rows != dy.Rows {
 		l.dxB = tensor.New(dy.Rows, l.in)
@@ -124,9 +130,21 @@ func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward propagates dOut through the stack, accumulating parameter
 // gradients, and returns the gradient w.r.t. the input batch.
 func (m *MLP) Backward(dout *tensor.Matrix) *tensor.Matrix {
+	return m.backward(dout, true)
+}
+
+// BackwardParams is Backward for a stack whose input is data rather than
+// an upstream activation: it accumulates the same parameter gradients
+// but computes no gradient w.r.t. the input, so the first layer skips its
+// input-gradient GEMM.
+func (m *MLP) BackwardParams(dout *tensor.Matrix) {
+	m.backward(dout, false)
+}
+
+func (m *MLP) backward(dout *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	d := dout
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		d = m.layers[i].backward(d)
+		d = m.layers[i].backward(d, inputGrad || i > 0)
 	}
 	return d
 }

@@ -212,3 +212,34 @@ func TestReLUForward(t *testing.T) {
 		}
 	}
 }
+
+// TestBackwardParamsMatchesBackward holds BackwardParams to Backward's
+// parameter gradients, bit for bit: skipping the first layer's input
+// gradient changes nothing else.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	rng := xrand.New(9)
+	m := NewMLP([]int{24, 80, 16, 1}, rng)
+	x := tensor.New(7, 24)
+	tensor.NormalInit(x, 1, rng)
+	dout := tensor.New(7, 1)
+	tensor.NormalInit(dout, 1, rng)
+	grads := func(backward func(*tensor.Matrix)) [][]float32 {
+		m.ZeroGrad()
+		m.Forward(x)
+		backward(dout.Clone())
+		var gs [][]float32
+		for _, p := range m.Params() {
+			gs = append(gs, append([]float32(nil), p.Grad...))
+		}
+		return gs
+	}
+	want := grads(func(d *tensor.Matrix) { m.Backward(d) })
+	got := grads(m.BackwardParams)
+	for i := range want {
+		for j := range want[i] {
+			if math.Float32bits(got[i][j]) != math.Float32bits(want[i][j]) {
+				t.Fatalf("param %d element %d: %v, Backward gives %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}

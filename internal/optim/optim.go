@@ -62,23 +62,66 @@ func New(kind Kind, params []nn.Param, lr float32, tables []*embedding.Table, ow
 	return nil, nil, fmt.Errorf("optim: unknown optimizer %q", kind)
 }
 
+// The dense step is element-wise, so it runs on tensor's worker pool in
+// fixed blocks of denseBlock elements of the parameters laid end to end;
+// any split gives the same bits. A block is the pool's unit of work and
+// is charged denseBlockWork, which sits at tensor's parallel threshold
+// (2^17 FLOPs): the step fans out only when the model has more than one
+// block of dense parameters, about 33k, and runs serially below that.
+const (
+	denseBlock     = 1 << 15
+	denseBlockWork = 4 * denseBlock
+)
+
+// denseBlocks is the number of denseBlock blocks that cover params.
+func denseBlocks(params []nn.Param) int {
+	n := 0
+	for _, p := range params {
+		n += len(p.Value)
+	}
+	return (n + denseBlock - 1) / denseBlock
+}
+
+// forBlocks calls f(pi, s, e) for every parameter pi whose elements
+// [s, e) lie in blocks [lo, hi) of params laid end to end.
+func forBlocks(params []nn.Param, lo, hi int, f func(pi, s, e int)) {
+	lo, hi = lo*denseBlock, hi*denseBlock
+	off := 0
+	for pi, p := range params {
+		if s, e := max(lo-off, 0), min(hi-off, len(p.Value)); s < e {
+			f(pi, s, e)
+		}
+		off += len(p.Value)
+		if off >= hi {
+			return
+		}
+	}
+}
+
 // SGD is plain stochastic gradient descent over a fixed parameter set.
 type SGD struct {
 	LR     float32
 	params []nn.Param
+	blocks int
 }
 
 // NewSGD binds an SGD optimizer to params.
 func NewSGD(params []nn.Param, lr float32) *SGD {
-	return &SGD{LR: lr, params: params}
+	return &SGD{LR: lr, params: params, blocks: denseBlocks(params)}
 }
 
-// Step applies p -= lr * grad for every bound parameter. Gradients are
-// left untouched; the caller zeroes them between batches.
-func (s *SGD) Step() {
-	for _, p := range s.params {
-		tensor.Axpy(-s.LR, p.Grad, p.Value)
-	}
+// Step applies p -= lr * grad for every bound parameter, in element
+// blocks on the worker pool when the parameters span more than one.
+// Gradients are left untouched; the caller zeroes them between batches.
+func (s *SGD) Step() { tensor.ParallelRange((*sgdBlocks)(s), s.blocks, denseBlockWork) }
+
+type sgdBlocks SGD
+
+func (s *sgdBlocks) RunRange(lo, hi int) {
+	forBlocks(s.params, lo, hi, func(pi, i, j int) {
+		p := s.params[pi]
+		tensor.Axpy(-s.LR, p.Grad[i:j], p.Value[i:j])
+	})
 }
 
 // SetLR and Accum complete Dense; SGD keeps no optimizer state.
@@ -87,15 +130,16 @@ func (s *SGD) Accum() [][]float32 { return nil }
 
 // Adagrad is the diagonal AdaGrad optimizer for dense parameters.
 type Adagrad struct {
-	LR    float32
-	Eps   float32
-	param []nn.Param
-	accum [][]float32
+	LR     float32
+	Eps    float32
+	param  []nn.Param
+	accum  [][]float32
+	blocks int
 }
 
 // NewAdagrad binds an Adagrad optimizer to params.
 func NewAdagrad(params []nn.Param, lr float32) *Adagrad {
-	a := &Adagrad{LR: lr, Eps: 1e-8, param: params}
+	a := &Adagrad{LR: lr, Eps: 1e-8, param: params, blocks: denseBlocks(params)}
 	for _, p := range params {
 		a.accum = append(a.accum, make([]float32, len(p.Value)))
 	}
@@ -103,10 +147,19 @@ func NewAdagrad(params []nn.Param, lr float32) *Adagrad {
 }
 
 // Step applies the AdaGrad update using accumulated squared gradients.
-func (a *Adagrad) Step() {
-	for pi, p := range a.param {
-		tensor.AdagradStep(p.Value, p.Grad, a.accum[pi], a.LR, a.Eps)
-	}
+// Each element's update reads only that element, so the step runs in
+// element blocks on the worker pool when the parameters span more than
+// one (the model's dense parameter count decides, not the caller) and
+// trains the same bits as a serial sweep.
+func (a *Adagrad) Step() { tensor.ParallelRange((*adagradBlocks)(a), a.blocks, denseBlockWork) }
+
+type adagradBlocks Adagrad
+
+func (a *adagradBlocks) RunRange(lo, hi int) {
+	forBlocks(a.param, lo, hi, func(pi, i, j int) {
+		p := a.param[pi]
+		tensor.AdagradStep(p.Value[i:j], p.Grad[i:j], a.accum[pi][i:j], a.LR, a.Eps)
+	})
 }
 
 // SetLR and Accum complete Dense; Accum exposes the per-parameter

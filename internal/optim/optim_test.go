@@ -2,6 +2,7 @@ package optim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/embedding"
@@ -175,5 +176,78 @@ func TestClipByGlobalNorm(t *testing.T) {
 	ClipByGlobalNorm([]nn.Param{{Value: make([]float32, 2), Grad: g2}}, 10)
 	if g2[0] != 0.1 {
 		t.Error("clip must not rescale small gradients")
+	}
+}
+
+// TestDenseStepBlocksBitIdentical runs SGD and AdaGrad over parameters
+// spanning several denseBlock blocks (sizes that straddle block edges)
+// on the worker pool, and requires the bits of one serial sweep per
+// parameter, allocating nothing. It also pins the size gate: the dense_heavy model's 530k
+// dense parameters fan out, BenchStepConfig's ~29k do not.
+func TestDenseStepBlocksBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, c := range []struct {
+		params int
+		fans   bool
+	}{{530_000, true}, {29_601, false}} {
+		ps := []nn.Param{{Value: make([]float32, c.params)}}
+		if got := tensor.RangeFansOut(denseBlocks(ps), denseBlockWork); got != c.fans {
+			t.Errorf("%d dense parameters: fans out %v, want %v", c.params, got, c.fans)
+		}
+	}
+	sizes := []int{5, denseBlock - 3, 70_000, 1, 3*denseBlock + 17, 256}
+	build := func() []nn.Param {
+		rng := xrand.New(22)
+		var ps []nn.Param
+		for _, n := range sizes {
+			p := nn.Param{Value: make([]float32, n), Grad: make([]float32, n)}
+			for i := range p.Value {
+				p.Value[i] = float32(rng.NormMS(0, 1))
+				p.Grad[i] = float32(rng.NormMS(0, 1))
+			}
+			ps = append(ps, p)
+		}
+		return ps
+	}
+	if !tensor.RangeFansOut(denseBlocks(build()), denseBlockWork) {
+		t.Fatal("the test parameters do not reach the pool")
+	}
+	want, got := build(), build()
+	acc := make([][]float32, len(want))
+	for i, p := range want {
+		acc[i] = make([]float32, len(p.Value))
+	}
+	ada := NewAdagrad(got, 0.05)
+	sgd := NewSGD(got, 0.05)
+	for step := 0; step < 3; step++ {
+		for i, p := range want {
+			tensor.AdagradStep(p.Value, p.Grad, acc[i], 0.05, 1e-8)
+			tensor.Axpy(-0.05, p.Grad, p.Value)
+		}
+		ada.Step()
+		sgd.Step()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for step := 0; step < 10; step++ {
+		ada.Step()
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.Mallocs - before.Mallocs) / 10; n != 0 {
+		t.Errorf("pooled Adagrad.Step allocates %d objects per step, want 0", n)
+	}
+	for step := 0; step < 10; step++ {
+		for i, p := range want {
+			tensor.AdagradStep(p.Value, p.Grad, acc[i], 0.05, 1e-8)
+		}
+	}
+	for i := range want {
+		for j := range want[i].Value {
+			if math.Float32bits(got[i].Value[j]) != math.Float32bits(want[i].Value[j]) ||
+				math.Float32bits(ada.Accum()[i][j]) != math.Float32bits(acc[i][j]) {
+				t.Fatalf("param %d element %d: %v (acc %v), serial sweep %v (acc %v)",
+					i, j, got[i].Value[j], ada.Accum()[i][j], want[i].Value[j], acc[i][j])
+			}
+		}
 	}
 }

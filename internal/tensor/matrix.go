@@ -159,9 +159,13 @@ func MatMulBiasReLU(dst, a, b *Matrix, bias []float32, relu bool) {
 // instead: axpy2 folds two rank-1 row updates into one pass over the
 // destination (halving its load/store traffic), and dot2 computes two
 // inner products sharing the left operand's loads across four independent
-// accumulator chains. Where the CPU has AVX2, the 8-aligned prefix of
-// axpy2/axpy4 and MatMulTransB's first n&^7 columns run on the vector
-// kernels in simd_amd64.s, which compute the same bits as these loops.
+// accumulator chains. Where the CPU has AVX2, the vector kernels in
+// simd_amd64.s compute the same bits as these loops: axpyStrip64 runs a
+// whole tileK panel of axpyPanel's quads on each 64-column strip of the
+// destination row, held in registers from the first quad to the last;
+// the columns past the last strip take axpy2/axpy4, whose 8-aligned
+// prefix is vector code; and MatMulTransB's first n&^7 columns run on a
+// packed 4×8 kernel.
 
 // axpy2 computes y += a0*x0 + a1*x1 in one pass.
 func axpy2(a0 float32, x0 []float32, a1 float32, x1 []float32, y []float32) {
@@ -267,27 +271,56 @@ func axpyPair(a0 float32, x0 []float32, a1 float32, x1 []float32, drow []float32
 // axpyPanel accumulates drow += Σ_p arow[p]·b[row kk+p]. Dense
 // coefficient quads go through axpy4 (one destination pass per four
 // rank-1 updates); quads containing zeros — the post-ReLU case — fall
-// back to pair updates that skip the zero work entirely.
+// back to pair updates that skip the zero work entirely. The branch
+// depends on arow alone, so every column of drow sees the same op
+// sequence, and the columns that axpyStrips covers need only the rest.
 func axpyPanel(arow []float32, b *Matrix, kk int, drow []float32) {
 	n := b.Cols
+	j := axpyStrips(arow, b, kk, drow)
+	if j == n {
+		return
+	}
+	// Row kk+p of b, from column j on, is bd[(kk+p)*n:][:w].
+	bd, w := b.Data[j:], n-j
+	drow = drow[j:]
 	p := 0
 	for ; p+4 <= len(arow); p += 4 {
 		a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
 		bi := (kk + p) * n
 		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-			axpy4(a0, b.Data[bi:bi+n], a1, b.Data[bi+n:bi+2*n],
-				a2, b.Data[bi+2*n:bi+3*n], a3, b.Data[bi+3*n:bi+4*n], drow)
+			axpy4(a0, bd[bi:bi+w], a1, bd[bi+n:bi+n+w],
+				a2, bd[bi+2*n:bi+2*n+w], a3, bd[bi+3*n:bi+3*n+w], drow)
 			continue
 		}
-		axpyPair(a0, b.Data[bi:bi+n], a1, b.Data[bi+n:bi+2*n], drow)
-		axpyPair(a2, b.Data[bi+2*n:bi+3*n], a3, b.Data[bi+3*n:bi+4*n], drow)
+		axpyPair(a0, bd[bi:bi+w], a1, bd[bi+n:bi+n+w], drow)
+		axpyPair(a2, bd[bi+2*n:bi+2*n+w], a3, bd[bi+3*n:bi+3*n+w], drow)
 	}
 	for ; p < len(arow); p++ {
 		if av := arow[p]; av != 0 {
 			bi := (kk + p) * n
-			Axpy(av, b.Data[bi:bi+n], drow)
+			Axpy(av, bd[bi:bi+w], drow)
 		}
 	}
+}
+
+// stripCols is the width of the destination strip axpyStrip64 keeps in
+// registers: eight 8-lane vectors.
+const stripCols = 64
+
+// axpyStrips runs axpyPanel's update on every full 64-column strip of
+// drow, one axpyStrip64 call each: the strip stays in registers across
+// the whole panel, and each quad takes axpyPanel's branch for all 64
+// columns. It returns the number of columns done, 0 with the vector
+// kernels off.
+func axpyStrips(arow []float32, b *Matrix, kk int, drow []float32) int {
+	n := b.Cols
+	j := 0
+	if vectorKernels && len(arow) > 0 {
+		for ; j+stripCols <= n; j += stripCols {
+			axpyStrip64(&drow[j], &arow[0], len(arow), &b.Data[kk*n+j], n)
+		}
+	}
+	return j
 }
 
 // matMulRange computes rows [r0, r1) of dst = a·b with the i-k-j loop
@@ -323,11 +356,7 @@ func matMulBiasReLURange(dst, a, b *Matrix, bias []float32, relu bool, r0, r1 in
 			drow := dst.Data[i*n : (i+1)*n]
 			AddTo(drow, bias)
 			if relu {
-				for j, v := range drow {
-					if v < 0 {
-						drow[j] = 0
-					}
-				}
+				reluRow(drow)
 			}
 		}
 	}
@@ -453,13 +482,29 @@ func matMulTransARange(dst, a, b *Matrix, r0, r1 int) {
 // matMulTransAAccRange accumulates rows [r0, r1) of dst += aᵀ·b (rows of
 // dst index columns of a), blocking the shared row dimension of a/b in
 // tileK panels so the streamed b panel is reused across the output range.
+// Row i's coefficients over a panel are column i of a: the vector strips
+// read them from a stack copy, the columns past the last strip straight
+// from a, with axpyPanel's quad and pair updates.
 func matMulTransAAccRange(dst, a, b *Matrix, r0, r1 int) {
 	m := a.Cols
 	n := b.Cols
+	var col [tileK]float32
 	for pp := 0; pp < a.Rows; pp += tileK {
 		pEnd := min(pp+tileK, a.Rows)
 		for i := r0; i < r1; i++ {
 			drow := dst.Data[i*n : (i+1)*n]
+			j := 0
+			if vectorKernels && n >= stripCols {
+				c := col[:pEnd-pp]
+				for p := range c {
+					c[p] = a.Data[(pp+p)*m+i]
+				}
+				if j = axpyStrips(c, b, pp, drow); j == n {
+					continue
+				}
+			}
+			bd, w := b.Data[j:], n-j
+			drow = drow[j:]
 			p := pp
 			for ; p+4 <= pEnd; p += 4 {
 				av0 := a.Data[p*m+i]
@@ -467,16 +512,16 @@ func matMulTransAAccRange(dst, a, b *Matrix, r0, r1 int) {
 				av2 := a.Data[(p+2)*m+i]
 				av3 := a.Data[(p+3)*m+i]
 				if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-					axpy4(av0, b.Data[p*n:(p+1)*n], av1, b.Data[(p+1)*n:(p+2)*n],
-						av2, b.Data[(p+2)*n:(p+3)*n], av3, b.Data[(p+3)*n:(p+4)*n], drow)
+					axpy4(av0, bd[p*n:p*n+w], av1, bd[(p+1)*n:(p+1)*n+w],
+						av2, bd[(p+2)*n:(p+2)*n+w], av3, bd[(p+3)*n:(p+3)*n+w], drow)
 					continue
 				}
-				axpyPair(av0, b.Data[p*n:(p+1)*n], av1, b.Data[(p+1)*n:(p+2)*n], drow)
-				axpyPair(av2, b.Data[(p+2)*n:(p+3)*n], av3, b.Data[(p+3)*n:(p+4)*n], drow)
+				axpyPair(av0, bd[p*n:p*n+w], av1, bd[(p+1)*n:(p+1)*n+w], drow)
+				axpyPair(av2, bd[(p+2)*n:(p+2)*n+w], av3, bd[(p+3)*n:(p+3)*n+w], drow)
 			}
 			for ; p < pEnd; p++ {
 				if av := a.Data[p*m+i]; av != 0 {
-					Axpy(av, b.Data[p*n:(p+1)*n], drow)
+					Axpy(av, bd[p*n:p*n+w], drow)
 				}
 			}
 		}

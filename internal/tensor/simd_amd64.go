@@ -40,6 +40,15 @@ func axpy4Vec(a0 float32, x0 []float32, a1 float32, x1 []float32,
 	a2 float32, x2 []float32, a3 float32, x3 []float32, y []float32)
 
 //go:noescape
+func axpyStrip64(y *float32, a *float32, k int, x *float32, ldx int)
+
+//go:noescape
+func reluVec(x []float32)
+
+//go:noescape
+func reluGradVec(dy, y []float32)
+
+//go:noescape
 func adagradVec(value, grad, acc []float32, lr, eps float32)
 
 //go:noescape

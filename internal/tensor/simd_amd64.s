@@ -161,6 +161,215 @@ axpy4_done:
 	VZEROUPPER
 	RET
 
+// func axpyStrip64(y *float32, a *float32, k int, x *float32, ldx int)
+//
+// y[0:64] += Σ_p a[p]·x[p*ldx : p*ldx+64] for p < k, as axpyPanel does
+// it for one 64-column strip of its destination row: the strip is loaded
+// into Y0-Y7 once, every coefficient quad updates it in registers, and it
+// is stored once. Each quad takes axpyPanel's branch, chosen from its
+// four coefficients alone (a coefficient is zero when it compares equal
+// to 0, so ±0 are zero and NaN is not): four nonzero ones add
+// (((a0x0 + a1x1) + a2x2) + a3x3) as axpy4 does; otherwise each pair adds
+// (a0x0 + a1x1), a single product, or nothing, as axpyPair does. The k%4
+// coefficients after the last quad add a single product each unless
+// zero. k is at least 1.
+#define STRIP_ONE(R) \
+	VMULPS 0(R), Y8, Y12; VADDPS Y0, Y12, Y0; \
+	VMULPS 32(R), Y8, Y12; VADDPS Y1, Y12, Y1; \
+	VMULPS 64(R), Y8, Y12; VADDPS Y2, Y12, Y2; \
+	VMULPS 96(R), Y8, Y12; VADDPS Y3, Y12, Y3; \
+	VMULPS 128(R), Y8, Y12; VADDPS Y4, Y12, Y4; \
+	VMULPS 160(R), Y8, Y12; VADDPS Y5, Y12, Y5; \
+	VMULPS 192(R), Y8, Y12; VADDPS Y6, Y12, Y6; \
+	VMULPS 224(R), Y8, Y12; VADDPS Y7, Y12, Y7
+
+#define STRIP_PAIR(off, Y) \
+	VMULPS off(R11), Y8, Y12; \
+	VMULPS off(R12), Y9, Y13; \
+	VADDPS Y13, Y12, Y12; \
+	VADDPS Y, Y12, Y
+
+#define STRIP_QUAD(off, Y) \
+	VMULPS off(DX), Y8, Y12; \
+	VMULPS off(DX)(BX*1), Y9, Y13; \
+	VADDPS Y13, Y12, Y12; \
+	VMULPS off(DX)(BX*2), Y10, Y13; \
+	VADDPS Y13, Y12, Y12; \
+	VMULPS off(DX)(R14*1), Y11, Y13; \
+	VADDPS Y13, Y12, Y12; \
+	VADDPS Y, Y12, Y
+
+TEXT ·axpyStrip64(SB), NOSPLIT, $0-40
+	MOVQ    y+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    k+16(FP), CX
+	MOVQ    x+24(FP), DX
+	MOVQ    ldx+32(FP), BX
+	SHLQ    $2, BX                 // row stride in bytes
+	LEAQ    (BX)(BX*2), R14        // three rows
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+	VXORPS  X15, X15, X15
+	MOVQ    CX, R8
+	SHRQ    $2, R8
+	JZ      strip_tail
+
+strip_quad:
+	// AX bit i is set when coefficient i of the quad is nonzero.
+	VMOVUPS   (SI), X14
+	VCMPPS    $4, X15, X14, X14 // not equal, or unordered
+	VMOVMSKPS X14, AX
+	CMPL      AX, $15
+	JNE       strip_pairs
+	VBROADCASTSS 0(SI), Y8
+	VBROADCASTSS 4(SI), Y9
+	VBROADCASTSS 8(SI), Y10
+	VBROADCASTSS 12(SI), Y11
+	STRIP_QUAD(0, Y0)
+	STRIP_QUAD(32, Y1)
+	STRIP_QUAD(64, Y2)
+	STRIP_QUAD(96, Y3)
+	STRIP_QUAD(128, Y4)
+	STRIP_QUAD(160, Y5)
+	STRIP_QUAD(192, Y6)
+	STRIP_QUAD(224, Y7)
+	JMP strip_next
+
+strip_pairs:
+	// Two pairs: coefficients at R13, rows at R11 and R12, mask bits in
+	// the low two bits of AX.
+	MOVQ SI, R13
+	MOVQ DX, R11
+	MOVL $2, R10
+
+strip_pair:
+	LEAQ (R11)(BX*1), R12
+	MOVL AX, R9
+	ANDL $3, R9
+	CMPL R9, $3
+	JEQ  strip_pair_both
+	CMPL R9, $1
+	JEQ  strip_pair_first
+	CMPL R9, $2
+	JEQ  strip_pair_second
+	JMP  strip_pair_next
+
+strip_pair_both:
+	VBROADCASTSS 0(R13), Y8
+	VBROADCASTSS 4(R13), Y9
+	STRIP_PAIR(0, Y0)
+	STRIP_PAIR(32, Y1)
+	STRIP_PAIR(64, Y2)
+	STRIP_PAIR(96, Y3)
+	STRIP_PAIR(128, Y4)
+	STRIP_PAIR(160, Y5)
+	STRIP_PAIR(192, Y6)
+	STRIP_PAIR(224, Y7)
+	JMP strip_pair_next
+
+strip_pair_first:
+	VBROADCASTSS 0(R13), Y8
+	STRIP_ONE(R11)
+	JMP strip_pair_next
+
+strip_pair_second:
+	VBROADCASTSS 4(R13), Y8
+	STRIP_ONE(R12)
+
+strip_pair_next:
+	SHRL $2, AX
+	ADDQ $8, R13
+	LEAQ (R11)(BX*2), R11
+	DECL R10
+	JNZ  strip_pair
+
+strip_next:
+	ADDQ $16, SI
+	LEAQ (DX)(BX*4), DX
+	DECQ R8
+	JNZ  strip_quad
+
+strip_tail:
+	ANDQ $3, CX
+	JZ   strip_done
+
+strip_single:
+	MOVL (SI), AX
+	ANDL $0x7fffffff, AX
+	JZ   strip_skip
+	VBROADCASTSS (SI), Y8
+	STRIP_ONE(DX)
+
+strip_skip:
+	ADDQ $4, SI
+	ADDQ BX, DX
+	DECQ CX
+	JNZ  strip_single
+
+strip_done:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// func reluVec(x []float32)
+// x = +0 where x < 0 (an ordered compare: NaN and -0 are kept)
+TEXT ·reluVec(SB), NOSPLIT, $0-24
+	MOVQ   x_base+0(FP), DI
+	MOVQ   x_len+8(FP), CX
+	VXORPS Y15, Y15, Y15
+	SHRQ   $3, CX
+	JZ     relu_done
+
+relu_loop:
+	VMOVUPS (DI), Y0
+	VCMPPS  $1, Y15, Y0, Y1 // x < 0
+	VANDNPS Y0, Y1, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     relu_loop
+
+relu_done:
+	VZEROUPPER
+	RET
+
+// func reluGradVec(dy, y []float32)
+// dy = +0 where y <= 0 (an ordered compare: a NaN y keeps dy)
+TEXT ·reluGradVec(SB), NOSPLIT, $0-48
+	MOVQ   dy_base+0(FP), DI
+	MOVQ   dy_len+8(FP), CX
+	MOVQ   y_base+24(FP), SI
+	VXORPS Y15, Y15, Y15
+	SHRQ   $3, CX
+	JZ     relugrad_done
+
+relugrad_loop:
+	VMOVUPS (SI), Y1
+	VCMPPS  $2, Y15, Y1, Y1 // y <= 0
+	VANDNPS (DI), Y1, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     relugrad_loop
+
+relugrad_done:
+	VZEROUPPER
+	RET
+
 // func adagradVec(value, grad, acc []float32, lr, eps float32)
 // acc += g*g; value -= (lr*g) / (sqrt(acc) + eps)
 TEXT ·adagradVec(SB), NOSPLIT, $0-80

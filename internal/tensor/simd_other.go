@@ -16,6 +16,9 @@ func axpy4Vec(a0 float32, x0 []float32, a1 float32, x1 []float32,
 	a2 float32, x2 []float32, a3 float32, x3 []float32, y []float32) {
 	panic(noVector)
 }
+func axpyStrip64(y *float32, a *float32, k int, x *float32, ldx int)              { panic(noVector) }
+func reluVec(x []float32)                                                         { panic(noVector) }
+func reluGradVec(dy, y []float32)                                                 { panic(noVector) }
 func adagradVec(value, grad, acc []float32, lr, eps float32)                      { panic(noVector) }
 func transB4x8(dst *float32, ldd int, a *float32, lda int, panel *float32, k int) { panic(noVector) }
 func transB1x8(dst *float32, a *float32, panel *float32, k int)                   { panic(noVector) }

@@ -90,6 +90,8 @@ func TestVectorKernelsMatchGeneric(t *testing.T) {
 		{"axpy4", func(o, n int, c [4]float32, y, _ []float32) {
 			axpy4(c[0], x0[o:o+n], c[1], x1[o:o+n], c[2], x2[o:o+n], c[3], x3[o:o+n], y)
 		}},
+		{"reluRow", func(_, _ int, _ [4]float32, y, _ []float32) { reluRow(y) }},
+		{"ReLUGradInto", func(o, n int, _ [4]float32, y, _ []float32) { ReLUGradInto(y, x0[o:o+n]) }},
 		{"AdagradStep", func(o, n int, c [4]float32, y, acc []float32) {
 			AdagradStep(y, x0[o:o+n], acc, c[0], float32(math.Abs(float64(c[1])))*1e-8)
 		}},
@@ -194,6 +196,164 @@ func FuzzMatMulTransB(f *testing.F) {
 		}
 		checkTransB(t, matrix(m, k), matrix(n, k))
 	})
+}
+
+// checkBiasReLU runs MatMulBiasReLU on a (m×k) and b (k×n) with the
+// vector kernels off and on and requires the same bits.
+func checkBiasReLU(t testing.TB, a, b *Matrix, bias []float32, relu bool) {
+	t.Helper()
+	want, got := New(a.Rows, b.Cols), New(a.Rows, b.Cols)
+	withKernels(false, func() { MatMulBiasReLU(want, a, b, bias, relu) })
+	withKernels(true, func() { MatMulBiasReLU(got, a, b, bias, relu) })
+	if i := sameBits(got.Data, want.Data); i >= 0 {
+		t.Fatalf("MatMulBiasReLU (%dx%d)·(%dx%d) relu=%v: dst[%d][%d] = %v, Go kernel %v",
+			a.Rows, a.Cols, b.Rows, b.Cols, relu, i/b.Cols, i%b.Cols, got.Data[i], want.Data[i])
+	}
+}
+
+// checkTransAAcc runs dst0 + aᵀ·b (a k×m, b k×n) through MatMulTransAAcc
+// with the vector kernels off and on and requires the same bits.
+func checkTransAAcc(t testing.TB, dst0, a, b *Matrix) {
+	t.Helper()
+	want, got := dst0.Clone(), dst0.Clone()
+	withKernels(false, func() { MatMulTransAAcc(want, a, b) })
+	withKernels(true, func() { MatMulTransAAcc(got, a, b) })
+	if i := sameBits(got.Data, want.Data); i >= 0 {
+		t.Fatalf("MatMulTransAAcc (%dx%d)ᵀ·(%dx%d): dst[%d][%d] = %v, Go kernel %v",
+			a.Rows, a.Cols, b.Rows, b.Cols, i/b.Cols, i%b.Cols, got.Data[i], want.Data[i])
+	}
+}
+
+// sparsify rewrites the coefficients of a panel GEMM the way a ReLU
+// network and hostile inputs shape them. Coefficient p of output row r is
+// x[r][p] when byRow (the forward GEMM) and x[p][r] otherwise (dW); sel
+// picks per coefficient quad (r, p/4): the whole quad +0, its odd
+// positions -0, its first position ±Inf or NaN, or no change.
+func sparsify(x *Matrix, byRow bool, sel []byte) {
+	if len(sel) == 0 {
+		return
+	}
+	special := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for i := range x.Data {
+		r, p := i/x.Cols, i%x.Cols
+		if !byRow {
+			r, p = p, r
+		}
+		s := sel[(r*31+p/4)%len(sel)]
+		switch s % 8 {
+		case 0:
+			x.Data[i] = 0
+		case 1:
+			if p%2 == 1 {
+				x.Data[i] = float32(math.Copysign(0, -1))
+			}
+		case 2:
+			if p%4 == 0 {
+				x.Data[i] = special[int(s/8)%len(special)]
+			}
+		}
+	}
+}
+
+// stripShape decodes a panel-GEMM shape from in[0:4]: m output rows, a
+// shared dimension k with k%4 != 0 (so every panel ends in singles), and
+// n ≥ 64 columns with n%64 != 0 (a full strip plus leftover columns).
+func stripShape(in []byte) (m, k, n int) {
+	m = 1 + int(in[0])%8
+	k = 4*(int(in[1])%16) + 1 + int(in[2])%3
+	n = 65 + int(in[3])%127
+	if n%stripCols == 0 {
+		n++
+	}
+	return m, k, n
+}
+
+// stripSeeds are inputs for the two strip fuzz targets: a dense quad run,
+// all-zero quads, -0 pairs, NaN and Inf coefficients.
+var stripSeeds = [][]byte{
+	{2, 5, 1, 10, 0, 3, 0, 0, 128, 63, 0, 0, 0, 192},
+	{7, 15, 2, 126, 1, 8, 0, 0, 0, 0},
+	{1, 0, 0, 0, 0, 1, 0, 0, 0, 128, 0, 0, 128, 63},
+	{3, 9, 1, 70, 1, 2, 0, 0, 192, 127, 0, 0, 128, 127, 0, 0, 128, 255},
+}
+
+// FuzzMatMulBiasReLU checks the forward GEMM's strip kernel against the Go
+// loop bit for bit on fuzzed shapes (stripShape) and float bit patterns,
+// with coefficient quads rewritten by sparsify.
+func FuzzMatMulBiasReLU(f *testing.F) {
+	requireVectorCPU(f)
+	for _, seed := range stripSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 5 {
+			return
+		}
+		m, k, n := stripShape(in)
+		vals := fuzzFloats(in[5:], m*k+k*n+n)
+		a, b := FromData(m, k, vals[:m*k]), FromData(k, n, vals[m*k:m*k+k*n])
+		sparsify(a, true, in)
+		checkBiasReLU(t, a, b, vals[m*k+k*n:], in[4]%2 == 0)
+	})
+}
+
+// FuzzMatMulTransAAcc is FuzzMatMulBiasReLU's twin for the weight
+// gradient, whose coefficients are gathered from the columns of a.
+func FuzzMatMulTransAAcc(f *testing.F) {
+	requireVectorCPU(f)
+	for _, seed := range stripSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 5 {
+			return
+		}
+		m, k, n := stripShape(in)
+		vals := fuzzFloats(in[5:], k*m+k*n+m*n)
+		a, b := FromData(k, m, vals[:k*m]), FromData(k, n, vals[k*m:k*m+k*n])
+		sparsify(a, false, in)
+		checkTransAAcc(t, FromData(m, n, vals[k*m+k*n:]), a, b)
+	})
+}
+
+// TestVectorStripKernelsMatchGeneric covers the strip kernel behind the
+// forward and dW GEMMs on random shapes (n below, at and past a strip,
+// k across two tileK panels and every k%4) with hostile values and
+// ReLU-style zero quads, and on the benchmark's shapes, serial and on the
+// pool.
+func TestVectorStripKernelsMatchGeneric(t *testing.T) {
+	requireVectorCPU(t)
+	rng := xrand.New(14)
+	matrix := func(r, c int) *Matrix {
+		m := New(r, c)
+		fillHostile(rng, m.Data)
+		return m
+	}
+	sel := make([]byte, 97)
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			shapes := []struct{ m, k, n int }{
+				{64, 256, 512}, {64, 512, 256}, {64, 42, 512}, // dense_heavy forward
+				{128, 64, 128}, {128, 68, 128}, {128, 128, 64}, // BenchStepConfig forward
+				{37, 300, 131}, // two panels, remainders everywhere
+			}
+			for i := 0; i < 60; i++ {
+				shapes = append(shapes, struct{ m, k, n int }{1 + rng.Intn(9), rng.Intn(300), 1 + rng.Intn(200)})
+			}
+			for _, sh := range shapes {
+				for i := range sel {
+					sel[i] = byte(rng.Intn(256))
+				}
+				a, b := matrix(sh.m, sh.k), matrix(sh.k, sh.n)
+				sparsify(a, true, sel)
+				checkBiasReLU(t, a, b, matrix(1, sh.n).Data, true)
+				// dW of the same layer: gradW (k×n) += xᵀ·dY, x m×k.
+				sparsify(a, false, sel)
+				checkTransAAcc(t, matrix(sh.k, sh.n), a, matrix(sh.m, sh.n))
+			}
+		})
+	}
 }
 
 // fuzzFloats returns n float32s read from in as little-endian bit

@@ -100,13 +100,36 @@ func AddTo(dst, src []float32) {
 // activation y: dy[i] is zeroed wherever y[i] <= 0. This is the fused
 // backward kernel of a ReLU dense layer — one pass instead of a separate
 // mask materialization. Lengths must match; the shorter bound is taken.
+// The vector kernel masks with a compare instead of a branch, which on
+// a ReLU layer's activations is taken at random.
 func ReLUGradInto(dy, y []float32) {
 	if len(y) > len(dy) {
 		y = y[:len(dy)]
 	}
-	for i, v := range y {
-		if v <= 0 {
+	dy = dy[:len(y)]
+	i := 0
+	if vectorKernels && len(y) >= 8 {
+		i = len(y) &^ 7
+		reluGradVec(dy[:i], y[:i])
+	}
+	for ; i < len(y); i++ {
+		if y[i] <= 0 {
 			dy[i] = 0
+		}
+	}
+}
+
+// reluRow zeroes the negative elements of x in place, keeping -0 and NaN,
+// like ReLUGradInto with a compare where the vector kernels run.
+func reluRow(x []float32) {
+	i := 0
+	if vectorKernels && len(x) >= 8 {
+		i = len(x) &^ 7
+		reluVec(x[:i])
+	}
+	for ; i < len(x); i++ {
+		if x[i] < 0 {
+			x[i] = 0
 		}
 	}
 }

@@ -218,7 +218,9 @@ func Run(c Config) (res *Result, err error) {
 		res.Losses[step-res.Start] = loss
 		res.Steps = max(res.Steps, step+1-res.Start)
 		if c.Store != nil && c.CkptEvery > 0 && (step+1)%c.CkptEvery == 0 {
-			info, err := t.SaveCheckpoint(c.Store, c.FullEvery)
+			// FullEvery 0 means every save is full, which is AutoSave's
+			// fullEvery 1: its 0 never compacts.
+			info, err := t.SaveCheckpoint(c.Store, max(c.FullEvery, 1))
 			if err != nil {
 				return fmt.Errorf("train: checkpoint at step %d: %w", step+1, err)
 			}

@@ -8,12 +8,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/hybrid"
+	"repro/internal/telemetry"
 	"repro/internal/train"
 	"repro/internal/xrand"
 )
@@ -276,43 +278,87 @@ var pinnedRoots = map[string]string{
 
 // TestSaveRootsPinned runs a fixed small core trainer that checkpoints
 // every 10 steps with a full compaction every third save and reads each
-// checkpoint's root back from its manifest on disk.
+// checkpoint's root back from its manifest on disk as it publishes: a
+// full compaction removes the checkpoints before it, so at the end the
+// store holds only the live chain.
 func TestSaveRootsPinned(t *testing.T) {
 	store := openStore(t)
 	r := &rig{opt: core.OptAdagrad, failAt: -1}
+	got := map[string]string{}
+	var readErr error
 	res, err := train.Run(train.Config{
 		Build: r.build, Steps: 60,
 		Source: data.ReplaySource(testCfg(), 7, data.DefaultOptions(), batch),
 		Store:  store, CkptEvery: 10, FullEvery: 3,
+		OnStep: func(step int, _ float64) {
+			if (step+1)%10 != 0 || readErr != nil {
+				return
+			}
+			var name string
+			if name, _, readErr = store.Latest(); readErr != nil {
+				return
+			}
+			var js []byte
+			if js, readErr = os.ReadFile(filepath.Join(store.Dir(), name, "MANIFEST.json")); readErr != nil {
+				return
+			}
+			var man ckpt.Manifest
+			readErr = json.Unmarshal(js, &man)
+			got[name] = man.Root
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := store.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]string{}
-	for _, name := range names {
-		js, err := os.ReadFile(filepath.Join(store.Dir(), name, "MANIFEST.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var man ckpt.Manifest
-		if err := json.Unmarshal(js, &man); err != nil {
-			t.Fatal(err)
-		}
-		got[name] = man.Root
+	if readErr != nil {
+		t.Fatal(readErr)
 	}
 	if len(got) != len(pinnedRoots) {
-		t.Fatalf("store holds %v, want %d checkpoints", names, len(pinnedRoots))
+		t.Fatalf("saw %d checkpoints, want %d", len(got), len(pinnedRoots))
 	}
 	for name, want := range pinnedRoots {
 		if got[name] != want {
 			t.Errorf("%s has root %q, want %q", name, got[name], want)
 		}
 	}
+	names, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "ck-00000040-full ck-00000050-delta ck-00000060-delta"; strings.Join(names, " ") != want {
+		t.Errorf("store holds %v, want the live chain %s", names, want)
+	}
 	if res.LastRoot != got[names[len(names)-1]] {
 		t.Errorf("Result.LastRoot %q, tip manifest root %q", res.LastRoot, got[names[len(names)-1]])
+	}
+}
+
+// TestFullEveryZeroAlwaysFull holds Run to Config.FullEvery's documented
+// 0, "always full": a checkpoint every 10 steps over 40 steps writes four
+// full checkpoints and no delta. Each full supersedes the one before, so
+// only the last is left on disk.
+func TestFullEveryZeroAlwaysFull(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	store, err := ckpt.OpenStoreWith(t.TempDir(), reg, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rig{opt: core.OptAdagrad, failAt: -1}
+	if _, err := train.Run(train.Config{
+		Build: r.build, Steps: 40,
+		Source: data.ReplaySource(testCfg(), 7, data.DefaultOptions(), batch),
+		Store:  store, CkptEvery: 10, FullEvery: 0,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if saves, fulls := reg.Counter("ckpt/saves").Load(), reg.Counter("ckpt/full_saves").Load(); saves != 4 || fulls != 4 {
+		t.Fatalf("%d saves, %d of them full; want 4 full", saves, fulls)
+	}
+	names, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0] != "ck-00000040-full" {
+		t.Fatalf("store holds %v, want only ck-00000040-full", names)
 	}
 }
