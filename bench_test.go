@@ -262,6 +262,88 @@ func BenchmarkIngestStep(b *testing.B) {
 	b.ReportMetric(pipe.Meters().DedupRatio(), "dedup-ratio")
 }
 
+// openIngestStream writes shards examples × 4096 at the bench/e2e
+// ingest_stream shape and opens a one-reader dedup pipeline over them.
+func openIngestStream(b *testing.B, shards int) (ModelConfig, *ingest.Pipeline) {
+	cfg := ingestStreamConfig()
+	dir := b.TempDir()
+	if err := NewGenerator(cfg, 2).WriteShards(dir, shards, 4096); err != nil {
+		b.Fatal(err)
+	}
+	ds, err := ingest.OpenDataset(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ds.Close() })
+	pipe, err := ingest.Open(ds, cfg, ingest.Options{BatchSize: 256, Readers: 1, Dedup: true, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(pipe.Close)
+	return cfg, pipe
+}
+
+// BenchmarkIngestStreamStep measures the bench/e2e ingest_stream loop:
+// Trainer.Step at the narrow shape (dim 2, [4]/[4] MLPs, 16 × 24 ids
+// per example over 200-row tables, batch 256) fed by a one-reader dedup
+// pipeline, which shares the cores with the trainer. Besides
+// examples/sec it reports the trainer's lookup, scatter, dense forward,
+// dense backward and sparse apply phases in µs from its own spans.
+func BenchmarkIngestStreamStep(b *testing.B) {
+	cfg, pipe := openIngestStream(b, 4)
+	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
+	step := func() {
+		mb, err := pipe.NextBatch()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr.Step(mb)
+		pipe.Recycle(mb)
+	}
+	for i := 0; i < 20; i++ { // warm the heap, the pool and the ring
+		step()
+	}
+	tracer := telemetry.NewTracer(1, 64)
+	tr.SetTrace(tracer, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "examples/sec")
+	for _, ph := range []struct {
+		name  string
+		phase telemetry.Phase
+	}{
+		{"lookup_us", telemetry.PhaseEmbLookup},
+		{"scatter_us", telemetry.PhaseSparseScatter},
+		{"fwd_us", telemetry.PhaseDenseFwd},
+		{"bwd_us", telemetry.PhaseDenseBwd},
+		{"apply_us", telemetry.PhaseSparseApply},
+	} {
+		h := tracer.PhaseHist(ph.phase)
+		b.ReportMetric(h.Mean()/1e3, ph.name)
+	}
+}
+
+// BenchmarkIngestDrain is the reader tier alone at the ingest_stream
+// shape: NextBatch and Recycle on a one-reader dedup pipeline with no
+// trainer behind it, the ceiling bench/e2e reports as
+// ingest.drain_examples_per_sec.
+func BenchmarkIngestDrain(b *testing.B) {
+	_, pipe := openIngestStream(b, 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mb, err := pipe.NextBatch()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pipe.Recycle(mb)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "examples/sec")
+}
+
 // BenchmarkPerfModelEstimate measures the analytic model's cost.
 func BenchmarkPerfModelEstimate(b *testing.B) {
 	cfg := workload.DefaultTestSuite(1024, 64)

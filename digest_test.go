@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/benchreport"
+	"repro/internal/ingest"
 	"repro/internal/tensor"
 )
 
@@ -63,9 +64,84 @@ func TestDenseDigest(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/vector=%v/procs=%d", c.name, vector, procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 					defer tensor.SetVectorKernels(tensor.SetVectorKernels(vector))
-					got := trainDigest(c.cfg, batches)
+					got := trainDigest(c.cfg, digestSteps, func(i int) *MiniBatch { return batches[i] }, nil)
 					if want := denseDigests[c.name]; got != want {
 						t.Errorf("digest %s, want %s", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// ingestDigest pins the bits the core trainer trains at the bench/e2e
+// ingest_stream shape (16 features × 24 ids over 200-row tables, dim 2,
+// [4]/[4] MLPs, batch 256) fed by an ingest.Pipeline with one reader
+// from ingestShards shards of ingestPerShard examples written by a data
+// seed 2 generator, for ingestSteps steps. Dedup on and off must both
+// give it: the dedup view changes which rows are read, not the sums.
+const (
+	ingestDigest   = "2770e79a2310f69f4aee9b7c369d999286cf9e1aec57940ff0e0476bd12d857c"
+	ingestSteps    = 50
+	ingestShards   = 4
+	ingestPerShard = 1024
+)
+
+// ingestStreamConfig is the bench/e2e ingest_stream model.
+func ingestStreamConfig() ModelConfig {
+	return ModelConfig{
+		Name: "ingest_stream", DenseFeatures: 16, Sparse: UniformSparse(16, 200, 24),
+		EmbeddingDim: 2, BottomMLP: []int{4}, TopMLP: []int{4}, Interaction: InteractionConcat,
+	}
+}
+
+// TestIngestDigest trains the ingest_stream shape from disk through the
+// reader pipeline with dedup on and off, the vector kernels on and off
+// and GOMAXPROCS 1 and 2, and compares every run's digest with the
+// committed one. The narrow rows (dim 2, 4-wide layers) run the sparse
+// kernels' and the GEMMs' under-8-column paths, which TestDenseDigest's
+// shapes never reach.
+func TestIngestDigest(t *testing.T) {
+	cfg := ingestStreamConfig()
+	dir := t.TempDir()
+	if err := NewGenerator(cfg, 2).WriteShards(dir, ingestShards, ingestPerShard); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := ingest.OpenDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	kernels := []bool{false}
+	if vectorKernelsOn() {
+		kernels = append(kernels, true)
+	}
+	for _, dedup := range []bool{false, true} {
+		for _, vector := range kernels {
+			for _, procs := range []int{1, 2} {
+				t.Run(fmt.Sprintf("dedup=%v/vector=%v/procs=%d", dedup, vector, procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					defer tensor.SetVectorKernels(tensor.SetVectorKernels(vector))
+					pipe, err := ingest.Open(ds, cfg, ingest.Options{
+						BatchSize: 256, Readers: 1, Dedup: dedup, Seed: 1,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer pipe.Close()
+					next := func(int) *MiniBatch {
+						mb, err := pipe.NextBatch()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := mb.DedupFor(0) != nil; got != dedup {
+							t.Fatalf("batch carries a dedup view: %v, want %v", got, dedup)
+						}
+						return mb
+					}
+					got := trainDigest(cfg, ingestSteps, next, pipe.Recycle)
+					if got != ingestDigest {
+						t.Errorf("digest %s, want %s", got, ingestDigest)
 					}
 				})
 			}
@@ -79,8 +155,10 @@ func vectorKernelsOn() bool {
 	return tensor.SetVectorKernels(was)
 }
 
-// trainDigest trains a fresh model on batches and hashes what it trained.
-func trainDigest(cfg ModelConfig, batches []*MiniBatch) string {
+// trainDigest trains a fresh model for steps steps, step i on the batch
+// next(i) returns, and hashes what it trained. done, when set, takes
+// each batch back after its step.
+func trainDigest(cfg ModelConfig, steps int, next func(i int) *MiniBatch, done func(*MiniBatch)) string {
 	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
 	h := sha256.New()
 	var b [4]byte
@@ -90,8 +168,12 @@ func trainDigest(cfg ModelConfig, batches []*MiniBatch) string {
 			h.Write(b[:])
 		}
 	}
-	for _, mb := range batches {
+	for i := range steps {
+		mb := next(i)
 		floats(float32(tr.Step(mb)))
+		if done != nil {
+			done(mb)
+		}
 	}
 	st := tr.CkptState()
 	for i := range st.Dense {

@@ -28,11 +28,8 @@ type DedupIndex struct {
 
 // Build fills the view from the bag, reusing all internal storage.
 func (d *DedupIndex) Build(bag Bag) {
-	d.rows.reset()
 	d.Remap = ensureLen(d.Remap, len(bag.Indices))
-	for k, ix := range bag.Indices {
-		d.Remap[k], _ = d.rows.slot(ix)
-	}
+	d.rows.fill(bag.Indices, d.Remap)
 	d.Unique = d.rows.keys
 }
 
@@ -84,21 +81,7 @@ func (t *Table) BagForwardDedup(bag Bag, d *DedupIndex, out *tensor.Matrix, sc *
 		}
 	}
 	for i := 0; i < bag.Batch(); i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-		rm := d.Remap[bag.Offsets[i]:bag.Offsets[i+1]]
-		k := 0
-		for ; k+2 <= len(rm); k += 2 {
-			a := int(rm[k]) * dim
-			b := int(rm[k+1]) * dim
-			tensor.AddTo2(row, sc.gather[a:a+dim], sc.gather[b:b+dim])
-		}
-		if k < len(rm) {
-			a := int(rm[k]) * dim
-			tensor.AddTo(row, sc.gather[a:a+dim])
-		}
+		poolRows(out.Row(i), sc.gather, d.Remap[bag.Offsets[i]:bag.Offsets[i+1]])
 	}
 	t.lookups.Add(uint64(len(d.Unique)))
 }
@@ -115,12 +98,71 @@ func (t *Table) BagBackwardDedup(bag Bag, d *DedupIndex, dOut *tensor.Matrix, ac
 	if dOut.Rows != bag.Batch() || dOut.Cols != t.Dim {
 		panic("embedding: dedup backward grad shape mismatch")
 	}
-	dim := t.Dim
 	slab := acc.adopt(d.Unique)
 	for i := 0; i < bag.Batch(); i++ {
-		g := dOut.Row(i)
-		for _, u := range d.Remap[bag.Offsets[i]:bag.Offsets[i+1]] {
+		scatterRows(slab, d.Remap[bag.Offsets[i]:bag.Offsets[i+1]], dOut.Row(i))
+	}
+}
+
+// poolRows sets row to the sum of the slab rows ids names, each
+// len(row) wide and back to back in slab: row += a + b for each pair of
+// ids in order, then row += a for an odd last one, onto +0 — the sums
+// of one AddTo2 call per pair and an AddTo for the odd id. Rows of 8 or
+// more take those calls, whose 8-aligned prefix is vector code; under 8
+// the element loop runs inline, where a call per pair of ids would cost
+// more than the adds it makes.
+func poolRows(row, slab []float32, ids []int32) {
+	dim := len(row)
+	if dim >= 8 {
+		clear(row)
+		k := 0
+		for ; k+2 <= len(ids); k += 2 {
+			a, b := int(ids[k])*dim, int(ids[k+1])*dim
+			tensor.AddTo2(row, slab[a:a+dim], slab[b:b+dim])
+		}
+		if k < len(ids) {
+			a := int(ids[k]) * dim
+			tensor.AddTo(row, slab[a:a+dim])
+		}
+		return
+	}
+	// Two columns per pass, each summed in a register from +0: two
+	// chains in flight, and each id read once per pair of columns. An
+	// odd last column is summed twice and stored twice, to the same
+	// bits.
+	for j := 0; j < dim; j += 2 {
+		j1 := min(j+1, dim-1)
+		var s0, s1 float32
+		k := 0
+		for ; k+2 <= len(ids); k += 2 {
+			a, b := int(ids[k])*dim, int(ids[k+1])*dim
+			s0 += slab[a+j] + slab[b+j]
+			s1 += slab[a+j1] + slab[b+j1]
+		}
+		if k < len(ids) {
+			a := int(ids[k]) * dim
+			s0 += slab[a+j]
+			s1 += slab[a+j1]
+		}
+		row[j], row[j1] = s0, s1
+	}
+}
+
+// scatterRows adds g to the slab rows slots names, each len(g) wide and
+// back to back in slab, in slots' order: the adds of one AddTo call per
+// slot, which rows of 8 or more still take. Under 8 the loop runs
+// inline.
+func scatterRows(slab []float32, slots []int32, g []float32) {
+	dim := len(g)
+	if dim >= 8 {
+		for _, u := range slots {
 			tensor.AddTo(slab[int(u)*dim:(int(u)+1)*dim], g)
+		}
+		return
+	}
+	for j, v := range g {
+		for _, u := range slots {
+			slab[int(u)*dim+j] += v
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package embedding
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/tensor"
@@ -73,61 +75,153 @@ func TestDedupRatioAllUnique(t *testing.T) {
 	}
 }
 
-// TestDedupForwardBitIdentical pins the core RecD guarantee: pooled
-// outputs from the dedup kernel are bit-identical to the plain kernel.
-func TestDedupForwardBitIdentical(t *testing.T) {
-	rng := xrand.New(2)
-	tab := NewTable("dedup", 200, 12, rng)
-	bag := skewedBag(rng, 48, 200, 8)
-	var d DedupIndex
-	d.Build(bag)
+// hostileValues are the floats the dedup kernels must add exactly as the
+// plain ones do: signed zeros, subnormals, infinities and a NaN.
+var hostileValues = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.Float32frombits(1), -math.Float32frombits(0x007fffff),
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+}
 
-	plain := tensor.New(48, 12)
-	dedup := tensor.New(48, 12)
-	sc := NewScratch()
-	tab.BagForwardInto(bag, plain, sc)
-	tab.BagForwardDedup(bag, &d, dedup, sc)
-	for i, v := range plain.Data {
-		if dedup.Data[i] != v {
-			t.Fatalf("pooled output differs at %d: %v vs %v", i, dedup.Data[i], v)
+// fillHostile fills x with normal draws, about one in six replaced by a
+// hostile value.
+func fillHostile(rng *xrand.RNG, x []float32) {
+	for i := range x {
+		if rng.Intn(6) == 0 {
+			x[i] = hostileValues[rng.Intn(len(hostileValues))]
+		} else {
+			x[i] = float32(rng.NormMS(0, 1))
 		}
 	}
 }
 
-// TestDedupBackwardBitIdentical checks values AND first-touch key order of
-// the scattered SparseGrad match the plain kernel, so optimizer
-// application is unchanged.
-func TestDedupBackwardBitIdentical(t *testing.T) {
-	rng := xrand.New(3)
-	tab := NewTable("dedup", 150, 8, rng)
-	bag := skewedBag(rng, 32, 150, 6)
-	var d DedupIndex
-	d.Build(bag)
-
-	dOut := tensor.New(32, 8)
-	tensor.NormalInit(dOut, 1, rng)
-	plain := NewSparseGrad(8)
-	dd := NewSparseGrad(8)
-	tab.BagBackward(bag, dOut, plain)
-	tab.BagBackwardDedup(bag, &d, dOut, dd)
-
-	pk, dk := plain.RowIDs(), dd.RowIDs()
-	if len(pk) != len(dk) {
-		t.Fatalf("touched %d rows, plain touched %d", len(dk), len(pk))
+// firstBitDiff returns the first index where got and want differ in
+// their bits, or -1, so -0 against +0 is a difference. Two NaNs match
+// whatever their payloads: x86 gives a NaN sum the payload of its first
+// operand, and the compiler orders the operands of an add as it likes
+// (the plain bf16 pooling and AddTo2 do differ there, at dim 16).
+func firstBitDiff(got, want []float32) int {
+	if len(got) != len(want) {
+		return 0
 	}
-	var pg [][]float32
-	plain.ForEach(func(_ int32, g []float32) { pg = append(pg, g) })
-	i := 0
-	dd.ForEach(func(ix int32, dg []float32) {
-		if pk[i] != ix {
-			t.Fatalf("first-touch order differs at %d: %d vs %d", i, ix, pk[i])
+	for i := range got {
+		g, w := got[i], want[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			return i
 		}
-		for j := range dg {
-			if pg[i][j] != dg[j] {
-				t.Fatalf("row %d grad differs at %d: %v vs %v", ix, j, dg[j], pg[i][j])
+	}
+	return -1
+}
+
+// dedupCases runs f for every dim 1-17, fp32 and bf16 tables, with the
+// vector kernels off and (where the CPU has them) on: the rows under 8
+// columns run the kernels' inline loops, those of 8 or more their vector
+// calls.
+func dedupCases(t *testing.T, f func(t *testing.T, dim int, dt tensor.DType)) {
+	for _, vector := range []bool{false, true} {
+		if vector && !vectorCPU() {
+			continue
+		}
+		for _, dt := range []tensor.DType{tensor.FP32, tensor.BF16} {
+			for dim := 1; dim <= 17; dim++ {
+				t.Run(fmt.Sprintf("vector=%v/%v/dim=%d", vector, dt, dim), func(t *testing.T) {
+					defer tensor.SetVectorKernels(tensor.SetVectorKernels(vector))
+					f(t, dim, dt)
+				})
 			}
 		}
-		i++
+	}
+}
+
+// vectorCPU reports whether this CPU runs the vector kernels.
+func vectorCPU() bool {
+	was := tensor.SetVectorKernels(true)
+	return tensor.SetVectorKernels(was)
+}
+
+// TestDedupForwardBitIdentical pins the core RecD guarantee: pooled
+// outputs from the dedup kernel are bit-identical to the plain kernel's
+// and to the call-per-pair loop both replace (AddTo2 per pair of ids,
+// AddTo for an odd last one, or their bf16 forms), over tables holding
+// hostile values.
+func TestDedupForwardBitIdentical(t *testing.T) {
+	dedupCases(t, func(t *testing.T, dim int, dt tensor.DType) {
+		rng := xrand.New(int64(2 + dim))
+		tab := NewTableTyped("dedup", 200, dim, dt, rng)
+		fillHostile(rng, tab.Weights.Data)
+		tab.SyncAll()
+		bag := skewedBag(rng, 48, 200, 8)
+		var d DedupIndex
+		d.Build(bag)
+
+		want := tensor.New(48, dim)
+		for i := 0; i < bag.Batch(); i++ {
+			row, ids := want.Row(i), bag.Indices[bag.Offsets[i]:bag.Offsets[i+1]]
+			k := 0
+			for ; k+2 <= len(ids); k += 2 {
+				a, b := int(ids[k]), int(ids[k+1])
+				if dt == tensor.FP32 {
+					tensor.AddTo2(row, tab.Weights.Row(a), tab.Weights.Row(b))
+				} else {
+					tensor.AddBF16To2(row, tab.halfRow(a), tab.halfRow(b))
+				}
+			}
+			if k < len(ids) {
+				if a := int(ids[k]); dt == tensor.FP32 {
+					tensor.AddTo(row, tab.Weights.Row(a))
+				} else {
+					tensor.AddBF16To(row, tab.halfRow(a))
+				}
+			}
+		}
+		plain := tensor.New(48, dim)
+		dedup := tensor.New(48, dim)
+		plain.Fill(7) // both kernels overwrite their output
+		dedup.Fill(7)
+		sc := NewScratch()
+		tab.BagForwardInto(bag, plain, sc)
+		tab.BagForwardDedup(bag, &d, dedup, sc)
+		for name, got := range map[string]*tensor.Matrix{"plain": plain, "dedup": dedup} {
+			if i := firstBitDiff(got.Data, want.Data); i >= 0 {
+				t.Fatalf("%s pooled output differs at %d: %v (%#x), want %v (%#x)", name, i,
+					got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+			}
+		}
+	})
+}
+
+// TestDedupBackwardBitIdentical checks values AND first-touch key order of
+// the scattered SparseGrad match the plain kernel, so optimizer
+// application is unchanged, for pooled-output gradients holding hostile
+// values.
+func TestDedupBackwardBitIdentical(t *testing.T) {
+	dedupCases(t, func(t *testing.T, dim int, dt tensor.DType) {
+		rng := xrand.New(int64(3 + dim))
+		tab := NewTableTyped("dedup", 150, dim, dt, rng)
+		bag := skewedBag(rng, 32, 150, 6)
+		var d DedupIndex
+		d.Build(bag)
+
+		dOut := tensor.New(32, dim)
+		fillHostile(rng, dOut.Data)
+		plain := NewSparseGrad(dim)
+		dd := NewSparseGrad(dim)
+		tab.BagBackward(bag, dOut, plain)
+		tab.BagBackwardDedup(bag, &d, dOut, dd)
+
+		pk, dk := plain.RowIDs(), dd.RowIDs()
+		if len(pk) != len(dk) {
+			t.Fatalf("touched %d rows, plain touched %d", len(dk), len(pk))
+		}
+		for i := range pk {
+			if pk[i] != dk[i] {
+				t.Fatalf("first-touch order differs at %d: %d vs %d", i, dk[i], pk[i])
+			}
+		}
+		if i := firstBitDiff(dd.Slab(), plain.Slab()); i >= 0 {
+			t.Fatalf("row %d grad differs at %d: %v (%#x) vs %v (%#x)", pk[i/dim], i%dim,
+				dd.Slab()[i], math.Float32bits(dd.Slab()[i]), plain.Slab()[i], math.Float32bits(plain.Slab()[i]))
+		}
 	})
 }
 

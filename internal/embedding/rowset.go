@@ -16,8 +16,12 @@ import "math/bits"
 // generation: reset is one increment instead of a clear, and the stamps
 // are cleared once when the 32-bit generation wraps.
 //
-// keys may run ahead of the index (adopt); the next slot call indexes
-// the rest first, so a set answers correctly however it was filled.
+// fill, which builds a DedupIndex, may instead index the cells by the
+// id itself when a bag's ids are small enough (the direct mode).
+//
+// keys may run ahead of the index (adopt, or a direct fill); the next
+// slot call indexes the rest first, so a set answers correctly however
+// it was filled.
 type rowSet struct {
 	keys    []int32   // slot -> row id, first-touch order
 	cells   []rowCell // empty or a power of two long
@@ -42,11 +46,54 @@ const minCells = 16
 func (s *rowSet) reset() {
 	s.keys = s.keys[:0]
 	s.indexed = 0
+	s.nextGen()
+}
+
+// nextGen moves to a fresh generation, in which every cell reads empty.
+func (s *rowSet) nextGen() {
 	s.gen++
 	if s.gen == 0 {
 		clear(s.cells)
 		s.gen = 1
 	}
+}
+
+// fill resets the set to the rows of ids and writes each id's slot to
+// slots[k]: slot calls in order, with the same keys and slots. When
+// every id is below the larger of len(cells) and the index a bag of
+// len(ids) distinct ids could need, the cells are indexed by the id
+// itself instead (the direct mode): one stamp compare per id, no hash
+// and no probe. One max pass over ids decides; a negative id reads as
+// too large. The direct array is then no larger than the hashed index
+// the same bag could grow, so the mode costs no memory the set would
+// not spend anyway. A direct fill leaves ids at their own positions
+// rather than their hashes', so it marks the keys unindexed and the
+// next slot call re-indexes them in a fresh generation.
+func (s *rowSet) fill(ids, slots []int32) {
+	s.reset()
+	var top uint32
+	for _, id := range ids {
+		top = max(top, uint32(id))
+	}
+	if uint64(top) >= uint64(max(len(s.cells), 2*(len(ids)+1))) {
+		for k, id := range ids {
+			slots[k], _ = s.slot(id)
+		}
+		return
+	}
+	if int(top) >= len(s.cells) {
+		s.grow(int(top) + 1)
+	}
+	cells, gen := s.cells, s.gen
+	for k, id := range ids {
+		c := &cells[id]
+		if c.stamp != gen {
+			*c = rowCell{stamp: gen, id: id, slot: int32(len(s.keys))}
+			s.keys = append(s.keys, id)
+		}
+		slots[k] = c.slot
+	}
+	s.indexed = 0
 }
 
 // slot returns id's slot, claiming the next one on first touch; fresh
@@ -77,17 +124,14 @@ func (s *rowSet) adopt(keys []int32) {
 }
 
 // index brings the cells up to date with keys, first replacing them with
-// a table twice as large if one more key would pass half load.
+// a table twice as large if one more key would pass half load. Indexing
+// from the first key takes a fresh generation, which clears whatever a
+// direct fill left in the cells.
 func (s *rowSet) index() {
 	if need := 2 * (len(s.keys) + 1); need > len(s.cells) {
-		n := max(minCells, len(s.cells))
-		for n < need {
-			n <<= 1
-		}
-		s.cells = make([]rowCell, n)
-		s.shift = uint8(64 - bits.TrailingZeros(uint(n)))
-		s.gen = 1
-		s.indexed = 0
+		s.grow(need)
+	} else if s.indexed == 0 {
+		s.nextGen()
 	}
 	mask := len(s.cells) - 1
 	for k := s.indexed; k < len(s.keys); k++ {
@@ -99,6 +143,19 @@ func (s *rowSet) index() {
 		s.cells[i] = rowCell{stamp: s.gen, id: id, slot: int32(k)}
 	}
 	s.indexed = len(s.keys)
+}
+
+// grow replaces the cells with empty ones, at least need and at least
+// twice as many as before, a power of two.
+func (s *rowSet) grow(need int) {
+	n := max(minCells, len(s.cells))
+	for n < need {
+		n <<= 1
+	}
+	s.cells = make([]rowCell, n)
+	s.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	s.gen = 1
+	s.indexed = 0
 }
 
 // home is id's first probe position.

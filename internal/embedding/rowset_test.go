@@ -3,6 +3,7 @@ package embedding
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -171,6 +172,15 @@ func FuzzDedupIndex(f *testing.F) {
 	f.Add(ids(7, 1, repeated...), ids(0, 1, repeated[:3]...))
 	f.Add([]byte{}, []byte{7})
 	f.Add(ids(2|1<<3, 2, 1, 2, 3), ids(7|1<<3, 2, growth...))
+	// A bag whose ids all fit rowSet.fill's direct index, then one whose
+	// ids do not, and the reverse: the set switches mode with the cells
+	// and stamps of the other left behind.
+	var small []uint32
+	for i := uint32(0); i < 120; i++ {
+		small = append(small, i*7%50)
+	}
+	f.Add(ids(7, 1, small...), ids(7|1<<3|3<<5, 2, strided...))
+	f.Add(ids(7|1<<3|3<<5, 2, strided...), ids(7, 1, small...))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		tab := NewTable("fuzz", 1, 3, xrand.New(1))
 		var d DedupIndex
@@ -191,6 +201,34 @@ func FuzzDedupIndex(f *testing.F) {
 			checkScatter(t, dedup, bag, dOut, 2)
 		}
 	})
+}
+
+// TestRowSetDirectFill covers fill's mode rule and a slot call after a
+// direct fill, which must re-index the keys by hash before it probes.
+func TestRowSetDirectFill(t *testing.T) {
+	var s rowSet
+	ids := []int32{9, 3, 9, 0, 3, 13} // all below 2×(6+1)
+	slots := make([]int32, len(ids))
+	s.fill(ids, slots)
+	if s.indexed != 0 || len(s.cells) < 14 {
+		t.Fatalf("ids below 2×(len+1) took the hashed mode (%d cells, %d indexed)", len(s.cells), s.indexed)
+	}
+	if want := []int32{0, 1, 0, 2, 1, 3}; !slices.Equal(slots, want) {
+		t.Fatalf("slots %v, want %v", slots, want)
+	}
+	for k, id := range []int32{13, 0, 4096, 3, 9} {
+		slot, fresh := s.slot(id)
+		if want := []int32{3, 2, 4, 1, 0}[k]; slot != want || fresh != (id == 4096) {
+			t.Fatalf("slot(%d) after a direct fill = %d (fresh %v), want %d", id, slot, fresh, want)
+		}
+	}
+	// An id past the bound, or a negative one, takes the hashed mode.
+	for _, ids := range [][]int32{{1, 2, 1 << 20}, {1, -2, 3}} {
+		s.fill(ids, slots[:len(ids)])
+		if s.indexed != len(ids) {
+			t.Fatalf("ids %v took the direct mode", ids)
+		}
+	}
 }
 
 // TestRowSetGenerationWrap forces the generation counter across its

@@ -234,10 +234,12 @@ func (t *Table) BagForwardInto(bag Bag, out *tensor.Matrix, sc *Scratch) {
 			tensor.PrefetchRows(t.Weights.Data, bag.Indices[bag.Offsets[j]:bag.Offsets[j+1]], t.Dim)
 		}
 		row := out.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
 		idxs := bag.Indices[bag.Offsets[i]:bag.Offsets[i+1]]
+		if t.DType == tensor.FP32 {
+			poolRows(row, t.Weights.Data, idxs)
+			continue
+		}
+		clear(row)
 		k := 0
 		switch t.DType {
 		case tensor.BF16:
@@ -253,13 +255,6 @@ func (t *Table) BagForwardInto(bag Bag, out *tensor.Matrix, sc *Scratch) {
 			}
 			if k < len(idxs) {
 				tensor.AddFP16To(row, t.halfRow(int(idxs[k])))
-			}
-		default:
-			for ; k+2 <= len(idxs); k += 2 {
-				tensor.AddTo2(row, t.Weights.Row(int(idxs[k])), t.Weights.Row(int(idxs[k+1])))
-			}
-			if k < len(idxs) {
-				tensor.AddTo(row, t.Weights.Row(int(idxs[k])))
 			}
 		}
 	}

@@ -164,8 +164,8 @@ func MatMulBiasReLU(dst, a, b *Matrix, bias []float32, relu bool) {
 // whole tileK panel of axpyPanel's quads on each 64-column strip of the
 // destination row, held in registers from the first quad to the last;
 // the columns past the last strip take axpy2/axpy4, whose 8-aligned
-// prefix is vector code; and MatMulTransB's first n&^7 columns run on a
-// packed 4×8 kernel.
+// prefix is vector code (under 8 columns, axpyNarrow's inline loops);
+// and MatMulTransB's first n&^7 columns run on a packed 4×8 kernel.
 
 // axpy2 computes y += a0*x0 + a1*x1 in one pass.
 func axpy2(a0 float32, x0 []float32, a1 float32, x1 []float32, y []float32) {
@@ -275,17 +275,29 @@ func axpyPair(a0 float32, x0 []float32, a1 float32, x1 []float32, drow []float32
 // depends on arow alone, so every column of drow sees the same op
 // sequence, and the columns that axpyStrips covers need only the rest.
 func axpyPanel(arow []float32, b *Matrix, kk int, drow []float32) {
-	n := b.Cols
 	j := axpyStrips(arow, b, kk, drow)
+	axpyCols(arow, 1, len(arow), b, kk, j, drow)
+}
+
+// axpyCols runs axpyPanel's update on columns [j, n) of drow, with the
+// panel's np coefficients at coef[p*stride]: a row of a for the forward
+// GEMM, a column of a read in place for dW.
+func axpyCols(coef []float32, stride, np int, b *Matrix, kk, j int, drow []float32) {
+	n := b.Cols
 	if j == n {
 		return
 	}
 	// Row kk+p of b, from column j on, is bd[(kk+p)*n:][:w].
 	bd, w := b.Data[j:], n-j
 	drow = drow[j:]
-	p := 0
-	for ; p+4 <= len(arow); p += 4 {
-		a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
+	if w < 8 {
+		axpyNarrow(coef, stride, np, bd, n, kk, drow[:w])
+		return
+	}
+	s2, s3 := 2*stride, 3*stride
+	p, q := 0, 0 // q = p*stride
+	for ; p+4 <= np; p, q = p+4, q+4*stride {
+		a0, a1, a2, a3 := coef[q], coef[q+stride], coef[q+s2], coef[q+s3]
 		bi := (kk + p) * n
 		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
 			axpy4(a0, bd[bi:bi+w], a1, bd[bi+n:bi+n+w],
@@ -295,11 +307,67 @@ func axpyPanel(arow []float32, b *Matrix, kk int, drow []float32) {
 		axpyPair(a0, bd[bi:bi+w], a1, bd[bi+n:bi+n+w], drow)
 		axpyPair(a2, bd[bi+2*n:bi+2*n+w], a3, bd[bi+3*n:bi+3*n+w], drow)
 	}
-	for ; p < len(arow); p++ {
-		if av := arow[p]; av != 0 {
+	for ; p < np; p, q = p+1, q+stride {
+		if av := coef[q]; av != 0 {
 			bi := (kk + p) * n
 			Axpy(av, bd[bi:bi+w], drow)
 		}
+	}
+}
+
+// axpyNarrow is axpyCols's update on fewer than 8 columns: y +=
+// Σ_p coef[p*stride]·bd[(kk+p)*n:][:len(y)]. Each quad takes axpyPanel's
+// branch, and each column gets the expression the axpy4, axpy2 or Axpy
+// call would have computed there (under 8 columns those are their Go
+// loops alone), in the same order, without a call per quad: at a
+// handful of columns the calls cost more than the arithmetic.
+func axpyNarrow(coef []float32, stride, np int, bd []float32, n, kk int, y []float32) {
+	w, s2, s3 := len(y), 2*stride, 3*stride
+	p, q := 0, 0 // q = p*stride
+	for ; p+4 <= np; p, q = p+4, q+4*stride {
+		a0, a1, a2, a3 := coef[q], coef[q+stride], coef[q+s2], coef[q+s3]
+		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
+			bi := (kk + p) * n
+			x0 := bd[bi : bi+w]
+			x1 := bd[bi+n : bi+n+w]
+			x2 := bd[bi+2*n : bi+2*n+w]
+			x3 := bd[bi+3*n : bi+3*n+w]
+			for c := range y {
+				y[c] += a0*x0[c] + a1*x1[c] + a2*x2[c] + a3*x3[c]
+			}
+			continue
+		}
+		// axpyPair on each half of the quad.
+		for h := 0; h < 4; h += 2 {
+			a0, a1 := coef[q+h*stride], coef[q+(h+1)*stride]
+			bi := (kk + p + h) * n
+			x0, x1 := bd[bi:bi+w], bd[bi+n:bi+n+w]
+			switch {
+			case a0 == 0 && a1 == 0:
+			case a1 == 0:
+				axpyNarrow1(a0, x0, y)
+			case a0 == 0:
+				axpyNarrow1(a1, x1, y)
+			default:
+				for c := range y {
+					y[c] += a0*x0[c] + a1*x1[c]
+				}
+			}
+		}
+	}
+	for ; p < np; p, q = p+1, q+stride {
+		if av := coef[q]; av != 0 {
+			bi := (kk + p) * n
+			axpyNarrow1(av, bd[bi:bi+w], y)
+		}
+	}
+}
+
+// axpyNarrow1 is Axpy's Go loop, y += a·x, without the call.
+func axpyNarrow1(a float32, x, y []float32) {
+	x = x[:len(y)]
+	for c := range y {
+		y[c] += a * x[c]
 	}
 }
 
@@ -483,47 +551,24 @@ func matMulTransARange(dst, a, b *Matrix, r0, r1 int) {
 // dst index columns of a), blocking the shared row dimension of a/b in
 // tileK panels so the streamed b panel is reused across the output range.
 // Row i's coefficients over a panel are column i of a: the vector strips
-// read them from a stack copy, the columns past the last strip straight
-// from a, with axpyPanel's quad and pair updates.
+// read them from a stack copy, the columns past the last strip in place.
 func matMulTransAAccRange(dst, a, b *Matrix, r0, r1 int) {
 	m := a.Cols
 	n := b.Cols
 	var col [tileK]float32
 	for pp := 0; pp < a.Rows; pp += tileK {
-		pEnd := min(pp+tileK, a.Rows)
+		np := min(tileK, a.Rows-pp)
 		for i := r0; i < r1; i++ {
 			drow := dst.Data[i*n : (i+1)*n]
 			j := 0
 			if vectorKernels && n >= stripCols {
-				c := col[:pEnd-pp]
+				c := col[:np]
 				for p := range c {
 					c[p] = a.Data[(pp+p)*m+i]
 				}
-				if j = axpyStrips(c, b, pp, drow); j == n {
-					continue
-				}
+				j = axpyStrips(c, b, pp, drow)
 			}
-			bd, w := b.Data[j:], n-j
-			drow = drow[j:]
-			p := pp
-			for ; p+4 <= pEnd; p += 4 {
-				av0 := a.Data[p*m+i]
-				av1 := a.Data[(p+1)*m+i]
-				av2 := a.Data[(p+2)*m+i]
-				av3 := a.Data[(p+3)*m+i]
-				if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-					axpy4(av0, bd[p*n:p*n+w], av1, bd[(p+1)*n:(p+1)*n+w],
-						av2, bd[(p+2)*n:(p+2)*n+w], av3, bd[(p+3)*n:(p+3)*n+w], drow)
-					continue
-				}
-				axpyPair(av0, bd[p*n:p*n+w], av1, bd[(p+1)*n:(p+1)*n+w], drow)
-				axpyPair(av2, bd[(p+2)*n:(p+2)*n+w], av3, bd[(p+3)*n:(p+3)*n+w], drow)
-			}
-			for ; p < pEnd; p++ {
-				if av := a.Data[p*m+i]; av != 0 {
-					Axpy(av, bd[p*n:p*n+w], drow)
-				}
-			}
+			axpyCols(a.Data[pp*m+i:], m, np, b, pp, j, drow)
 		}
 	}
 }

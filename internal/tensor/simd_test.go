@@ -316,6 +316,117 @@ func FuzzMatMulTransAAcc(f *testing.F) {
 	})
 }
 
+// panelOracle is the call-per-quad loop axpyNarrow replaced: drow +=
+// Σ_p coef[p]·b[row kk+p], quads of nonzero coefficients through axpy4,
+// the rest through axpyPair, the singles past the last quad through
+// Axpy.
+func panelOracle(coef []float32, b *Matrix, kk int, drow []float32) {
+	n := b.Cols
+	row := func(p int) []float32 { return b.Data[(kk+p)*n : (kk+p+1)*n] }
+	p := 0
+	for ; p+4 <= len(coef); p += 4 {
+		a0, a1, a2, a3 := coef[p], coef[p+1], coef[p+2], coef[p+3]
+		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
+			axpy4(a0, row(p), a1, row(p+1), a2, row(p+2), a3, row(p+3), drow)
+			continue
+		}
+		axpyPair(a0, row(p), a1, row(p+1), drow)
+		axpyPair(a2, row(p+2), a3, row(p+3), drow)
+	}
+	for ; p < len(coef); p++ {
+		if coef[p] != 0 {
+			Axpy(coef[p], row(p), drow)
+		}
+	}
+}
+
+// checkNarrow runs the forward GEMM (a m×k, b k×n, bias, ReLU) and the
+// weight gradient (dst0 + xᵀ·b, x k×m) through the exported kernels with
+// the vector kernels off and on, and requires the bits of panelOracle
+// run panel by panel: the fused epilogue after the forward panels, and
+// column i of x as row i's coefficients for dW.
+func checkNarrow(t testing.TB, a, x, b *Matrix, bias []float32, relu bool, dst0 *Matrix) {
+	t.Helper()
+	m, k, n := a.Rows, a.Cols, b.Cols
+	fwd := New(m, n)
+	for i := 0; i < m; i++ {
+		for kk := 0; kk < k; kk += tileK {
+			panelOracle(a.Row(i)[kk:min(kk+tileK, k)], b, kk, fwd.Row(i))
+		}
+		AddTo(fwd.Row(i), bias)
+		if relu {
+			reluRow(fwd.Row(i))
+		}
+	}
+	dw := dst0.Clone()
+	col := make([]float32, k)
+	for i := 0; i < m; i++ {
+		for p := range col {
+			col[p] = x.Data[p*m+i]
+		}
+		for kk := 0; kk < k; kk += tileK {
+			panelOracle(col[kk:min(kk+tileK, k)], b, kk, dw.Row(i))
+		}
+	}
+	for _, vector := range []bool{false, true} {
+		got := New(m, n)
+		gotDW := dst0.Clone()
+		withKernels(vector, func() {
+			MatMulBiasReLU(got, a, b, bias, relu)
+			MatMulTransAAcc(gotDW, x, b)
+		})
+		if i := sameBits(got.Data, fwd.Data); i >= 0 {
+			t.Fatalf("MatMulBiasReLU (%dx%d)·(%dx%d) vector=%v: dst[%d][%d] = %v, oracle %v",
+				m, k, k, n, vector, i/n, i%n, got.Data[i], fwd.Data[i])
+		}
+		if i := sameBits(gotDW.Data, dw.Data); i >= 0 {
+			t.Fatalf("MatMulTransAAcc (%dx%d)ᵀ·(%dx%d) vector=%v: dst[%d][%d] = %v, oracle %v",
+				k, m, k, n, vector, i/n, i%n, gotDW.Data[i], dw.Data[i])
+		}
+	}
+}
+
+// FuzzMatMulNarrow checks the forward and dW GEMMs at 1-7 columns, where
+// every column is past the last strip and runs axpyNarrow's inline
+// loops, against the call-per-quad oracle bit for bit: m 1-8 rows, k
+// with a k%4 tail, fuzzed float bit patterns, checked as decoded and
+// again with the coefficient quads rewritten by sparsify (±0, Inf and
+// NaN, which leave few sums finite). Both kernel settings run; neither
+// has vector code at this width.
+func FuzzMatMulNarrow(f *testing.F) {
+	for _, seed := range stripSeeds {
+		f.Add(seed)
+	}
+	f.Add([]byte{0, 3, 2, 1, 1, 0, 0, 128, 63})
+	f.Add([]byte{7, 63, 0, 6, 0, 2, 0, 0, 192, 127, 0, 0, 0, 128})
+	// 8×253 by 253×7 from 61 normal draws (a prime count, so the rows
+	// differ), whose sums round differently under another grouping. The
+	// three pad bytes make fuzzFloats cycle on float boundaries.
+	normal := []byte{7, 63, 0, 6, 1}
+	rng := xrand.New(15)
+	for range 61 {
+		normal = binary.LittleEndian.AppendUint32(normal, math.Float32bits(float32(rng.NormMS(0, 1))))
+	}
+	f.Add(append(normal, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 5 {
+			return
+		}
+		m := 1 + int(in[0])%8
+		k := 4*(int(in[1])%80) + 1 + int(in[2])%3 // up to two tileK panels
+		n := 1 + int(in[3])%7
+		vals := fuzzFloats(in[5:], 2*m*k+k*n+n+m*n)
+		a, vals := FromData(m, k, vals[:m*k]), vals[m*k:]
+		x, vals := FromData(k, m, vals[:k*m]), vals[k*m:]
+		b, vals := FromData(k, n, vals[:k*n]), vals[k*n:]
+		bias, relu, dst0 := vals[:n], in[4]%2 == 0, FromData(m, n, vals[n:])
+		checkNarrow(t, a, x, b, bias, relu, dst0)
+		sparsify(a, true, in)
+		sparsify(x, false, in)
+		checkNarrow(t, a, x, b, bias, relu, dst0)
+	})
+}
+
 // TestVectorStripKernelsMatchGeneric covers the strip kernel behind the
 // forward and dW GEMMs on random shapes (n below, at and past a strip,
 // k across two tileK panels and every k%4) with hostile values and
