@@ -366,7 +366,7 @@ func BenchmarkAblationGEMMBlocked(b *testing.B) {
 	x, y, dst := randMat(rng, 256), randMat(rng, 256), tensor.New(256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(dst, x, y)
+		tensor.MatMulBiasReLU(dst, x, y, nil, false)
 	}
 }
 
@@ -418,7 +418,7 @@ func BenchmarkAblationDenseLayerUnfused(b *testing.B) {
 // unfusedDenseLayer runs the pre-fusion dense-layer forward sequence
 // (matmul, then bias and ReLU passes) that tensor.MatMulBiasReLU replaced.
 func unfusedDenseLayer(y, x, w *tensor.Matrix, bias []float32) {
-	tensor.MatMul(y, x, w)
+	tensor.MatMulBiasReLU(y, x, w, nil, false)
 	for r := 0; r < y.Rows; r++ {
 		row := y.Row(r)
 		tensor.AddTo(row, bias)

@@ -47,7 +47,7 @@ func BenchmarkCkptSnapshot(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st.Step++
-			info, err := store.SaveFull(st, nil)
+			info, err := store.AutoSave(st, nil, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func BenchmarkCkptSnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := store.SaveFull(st, dirty); err != nil {
+		if _, err := store.AutoSave(st, dirty, 1); err != nil {
 			b.Fatal(err)
 		}
 		var prev string
@@ -78,7 +78,7 @@ func BenchmarkCkptSnapshot(b *testing.B) {
 				dirty[ti].Mark(ids)
 			}
 			st.Step++
-			info, err := store.SaveDelta(st, dirty)
+			info, err := store.AutoSave(st, dirty, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

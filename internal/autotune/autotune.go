@@ -1,6 +1,5 @@
-// Package autotune implements the hyper-parameter search strategies the
-// paper's FBLearner workflow offers (§VI-C): grid, random, and Bayesian
-// optimization. The Bayesian tuner uses an RBF-kernel surrogate with a
+// Package autotune implements the Bayesian hyper-parameter search of the
+// paper's FBLearner workflow (§VI-C): an RBF-kernel surrogate with a
 // lower-confidence-bound acquisition — enough to reproduce the paper's
 // finding that automated re-tuning recovers (and slightly improves) model
 // quality after porting to large-batch GPU training.
@@ -81,74 +80,6 @@ type Tuner interface {
 	// Observe reports the objective at x.
 	Observe(x []float64, y float64)
 }
-
-// RandomSearch samples the space uniformly.
-type RandomSearch struct {
-	space Space
-	rng   *xrand.RNG
-}
-
-// NewRandomSearch builds a random tuner.
-func NewRandomSearch(space Space, seed int64) (*RandomSearch, error) {
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
-	return &RandomSearch{space: space, rng: xrand.New(seed)}, nil
-}
-
-// Suggest implements Tuner.
-func (r *RandomSearch) Suggest() []float64 { return r.space.sample(r.rng) }
-
-// Observe implements Tuner (random search ignores feedback).
-func (r *RandomSearch) Observe([]float64, float64) {}
-
-// GridSearch enumerates a regular grid, cycling if exhausted.
-type GridSearch struct {
-	space  Space
-	points [][]float64
-	next   int
-}
-
-// NewGridSearch builds a grid with per-dimension resolution n.
-func NewGridSearch(space Space, n int) (*GridSearch, error) {
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 2 {
-		n = 2
-	}
-	g := &GridSearch{space: space}
-	total := 1
-	for range space {
-		total *= n
-	}
-	for i := 0; i < total; i++ {
-		x := make([]float64, len(space))
-		rem := i
-		for d, p := range space {
-			step := rem % n
-			rem /= n
-			frac := float64(step) / float64(n-1)
-			if p.Log {
-				x[d] = p.Lo * math.Exp(frac*math.Log(p.Hi/p.Lo))
-			} else {
-				x[d] = p.Lo + frac*(p.Hi-p.Lo)
-			}
-		}
-		g.points = append(g.points, x)
-	}
-	return g, nil
-}
-
-// Suggest implements Tuner.
-func (g *GridSearch) Suggest() []float64 {
-	x := g.points[g.next%len(g.points)]
-	g.next++
-	return x
-}
-
-// Observe implements Tuner.
-func (g *GridSearch) Observe([]float64, float64) {}
 
 // Bayesian is a surrogate-based tuner: an RBF-kernel regressor over past
 // observations scores random candidates by a lower confidence bound

@@ -3,6 +3,8 @@ package autotune
 import (
 	"math"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 func space2d() Space {
@@ -18,6 +20,20 @@ func bowl(x []float64) float64 {
 	dl := math.Log10(x[1]) - math.Log10(0.01)
 	return dx*dx + dl*dl
 }
+
+// randomSearch samples the space uniformly: the baseline the Bayesian
+// tuner has to beat.
+type randomSearch struct {
+	space Space
+	rng   *xrand.RNG
+}
+
+func newRandomSearch(space Space, seed int64) *randomSearch {
+	return &randomSearch{space: space, rng: xrand.New(seed)}
+}
+
+func (r *randomSearch) Suggest() []float64         { return r.space.sample(r.rng) }
+func (r *randomSearch) Observe([]float64, float64) {}
 
 func TestSpaceValidate(t *testing.T) {
 	if err := (Space{}).Validate(); err == nil {
@@ -35,10 +51,7 @@ func TestSpaceValidate(t *testing.T) {
 }
 
 func TestRandomSearchInBounds(t *testing.T) {
-	r, err := NewRandomSearch(space2d(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRandomSearch(space2d(), 1)
 	for i := 0; i < 200; i++ {
 		x := r.Suggest()
 		if x[0] < -5 || x[0] > 5 || x[1] < 1e-4 || x[1] > 1 {
@@ -47,33 +60,8 @@ func TestRandomSearchInBounds(t *testing.T) {
 	}
 }
 
-func TestGridSearchCoversCorners(t *testing.T) {
-	g, err := NewGridSearch(space2d(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seenLo, seenHi := false, false
-	for i := 0; i < 9; i++ {
-		x := g.Suggest()
-		if x[0] == -5 && math.Abs(x[1]-1e-4) < 1e-12 {
-			seenLo = true
-		}
-		if x[0] == 5 && math.Abs(x[1]-1) < 1e-9 {
-			seenHi = true
-		}
-	}
-	if !seenLo || !seenHi {
-		t.Error("grid must include both extreme corners")
-	}
-	// Cycles after exhaustion.
-	first := g.Suggest()
-	if first[0] != -5 {
-		t.Errorf("grid should cycle, got %v", first)
-	}
-}
-
 func TestMinimizeWithRandom(t *testing.T) {
-	r, _ := NewRandomSearch(space2d(), 2)
+	r := newRandomSearch(space2d(), 2)
 	x, y := Minimize(r, bowl, 300)
 	if y > 1.0 {
 		t.Errorf("random search best %v at %v; expected < 1.0", y, x)
@@ -88,7 +76,7 @@ func TestBayesianBeatsRandomOnBudget(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		b, _ := NewBayesian(space2d(), seed)
 		_, by := Minimize(b, bowl, budget)
-		r, _ := NewRandomSearch(space2d(), seed+100)
+		r := newRandomSearch(space2d(), seed+100)
 		_, ry := Minimize(r, bowl, budget)
 		if by <= ry {
 			bayesWins++
@@ -134,12 +122,6 @@ func TestObserveCopiesPoint(t *testing.T) {
 }
 
 func TestConstructorsRejectBadSpace(t *testing.T) {
-	if _, err := NewRandomSearch(Space{}, 0); err == nil {
-		t.Error("random: empty space accepted")
-	}
-	if _, err := NewGridSearch(Space{}, 3); err == nil {
-		t.Error("grid: empty space accepted")
-	}
 	if _, err := NewBayesian(Space{}, 0); err == nil {
 		t.Error("bayes: empty space accepted")
 	}

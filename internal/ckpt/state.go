@@ -118,14 +118,13 @@ func (st *ModelState) validate() error {
 // tracker. Rows iterate in ascending order, keeping delta files a
 // deterministic function of the state they capture.
 type Dirty struct {
-	rows  int
 	count int
 	bits  []uint64
 }
 
 // NewDirty returns a tracker for a table with the given row count.
 func NewDirty(rows int) *Dirty {
-	return &Dirty{rows: rows, bits: make([]uint64, (rows+63)/64)}
+	return &Dirty{bits: make([]uint64, (rows+63)/64)}
 }
 
 // Mark records the given rows as touched. Marking an already-marked row
@@ -140,24 +139,8 @@ func (d *Dirty) Mark(ids []int32) {
 	}
 }
 
-// MarkAll marks every row (forces the next delta to carry the full
-// table).
-func (d *Dirty) MarkAll() {
-	for i := range d.bits {
-		d.bits[i] = ^uint64(0)
-	}
-	// Clear the padding bits past the last row so ForEach stays in range.
-	if tail := d.rows & 63; tail != 0 {
-		d.bits[len(d.bits)-1] = (1 << uint(tail)) - 1
-	}
-	d.count = d.rows
-}
-
 // Count returns the number of touched rows.
 func (d *Dirty) Count() int { return d.count }
-
-// Rows returns the tracked table's row count.
-func (d *Dirty) Rows() int { return d.rows }
 
 // Reset clears the tracker, retaining storage.
 func (d *Dirty) Reset() {

@@ -214,9 +214,6 @@ func OpenStoreWith(dir string, reg *telemetry.Registry, trace *telemetry.Tracer,
 	}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // ckName formats a checkpoint directory name. Step-ordered names make
 // Latest a directory listing.
 func ckName(step int, kind string) string { return fmt.Sprintf("ck-%08d-%s", step, kind) }
@@ -738,20 +735,6 @@ func decodeTable(d *dec, st *ModelState, wantTable int) error {
 
 // ---- save ----
 
-// SaveFull checkpoints the state at st.Step in full and resets the given
-// dirty trackers (the checkpoint covers everything).
-func (s *Store) SaveFull(st *ModelState, dirty []*Dirty) (SaveInfo, error) {
-	return s.save(st, dirty, func(*tip) bool { return true })
-}
-
-// SaveDelta checkpoints only the rows the trackers have seen touched
-// since the last save, chained to the latest checkpoint. It fails on an
-// empty store (a delta needs a base), and it writes a full checkpoint
-// instead when the previous write failed.
-func (s *Store) SaveDelta(st *ModelState, dirty []*Dirty) (SaveInfo, error) {
-	return s.save(st, dirty, func(*tip) bool { return false })
-}
-
 // AutoSave picks the checkpoint kind: full when the store is empty, no
 // trackers exist, the delta chain has reached fullEvery links (the
 // periodic compaction) or the previous write failed; delta otherwise.
@@ -759,19 +742,12 @@ func (s *Store) SaveDelta(st *ModelState, dirty []*Dirty) (SaveInfo, error) {
 // compacts, so after the first full every save is a delta chained to
 // the one before. (train.Config.FullEvery 0, "always full", is this
 // fullEvery 1.)
+//
+// A save runs in two halves. On the caller's goroutine it waits for the
+// previous write, encodes every shard into the staging buffer and resets
+// the trackers; a background writer then hashes, writes and publishes
+// the staged bytes.
 func (s *Store) AutoSave(st *ModelState, dirty []*Dirty, fullEvery int) (SaveInfo, error) {
-	return s.save(st, dirty, func(latest *tip) bool {
-		return latest == nil || dirty == nil || fullEvery > 0 && latest.chain+1 >= fullEvery
-	})
-}
-
-// save checkpoints the state in two halves. On the caller's goroutine it
-// waits for the previous write, encodes every shard into the staging
-// buffer and resets the trackers; a background writer then hashes,
-// writes and publishes the staged bytes. pickFull reports, given the tip
-// (nil for an empty store), whether to write a full checkpoint rather
-// than a delta chained to it.
-func (s *Store) save(st *ModelState, dirty []*Dirty, pickFull func(latest *tip) bool) (SaveInfo, error) {
 	t0 := telemetry.Now()
 	if err := s.wait(); err != nil {
 		return SaveInfo{}, err
@@ -794,7 +770,7 @@ func (s *Store) save(st *ModelState, dirty []*Dirty, pickFull func(latest *tip) 
 	if latest != nil && latest.step == st.Step {
 		return SaveInfo{}, fmt.Errorf("ckpt: step %d is already checkpointed as %s; refusing a second save at the same step", st.Step, latest.name)
 	}
-	full := s.forceFull || pickFull(latest)
+	full := s.forceFull || latest == nil || dirty == nil || fullEvery > 0 && latest.chain+1 >= fullEvery
 	kind := KindFull
 	if !full {
 		kind = KindDelta
@@ -806,9 +782,6 @@ func (s *Store) save(st *ModelState, dirty []*Dirty, pickFull func(latest *tip) 
 	if !full {
 		if len(dirty) != len(st.Tables) {
 			return SaveInfo{}, fmt.Errorf("ckpt: %d dirty trackers for %d tables", len(dirty), len(st.Tables))
-		}
-		if latest == nil {
-			return SaveInfo{}, fmt.Errorf("ckpt: delta checkpoint needs a base; store is empty")
 		}
 		man.Base, man.BaseRoot, man.Chain = latest.name, latest.root, latest.chain+1
 	}

@@ -141,8 +141,8 @@ func newDirtySet(st *ModelState) []*Dirty {
 
 func TestDirtyBitmap(t *testing.T) {
 	d := NewDirty(130)
-	if d.Count() != 0 || d.Rows() != 130 {
-		t.Fatalf("fresh tracker: count=%d rows=%d", d.Count(), d.Rows())
+	if d.Count() != 0 {
+		t.Fatalf("fresh tracker: count=%d", d.Count())
 	}
 	d.Mark([]int32{5, 64, 129, 5, 0})
 	if d.Count() != 4 {
@@ -163,19 +163,23 @@ func TestDirtyBitmap(t *testing.T) {
 	if d.Count() != 0 {
 		t.Fatalf("count=%d after Reset", d.Count())
 	}
-	d.MarkAll()
+	all := make([]int32, 130)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	d.Mark(all)
 	if d.Count() != 130 {
-		t.Fatalf("count=%d after MarkAll, want 130", d.Count())
+		t.Fatalf("count=%d after marking every row, want 130", d.Count())
 	}
 	n := 0
 	d.ForEach(func(row int32) {
 		if int(row) != n {
-			t.Fatalf("MarkAll iteration hit %d at position %d", row, n)
+			t.Fatalf("full-table iteration hit %d at position %d", row, n)
 		}
 		n++
 	})
 	if n != 130 {
-		t.Fatalf("MarkAll iterated %d rows, want 130", n)
+		t.Fatalf("full-table iteration visited %d rows, want 130", n)
 	}
 }
 
@@ -200,7 +204,7 @@ func TestFullSaveRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := store.SaveFull(st, nil)
+	info, err := store.AutoSave(st, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +238,12 @@ func TestDeltaChainRestore(t *testing.T) {
 	}
 
 	st.Step = 10
-	if _, err := store.SaveFull(st, dirty); err != nil {
+	if _, err := store.AutoSave(st, dirty, 1); err != nil {
 		t.Fatal(err)
 	}
 	mutate(st, dirty, 0.5)
 	st.Step = 20
-	d1, err := store.SaveDelta(st, dirty)
+	d1, err := store.AutoSave(st, dirty, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +257,7 @@ func TestDeltaChainRestore(t *testing.T) {
 	}
 	mutate(st, dirty, -0.25)
 	st.Step = 30
-	if _, err := store.SaveDelta(st, dirty); err != nil {
+	if _, err := store.AutoSave(st, dirty, 0); err != nil {
 		t.Fatal(err)
 	}
 	want := snapshot(st)
@@ -277,17 +281,18 @@ func TestDeltaChainRestore(t *testing.T) {
 func TestSecondSaveAtSameStepRefused(t *testing.T) {
 	st := testState(11)
 	dirty := newDirtySet(st)
-	store, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Step = 10
-	if _, err := store.SaveFull(st, dirty); err != nil {
+	if _, err := store.AutoSave(st, dirty, 1); err != nil {
 		t.Fatal(err)
 	}
 	mutate(st, dirty, 0.5)
 	st.Step = 20
-	first, err := store.SaveDelta(st, dirty)
+	first, err := store.AutoSave(st, dirty, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +303,8 @@ func TestSecondSaveAtSameStepRefused(t *testing.T) {
 	}
 
 	mutate(st, dirty, 0.25) // the refused save must not consume these marks
-	for _, save := range []func(*ModelState, []*Dirty) (SaveInfo, error){store.SaveDelta, store.SaveFull} {
-		if _, err := save(st, dirty); err == nil || !strings.Contains(err.Error(), first.Name) {
+	for _, fullEvery := range []int{0, 1} {
+		if _, err := store.AutoSave(st, dirty, fullEvery); err == nil || !strings.Contains(err.Error(), first.Name) {
 			t.Fatalf("second save at step 20 = %v, want an error naming %s", err, first.Name)
 		}
 	}
@@ -315,7 +320,7 @@ func TestSecondSaveAtSameStepRefused(t *testing.T) {
 	if strings.Join(after, ",") != strings.Join(before, ",") {
 		t.Fatalf("refused save changed the store: %v -> %v", before, after)
 	}
-	des, err := os.ReadDir(store.Dir())
+	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,17 +352,17 @@ func TestDeltaCompactionRootEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	live.Step = 5
-	if _, err := chainStore.SaveFull(live, dirty); err != nil {
+	if _, err := chainStore.AutoSave(live, dirty, 1); err != nil {
 		t.Fatal(err)
 	}
 	mutate(live, dirty, 1.25)
 	live.Step = 6
-	if _, err := chainStore.SaveDelta(live, dirty); err != nil {
+	if _, err := chainStore.AutoSave(live, dirty, 0); err != nil {
 		t.Fatal(err)
 	}
 	mutate(live, dirty, 0.75)
 	live.Step = 7
-	if _, err := chainStore.SaveDelta(live, dirty); err != nil {
+	if _, err := chainStore.AutoSave(live, dirty, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -366,7 +371,7 @@ func TestDeltaCompactionRootEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := liveStore.SaveFull(live, nil); err != nil {
+	if _, err := liveStore.AutoSave(live, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -381,7 +386,7 @@ func TestDeltaCompactionRootEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rebuiltStore.SaveFull(rebuilt, nil); err != nil {
+	if _, err := rebuiltStore.AutoSave(rebuilt, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -444,14 +449,14 @@ func TestUntouchedTableSkippedInDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveFull(st, dirty); err != nil {
+	if _, err := store.AutoSave(st, dirty, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Touch only table 1.
 	dirty[1].Mark([]int32{3})
 	st.Tables[1].Weights.Row(3)[0] += 9
 	st.Step = 1
-	info, err := store.SaveDelta(st, dirty)
+	info, err := store.AutoSave(st, dirty, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,12 +481,12 @@ func TestCorruptionDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.Step = 3
-		if _, err := store.SaveFull(st, dirty); err != nil {
+		if _, err := store.AutoSave(st, dirty, 1); err != nil {
 			t.Fatal(err)
 		}
 		mutate(st, dirty, 0.5)
 		st.Step = 4
-		if _, err := store.SaveDelta(st, dirty); err != nil {
+		if _, err := store.AutoSave(st, dirty, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := store.Latest(); err != nil { // the shards are on disk
@@ -569,7 +574,7 @@ func TestCorruptionDetection(t *testing.T) {
 		// matches the delta's BaseRoot pin.
 		other := testState(7)
 		other.Step = 3
-		if _, err := store.SaveFull(other, nil); err != nil {
+		if _, err := store.AutoSave(other, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 		_ = dir
@@ -589,7 +594,7 @@ func TestFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveFull(st, nil); err != nil {
+	if _, err := store.AutoSave(st, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -632,7 +637,7 @@ func TestIncompleteCheckpointIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Step = 1
-	if _, err := store.SaveFull(st, nil); err != nil {
+	if _, err := store.AutoSave(st, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-write: a later checkpoint directory with
@@ -733,12 +738,12 @@ func TestStoreMeters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveFull(st, dirty); err != nil {
+	if _, err := store.AutoSave(st, dirty, 1); err != nil {
 		t.Fatal(err)
 	}
 	mutate(st, dirty, 0.5)
 	st.Step = 1
-	if _, err := store.SaveDelta(st, dirty); err != nil {
+	if _, err := store.AutoSave(st, dirty, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Restore(st); err != nil {
@@ -837,7 +842,7 @@ func TestReducedPrecisionSaveRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveFull(st, nil); err != nil {
+	if _, err := store.AutoSave(st, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -868,7 +873,7 @@ func TestReducedPrecisionSaveRestore(t *testing.T) {
 	}
 	st.Step = 8
 	want = snapshot(st)
-	if _, err := store.SaveDelta(st, dirty); err != nil {
+	if _, err := store.AutoSave(st, dirty, 0); err != nil {
 		t.Fatal(err)
 	}
 	scramble(st)
@@ -888,7 +893,7 @@ func TestFingerprintDTypeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveFull(st, nil); err != nil {
+	if _, err := store.AutoSave(st, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	other := typedState(12)
@@ -923,13 +928,13 @@ func TestCyclicDeltaChainRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			st.Step = 10
-			if _, err := store.SaveFull(st, dirty); err != nil {
+			if _, err := store.AutoSave(st, dirty, 1); err != nil {
 				t.Fatal(err)
 			}
 			for _, step := range []int{20, 30} {
 				mutate(st, dirty, float32(step))
 				st.Step = step
-				if _, err := store.SaveDelta(st, dirty); err != nil {
+				if _, err := store.AutoSave(st, dirty, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -1241,12 +1246,12 @@ func FuzzRestoreManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	st.Step = 1
-	if _, err := store.SaveFull(st, dirty); err != nil {
+	if _, err := store.AutoSave(st, dirty, 1); err != nil {
 		f.Fatal(err)
 	}
 	mutate(st, dirty, 0.5)
 	st.Step = 2
-	if _, err := store.SaveDelta(st, dirty); err != nil {
+	if _, err := store.AutoSave(st, dirty, 0); err != nil {
 		f.Fatal(err)
 	}
 	want := snapshot(st)

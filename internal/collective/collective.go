@@ -3,7 +3,7 @@
 // communicator over N ranks (goroutines) providing the collectives the
 // paper's scale-out analysis is built on — ring all-reduce for the
 // data-parallel MLP gradients and all-to-all(v) for the model-parallel
-// pooled-embedding exchange — plus all-gather and broadcast.
+// pooled-embedding exchange.
 //
 // Ranks rendezvous through a shared slot array and a reusable barrier, so
 // payloads move with plain copies under happens-before edges (race-free
@@ -30,8 +30,6 @@ type Op int
 const (
 	OpAllReduce Op = iota
 	OpAllToAll
-	OpAllGather
-	OpBroadcast
 	numOps
 )
 
@@ -42,10 +40,6 @@ func (o Op) String() string {
 		return "allreduce"
 	case OpAllToAll:
 		return "alltoall"
-	case OpAllGather:
-		return "allgather"
-	case OpBroadcast:
-		return "broadcast"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
@@ -100,8 +94,6 @@ func (c *opMeter) load() OpStats {
 type Totals struct {
 	AllReduce OpStats
 	AllToAll  OpStats
-	AllGather OpStats
-	Broadcast OpStats
 }
 
 // World is a communicator over n ranks sharing one Link and one set of
@@ -114,7 +106,6 @@ type Totals struct {
 type World struct {
 	n     int
 	link  Link
-	reg   *telemetry.Registry
 	stats [numOps]opMeter
 	// rankWait[k] accumulates the nanoseconds rank k spent blocked at
 	// collective rendezvous points ("collective/rank<k>/wait_ns"). A
@@ -143,7 +134,7 @@ func NewWorldWith(n int, link Link, reg *telemetry.Registry) *World {
 	if n <= 0 {
 		panic(fmt.Sprintf("collective: world size %d", n))
 	}
-	w := &World{n: n, link: link, reg: reg, rankWait: make([]*telemetry.Counter, n)}
+	w := &World{n: n, link: link, rankWait: make([]*telemetry.Counter, n)}
 	for op := Op(0); op < numOps; op++ {
 		w.stats[op] = newOpMeter(reg, op)
 	}
@@ -153,36 +144,12 @@ func NewWorldWith(n int, link Link, reg *telemetry.Registry) *World {
 	return w
 }
 
-// RankWaitNs returns rank k's cumulative rendezvous wait in nanoseconds.
-func (w *World) RankWaitNs(k int) int64 { return w.rankWait[k].Load() }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.n }
-
-// Link returns the communicator's wire model.
-func (w *World) Link() Link { return w.link }
-
-// Registry returns the registry holding this world's meters (nil when
-// the world was built meterless).
-func (w *World) Registry() *telemetry.Registry { return w.reg }
-
 // Snapshot returns the cumulative meters without allocating.
 func (w *World) Snapshot() Totals {
 	return Totals{
 		AllReduce: w.stats[OpAllReduce].load(),
 		AllToAll:  w.stats[OpAllToAll].load(),
-		AllGather: w.stats[OpAllGather].load(),
-		Broadcast: w.stats[OpBroadcast].load(),
 	}
-}
-
-// Stats returns the cumulative meters keyed by operation name.
-func (w *World) Stats() map[string]OpStats {
-	m := make(map[string]OpStats, numOps)
-	for op := Op(0); op < numOps; op++ {
-		m[op.String()] = w.stats[op].load()
-	}
-	return m
 }
 
 // NewGroup mints an independent rendezvous context. Every rank must call
@@ -262,13 +229,6 @@ func (b *barrier) abort(err error) {
 	}
 	b.cond.Broadcast()
 	b.mu.Unlock()
-}
-
-// error returns the sticky abort reason, or nil.
-func (b *barrier) error() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
 }
 
 // Group is one rendezvous context of a World (see World.NewGroup).
@@ -415,80 +375,4 @@ func (g *Group) AllToAllV(rank int, send, recv [][]float32) error {
 	}
 	g.w.stats[OpAllToAll].add(moved, g.w.link.xferSec(moved, n-1))
 	return nil
-}
-
-// AllGather concatenates every rank's send buffer into recv, ordered by
-// rank. All send buffers must have equal length k; recv must have length
-// n·k.
-func (g *Group) AllGather(rank int, send, recv []float32) error {
-	if err := g.w.checkFault(rank); err != nil {
-		return err
-	}
-	n := g.w.n
-	k := len(send)
-	if len(recv) != n*k {
-		panic(fmt.Sprintf("collective: allgather recv length %d, want %d", len(recv), n*k))
-	}
-	g.bufs[rank] = send
-	if err := g.wait(rank); err != nil {
-		return err
-	}
-	var moved int64
-	for j := 0; j < n; j++ {
-		src := g.bufs[j]
-		if len(src) != k {
-			panic(fmt.Sprintf("collective: allgather length mismatch (%d vs %d)", k, len(src)))
-		}
-		copy(recv[j*k:(j+1)*k], src)
-		if j != rank {
-			moved += int64(k) * 4
-		}
-	}
-	if err := g.wait(rank); err != nil {
-		return err
-	}
-	g.w.stats[OpAllGather].add(moved, g.w.link.xferSec(moved, n-1))
-	return nil
-}
-
-// Broadcast copies the root rank's buf into every other rank's buf. All
-// ranks must pass buffers of equal length.
-func (g *Group) Broadcast(rank, root int, buf []float32) error {
-	if err := g.w.checkFault(rank); err != nil {
-		return err
-	}
-	n := g.w.n
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("collective: broadcast root %d of %d ranks", root, n))
-	}
-	if n == 1 {
-		g.w.stats[OpBroadcast].add(0, 0)
-		return nil
-	}
-	g.bufs[rank] = buf
-	if err := g.wait(rank); err != nil {
-		return err
-	}
-	var moved int64
-	if rank != root {
-		src := g.bufs[root]
-		if len(src) != len(buf) {
-			panic(fmt.Sprintf("collective: broadcast length mismatch (%d vs %d)", len(buf), len(src)))
-		}
-		copy(buf, src)
-		moved = int64(len(buf)) * 4
-	}
-	if err := g.wait(rank); err != nil {
-		return err
-	}
-	g.w.stats[OpBroadcast].add(moved, g.w.link.xferSec(moved, 1))
-	return nil
-}
-
-// Barrier blocks until every rank has entered it (or the world aborts).
-func (g *Group) Barrier(rank int) error {
-	if err := g.w.checkFault(rank); err != nil {
-		return err
-	}
-	return g.wait(rank)
 }

@@ -126,48 +126,6 @@ func TestAllToAllV(t *testing.T) {
 	}
 }
 
-func TestAllGatherAndBroadcast(t *testing.T) {
-	const n, k = 3, 5
-	w := NewWorld(n, PerfectLink())
-	g := w.NewGroup()
-	recv := make([][]float32, n)
-	runRanks(n, func(r int) {
-		send := make([]float32, k)
-		for i := range send {
-			send[i] = float32(10*r + i)
-		}
-		recv[r] = make([]float32, n*k)
-		g.AllGather(r, send, recv[r])
-	})
-	for r := 0; r < n; r++ {
-		for j := 0; j < n; j++ {
-			for i := 0; i < k; i++ {
-				if got, want := recv[r][j*k+i], float32(10*j+i); got != want {
-					t.Fatalf("rank %d slot %d elem %d: got %v want %v", r, j, i, got, want)
-				}
-			}
-		}
-	}
-
-	bufs := make([][]float32, n)
-	runRanks(n, func(r int) {
-		bufs[r] = make([]float32, 4)
-		if r == 1 {
-			for i := range bufs[r] {
-				bufs[r][i] = float32(i + 1)
-			}
-		}
-		g.Broadcast(r, 1, bufs[r])
-	})
-	for r := 0; r < n; r++ {
-		for i := range bufs[r] {
-			if bufs[r][i] != float32(i+1) {
-				t.Fatalf("rank %d elem %d: got %v", r, i, bufs[r][i])
-			}
-		}
-	}
-}
-
 // TestMeters pins the byte accounting against the analytic collective
 // volumes: ring all-reduce moves 2·(n-1)·size floats in total, an
 // all-to-all moves every cross-rank payload exactly once.

@@ -192,14 +192,6 @@ func (fs *FaultSchedule) Len() int {
 	return len(fs.faults)
 }
 
-// Pending returns the number of faults that have not fired yet.
-func (fs *FaultSchedule) Pending() int {
-	if fs == nil {
-		return 0
-	}
-	return int(fs.pending.Load())
-}
-
 // next pops the first unfired fault for rank due at or before step, or
 // returns false. Firing is permanent: the fault never triggers again,
 // even if the schedule outlives a trainer rebuild that replays the step.
@@ -222,16 +214,10 @@ func (fs *FaultSchedule) next(rank, step int) (Fault, bool) {
 // successive worlds (rebuilds) so fired faults stay fired.
 func (w *World) SetFaults(fs *FaultSchedule) { w.faults = fs }
 
-// Faults returns the armed schedule (nil when disarmed).
-func (w *World) Faults() *FaultSchedule { return w.faults }
-
 // BeginStep advances the world's fault clock: faults scheduled at or
 // before step become eligible to fire on their rank's next collective.
 // The trainer calls it once per training step from the control thread.
 func (w *World) BeginStep(step int) { w.step.Store(int64(step)) }
-
-// StepClock returns the current fault-clock step.
-func (w *World) StepClock() int { return int(w.step.Load()) }
 
 // checkFault fires at most one due fault for rank. Kill and fail faults
 // abort every group of the world and return the RankError; delay faults
@@ -264,17 +250,4 @@ func (w *World) AbortAll(err error) {
 	for _, g := range groups {
 		g.bar.abort(err)
 	}
-}
-
-// Err returns the world's abort error, or nil while healthy. It reports
-// the first abort even on groups the failing op never touched.
-func (w *World) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, g := range w.groups {
-		if err := g.bar.error(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

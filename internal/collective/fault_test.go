@@ -13,8 +13,8 @@ func TestParseFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Len() != 3 || fs.Pending() != 3 {
-		t.Fatalf("len=%d pending=%d, want 3/3", fs.Len(), fs.Pending())
+	if fs.Len() != 3 || fs.pending.Load() != 3 {
+		t.Fatalf("len=%d pending=%d, want 3/3", fs.Len(), fs.pending.Load())
 	}
 	// Schedule sorts by step: delay@5, kill@12, fail@30.
 	if got := fs.String(); got != "delay:0@5+2ms,kill:1@12,fail:2@30" {
@@ -98,11 +98,8 @@ func TestKillAbortsAllRanks(t *testing.T) {
 			}
 		}
 	}
-	if w.Err() == nil {
-		t.Fatal("world does not report the abort")
-	}
-	if w.Faults().Pending() != 0 {
-		t.Fatalf("fault did not mark fired (pending %d)", w.Faults().Pending())
+	if p := w.faults.pending.Load(); p != 0 {
+		t.Fatalf("fault did not mark fired (pending %d)", p)
 	}
 }
 
@@ -120,7 +117,7 @@ func TestKillPropagatesAcrossGroups(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		sideErr = side.Barrier(1)
+		sideErr = side.AllReduce(1, make([]float32, 4))
 	}()
 	go func() {
 		defer wg.Done()
@@ -186,7 +183,7 @@ func TestFailFaultFiresOnce(t *testing.T) {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					err := g.Barrier(r)
+					err := g.AllReduce(r, make([]float32, 1))
 					if errs[r] == nil {
 						errs[r] = err
 					}
@@ -222,15 +219,15 @@ func TestFaultClockGatesFiring(t *testing.T) {
 	w.SetFaults(NewFaultSchedule(Fault{Kind: FaultKill, Rank: 0, Step: 10}))
 	g := w.NewGroup()
 	w.BeginStep(9)
-	if err := g.Barrier(0); err != nil {
+	if err := g.AllReduce(0, nil); err != nil {
 		t.Fatalf("fault fired before its step: %v", err)
 	}
 	w.BeginStep(10)
-	if err := g.Barrier(0); err == nil {
+	if err := g.AllReduce(0, nil); err == nil {
 		t.Fatal("fault did not fire at its step")
 	}
-	if w.StepClock() != 10 {
-		t.Fatalf("StepClock = %d", w.StepClock())
+	if got := w.step.Load(); got != 10 {
+		t.Fatalf("fault clock = %d, want 10", got)
 	}
 }
 
@@ -247,5 +244,23 @@ func TestUnfaultedHotPathStaysCheap(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("unfaulted AllReduce allocates %.1f/op", allocs)
+	}
+
+	// All faults fired: the pending counter reaches zero and the check
+	// takes the same fast path.
+	w.SetFaults(NewFaultSchedule(Fault{Kind: FaultDelay, Rank: 0, Step: 0}))
+	if err := g.AllReduce(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if p := w.faults.pending.Load(); p != 0 {
+		t.Fatalf("delay fault did not fire (pending %d)", p)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := g.AllReduce(0, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AllReduce after every fault fired allocates %.1f/op", allocs)
 	}
 }

@@ -81,13 +81,8 @@ func wireBytes(w WireFormat, n int) int {
 // SetWire selects the wire format for this group's AllReduce and
 // AllToAllV payloads. Every rank of the group must use the same format;
 // call it before the first collective (it is not synchronized against
-// in-flight operations). AllGather and Broadcast always move fp32: they
-// carry control-plane payloads (checkpoint fan-out, elastic rebuild),
-// not per-step gradient traffic.
+// in-flight operations).
 func (g *Group) SetWire(w WireFormat) { g.wire = w }
-
-// Wire returns the group's current wire format.
-func (g *Group) Wire() WireFormat { return g.wire }
 
 // encodeWire appends the encoded form of src to dst (pass dst[:0] to
 // reuse capacity) and returns the extended slice. The output is sized

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/embedding"
 	"repro/internal/tensor"
@@ -217,13 +216,6 @@ func (c *Config) DenseParamBytes() int64 {
 	return n * 4
 }
 
-// PooledBytesPerExample returns the bytes of pooled embedding activations
-// exchanged per example between the sparse side and the interaction
-// (S·d·4). This is the wire payload when embeddings live remotely.
-func (c *Config) PooledBytesPerExample() int64 {
-	return int64(c.NumSparse()) * int64(c.EmbeddingDim) * 4
-}
-
 // TableStats converts the sparse feature list into the size/access
 // statistics that sharding and placement operate on.
 func (c *Config) TableStats() []TableStatView {
@@ -284,9 +276,6 @@ func UniformSparse(n, hashSize int, meanPooled float64) []SparseFeature {
 	return feats
 }
 
-// GB formats a byte count as gigabytes.
-func GB(bytes int64) float64 { return float64(bytes) / (1 << 30) }
-
 // HumanBytes renders a byte count with a binary-unit suffix.
 func HumanBytes(b int64) string {
 	switch {
@@ -302,23 +291,3 @@ func HumanBytes(b int64) string {
 		return fmt.Sprintf("%d B", b)
 	}
 }
-
-// RoundUpPow2 returns the smallest power of two >= v (min 1).
-func RoundUpPow2(v int) int {
-	if v <= 1 {
-		return 1
-	}
-	return 1 << bitsLen(uint(v-1))
-}
-
-func bitsLen(v uint) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// Almost reports |a-b| <= eps, a float comparison helper shared by tests.
-func Almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }

@@ -128,26 +128,11 @@ func TestHumanBytes(t *testing.T) {
 	}
 }
 
-func TestRoundUpPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 5: 8, 8: 8, 9: 16, 1000: 1024}
-	for in, want := range cases {
-		if got := RoundUpPow2(in); got != want {
-			t.Errorf("RoundUpPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestInteractionString(t *testing.T) {
 	if Concat.String() != "concat" || DotProduct.String() != "dot" {
 		t.Error("Interaction.String mismatch")
 	}
 	if Interaction(9).String() == "" {
 		t.Error("unknown interaction should still render")
-	}
-}
-
-func TestGB(t *testing.T) {
-	if g := GB(1 << 30); g != 1 {
-		t.Errorf("GB(1GiB) = %v", g)
 	}
 }

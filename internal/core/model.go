@@ -87,8 +87,7 @@ type Model struct {
 	pooledIn []*tensor.Matrix // pooled matrices of the current forward pass
 	z        *tensor.Matrix   // bottom output, B×d
 	xTop     *tensor.Matrix   // interaction output, B×interactionDim
-	batch    *MiniBatch
-	logits   []float32 // returned by Forward, reused across batches
+	logits   []float32        // returned by Forward, reused across batches
 
 	// backward scratch
 	dPooled []*tensor.Matrix
@@ -138,11 +137,9 @@ func (m *Model) Clone() *Model {
 }
 
 // Forward computes logits for the batch and caches activations for
-// Backward. The returned slice is valid until the next Forward call.
+// BackwardPooled. The returned slice is valid until the next Forward call.
 func (m *Model) Forward(b *MiniBatch) []float32 {
-	logits := m.ForwardPooled(b.Dense, m.lookup(b))
-	m.batch = b
-	return logits
+	return m.ForwardPooled(b.Dense, m.lookup(b))
 }
 
 // lookup sum-pools every table over the batch into the model's pooled
@@ -178,7 +175,6 @@ func (m *Model) ForwardPooled(dense *tensor.Matrix, pooled []*tensor.Matrix) []f
 				i, p.Rows, p.Cols, B, m.Cfg.EmbeddingDim))
 		}
 	}
-	m.batch = nil // sparse scatter unavailable until the local-lookup path runs
 	m.pooledIn = pooled
 	m.z = m.Bottom.Forward(dense)
 
@@ -236,18 +232,6 @@ func (m *Model) buildInteraction(B int) {
 			}
 		}
 	}
-}
-
-// Backward propagates the per-example logit gradients through the model.
-// MLP gradients accumulate into the nn layers (call ZeroGrad between
-// batches); embedding gradients are returned as one SparseGrad per table.
-// The returned accumulators are owned by the model and reused: they are
-// valid only until the next Backward call, which Resets and refills them.
-func (m *Model) Backward(dLogits []float32) []*embedding.SparseGrad {
-	if m.batch == nil {
-		panic("core: Backward before Forward")
-	}
-	return m.sparse.Scatter(m.batch, m.BackwardPooled(dLogits))
 }
 
 // BackwardPooled propagates per-example logit gradients through the top

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -105,7 +104,7 @@ func TestModelGradCheckDot(t *testing.T) {
 	grad := make([]float32, len(logits))
 	nn.BCEWithLogits(logits, b.Labels, grad)
 	m.ZeroGrad()
-	sparse := m.Backward(grad)
+	sparse := backward(m, b, grad)
 
 	// Check MLP params statistically (ReLU kinks cause rare outliers).
 	total, bad := 0, 0
@@ -175,7 +174,7 @@ func TestModelGradCheckConcat(t *testing.T) {
 	grad := make([]float32, len(logits))
 	nn.BCEWithLogits(logits, b.Labels, grad)
 	m.ZeroGrad()
-	sparse := m.Backward(grad)
+	sparse := backward(m, b, grad)
 
 	for ti, sg := range sparse {
 		ids := sg.RowIDs()
@@ -225,7 +224,7 @@ func TestShareWeightsModel(t *testing.T) {
 	m.Forward(b)
 	w.Forward(b)
 	// original backward still works against its own cache
-	grads := m.Backward(make([]float32, 4))
+	grads := backward(m, b, make([]float32, 4))
 	if len(grads) != cfg.NumSparse() {
 		t.Error("backward after view forward failed")
 	}
@@ -238,43 +237,6 @@ func TestCloneModelIndependent(t *testing.T) {
 	c.Tables[0].Weights.Data[0] += 5
 	if m.Tables[0].Weights.Data[0] == c.Tables[0].Weights.Data[0] {
 		t.Error("Clone must copy tables")
-	}
-}
-
-func TestSaveLoadWeights(t *testing.T) {
-	cfg := testConfig()
-	m := NewModel(cfg, xrand.New(11))
-	b := makeBatch(cfg, 4, 12)
-	want := m.Forward(b)
-
-	var buf bytes.Buffer
-	if err := m.SaveWeights(&buf); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	m2 := NewModel(cfg, xrand.New(999)) // different init
-	if err := m2.LoadWeights(&buf); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	got := m2.Forward(b)
-	for i := range want {
-		if math.Abs(float64(want[i]-got[i])) > 1e-6 {
-			t.Fatalf("logit %d differs after load: %v vs %v", i, want[i], got[i])
-		}
-	}
-}
-
-func TestLoadWeightsRejectsWrongShape(t *testing.T) {
-	cfg := testConfig()
-	m := NewModel(cfg, xrand.New(13))
-	var buf bytes.Buffer
-	if err := m.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	other := cfg
-	other.EmbeddingDim = 4
-	m2 := NewModel(other, xrand.New(14))
-	if err := m2.LoadWeights(&buf); err == nil {
-		t.Error("mismatched snapshot accepted")
 	}
 }
 
@@ -394,7 +356,14 @@ func TestTrainerPanics(t *testing.T) {
 
 func TestBackwardBeforeForwardPanics(t *testing.T) {
 	m := NewModel(testConfig(), xrand.New(18))
-	mustPanic(t, func() { m.Backward([]float32{0}) })
+	mustPanic(t, func() { m.BackwardPooled([]float32{0}) })
+}
+
+// backward runs the model's backward pass as the trainer does: the
+// dense stacks and the interaction (BackwardPooled), then the sparse
+// step's scatter into one SparseGrad per table.
+func backward(m *Model, b *MiniBatch, dLogits []float32) []*embedding.SparseGrad {
+	return m.sparse.Scatter(b, m.BackwardPooled(dLogits))
 }
 
 func mustPanic(t *testing.T, f func()) {
@@ -434,8 +403,5 @@ func TestTotalLookupsAccumulates(t *testing.T) {
 	}
 	if got := m.TotalLookups(); got != want {
 		t.Errorf("TotalLookups = %d, want %d", got, want)
-	}
-	if m.EmbeddingBytes() != cfg.EmbeddingBytes() {
-		t.Error("EmbeddingBytes mismatch between model and config")
 	}
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/nn"
 	"repro/internal/optim"
@@ -161,52 +159,6 @@ func Evaluate(m *Model, batches []*MiniBatch) EvalResult {
 	}
 }
 
-// modelSnapshot is the gob wire format for model weights.
-type modelSnapshot struct {
-	Dense  [][]float32
-	Tables [][]float32
-}
-
-// SaveWeights serializes the model's parameters.
-func (m *Model) SaveWeights(w io.Writer) error {
-	snap := modelSnapshot{}
-	for _, p := range m.DenseParams() {
-		snap.Dense = append(snap.Dense, p.Value)
-	}
-	for _, t := range m.Tables {
-		snap.Tables = append(snap.Tables, t.Weights.Data)
-	}
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// LoadWeights restores parameters saved by SaveWeights into a model built
-// from the same Config.
-func (m *Model) LoadWeights(r io.Reader) error {
-	var snap modelSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("core: decoding weights: %w", err)
-	}
-	dense := m.DenseParams()
-	if len(snap.Dense) != len(dense) || len(snap.Tables) != len(m.Tables) {
-		return fmt.Errorf("core: snapshot shape mismatch (%d/%d dense, %d/%d tables)",
-			len(snap.Dense), len(dense), len(snap.Tables), len(m.Tables))
-	}
-	for i, p := range dense {
-		if len(snap.Dense[i]) != len(p.Value) {
-			return fmt.Errorf("core: dense param %d length %d != %d", i, len(snap.Dense[i]), len(p.Value))
-		}
-		copy(p.Value, snap.Dense[i])
-	}
-	for i, t := range m.Tables {
-		if len(snap.Tables[i]) != len(t.Weights.Data) {
-			return fmt.Errorf("core: table %d length %d != %d", i, len(snap.Tables[i]), len(t.Weights.Data))
-		}
-		copy(t.Weights.Data, snap.Tables[i])
-		t.SyncAll()
-	}
-	return nil
-}
-
 // TotalLookups sums the access counters across all tables.
 func (m *Model) TotalLookups() uint64 {
 	var n uint64
@@ -214,13 +166,4 @@ func (m *Model) TotalLookups() uint64 {
 		n += t.Lookups()
 	}
 	return n
-}
-
-// EmbeddingBytes returns the actual embedding footprint of this model.
-func (m *Model) EmbeddingBytes() int64 {
-	var b int64
-	for _, t := range m.Tables {
-		b += t.Bytes()
-	}
-	return b
 }

@@ -6,9 +6,8 @@
 // labels planted by a hidden teacher model so that model quality (NE,
 // accuracy) is a meaningful, improvable metric.
 //
-// The paper trains from Hive via decoupled reader servers (§IV-B2); the
-// Reader type mirrors that arrangement with a bounded channel so trainers
-// never stall on data generation in the real-training experiments.
+// The paper trains from Hive via decoupled reader servers (§IV-B2);
+// internal/ingest mirrors that tier, reading shards this package writes.
 package data
 
 import (
@@ -191,9 +190,6 @@ func (g *Generator) NextBatchInto(b int, mb *core.MiniBatch) *core.MiniBatch {
 	return mb
 }
 
-// Config returns the model config this generator serves.
-func (g *Generator) Config() core.Config { return g.cfg }
-
 // Fork returns a generator that shares this generator's hidden teacher —
 // and therefore its label function — but draws features from an
 // independent stream seeded by seed. Separate training streams and
@@ -308,33 +304,3 @@ func ReplaySource(cfg core.Config, seed int64, opts GeneratorOptions, batchSize 
 		return src, func() {}, nil
 	}
 }
-
-// Reader streams batches through a bounded channel from a dedicated
-// goroutine, mirroring the decoupled reader tier of the production
-// pipeline. Close stops the producer.
-type Reader struct {
-	C    <-chan *core.MiniBatch
-	stop chan struct{}
-}
-
-// NewReader starts a reader producing batches of the given size with the
-// given channel depth.
-func NewReader(g *Generator, batchSize, depth int) *Reader {
-	ch := make(chan *core.MiniBatch, depth)
-	stop := make(chan struct{})
-	go func() {
-		defer close(ch)
-		for {
-			b := g.NextBatch(batchSize)
-			select {
-			case ch <- b:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return &Reader{C: ch, stop: stop}
-}
-
-// Close terminates the producing goroutine.
-func (r *Reader) Close() { close(r.stop) }

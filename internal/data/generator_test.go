@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/xrand"
@@ -271,39 +270,5 @@ func TestWriteShardsDeterministic(t *testing.T) {
 	b, _ := os.ReadFile(filepath.Join(dir3, "shard-00000.rsd"))
 	if bytes.Equal(a, b) {
 		t.Fatal("different seeds wrote identical shards")
-	}
-}
-
-func TestReaderStreams(t *testing.T) {
-	g := NewGenerator(genConfig(), 8, DefaultOptions())
-	r := NewReader(g, 16, 4)
-	defer r.Close()
-	for i := 0; i < 5; i++ {
-		select {
-		case b := <-r.C:
-			if b.Batch() != 16 {
-				t.Fatalf("reader batch size %d", b.Batch())
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("reader stalled")
-		}
-	}
-}
-
-func TestReaderCloseStops(t *testing.T) {
-	g := NewGenerator(genConfig(), 9, DefaultOptions())
-	r := NewReader(g, 8, 1)
-	r.Close()
-	// Drain whatever was buffered; the channel must eventually close.
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-r.C:
-			if !ok {
-				return
-			}
-		case <-deadline:
-			t.Fatal("reader did not stop after Close")
-		}
 	}
 }

@@ -38,15 +38,6 @@ func (d *DedupIndex) Build(bag Bag) {
 // the row-set's generation off zero for good.
 func (d *DedupIndex) Built() bool { return d.rows.gen != 0 }
 
-// Ratio returns total lookups / unique lookups, the RecD dedup win. An
-// all-unique batch yields exactly 1.
-func (d *DedupIndex) Ratio() float64 {
-	if len(d.Unique) == 0 {
-		return 1
-	}
-	return float64(len(d.Remap)) / float64(len(d.Unique))
-}
-
 // ensureLen grows (without shrinking) buf to n elements.
 func ensureLen[T any](buf []T, n int) []T {
 	if cap(buf) < n {

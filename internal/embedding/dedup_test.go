@@ -61,8 +61,8 @@ func TestDedupIndexInvariants(t *testing.T) {
 			next++
 		}
 	}
-	if r := d.Ratio(); r < 1 {
-		t.Fatalf("dedup ratio %v < 1", r)
+	if next != len(d.Unique) || len(d.Remap) != len(bag.Indices) {
+		t.Fatalf("%d unique rows and %d remapped ids, want %d and %d", len(d.Unique), len(d.Remap), next, len(bag.Indices))
 	}
 }
 
@@ -70,8 +70,8 @@ func TestDedupRatioAllUnique(t *testing.T) {
 	per := [][]int32{{0, 1, 2}, {3, 4}, {5}}
 	var d DedupIndex
 	d.Build(NewBag(per))
-	if r := d.Ratio(); r != 1.0 {
-		t.Fatalf("all-unique ratio %v, want exactly 1.0", r)
+	if len(d.Unique) != len(d.Remap) {
+		t.Fatalf("all-unique bag: %d unique rows for %d ids, want one each", len(d.Unique), len(d.Remap))
 	}
 }
 

@@ -12,13 +12,13 @@ func reducedDTypes() []tensor.DType { return []tensor.DType{tensor.BF16, tensor.
 func TestTypedTableBytesAndReplica(t *testing.T) {
 	rng := xrand.New(1)
 	full := NewTable("f", 100, 8, xrand.New(1))
-	if got, want := full.Bytes(), int64(100*8*4); got != want {
-		t.Fatalf("fp32 Bytes = %d, want %d", got, want)
+	if full.half != nil {
+		t.Fatal("fp32 table carries a reduced-precision replica")
 	}
 	for _, dt := range reducedDTypes() {
 		tab := NewTableTyped("r", 100, 8, dt, rng)
-		if got, want := tab.Bytes(), int64(100*8*2); got != want {
-			t.Fatalf("%v Bytes = %d, want %d", dt, got, want)
+		if got, want := len(tab.half), 100*8; got != want {
+			t.Fatalf("%v replica holds %d values, want %d", dt, got, want)
 		}
 		// The replica must be the exact quantization of the master.
 		for ix := 0; ix < tab.HashSize; ix++ {

@@ -1,7 +1,6 @@
 package embedding
 
 import (
-	"fmt"
 	"sort"
 )
 
@@ -71,23 +70,6 @@ func TableWiseGreedy(stats []TableStat, n int, weight float64) (Assignment, Shar
 		load.Lookups[best] += s.MeanPooled
 	}
 	return asg, load
-}
-
-// RowWiseSplit divides a single table's rows evenly across n shards and
-// returns the [start, end) row range owned by shard i. Row-wise
-// partitioning spreads both capacity and lookups of one hot table.
-func RowWiseSplit(hashSize, n, i int) (start, end int) {
-	if n <= 0 || i < 0 || i >= n {
-		panic(fmt.Sprintf("embedding: bad row-wise split (%d shards, shard %d)", n, i))
-	}
-	per := hashSize / n
-	rem := hashSize % n
-	start = i*per + min(i, rem)
-	end = start + per
-	if i < rem {
-		end++
-	}
-	return start, end
 }
 
 // MaxOverMean returns the imbalance factor (max shard load / mean shard

@@ -2,7 +2,6 @@ package embedding
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/xrand"
 )
@@ -77,57 +76,6 @@ func TestTableWiseGreedyPanicsOnZeroShards(t *testing.T) {
 		}
 	}()
 	TableWiseGreedy(makeStats(3, 4), 0, 0.5)
-}
-
-func TestRowWiseSplitPartition(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := xrand.New(seed)
-		hashSize := 1 + rng.Intn(10000)
-		n := 1 + rng.Intn(16)
-		covered := 0
-		prevEnd := 0
-		for i := 0; i < n; i++ {
-			s, e := RowWiseSplit(hashSize, n, i)
-			if s != prevEnd || e < s {
-				return false
-			}
-			covered += e - s
-			prevEnd = e
-		}
-		return covered == hashSize && prevEnd == hashSize
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRowWiseSplitBalance(t *testing.T) {
-	// Shard sizes may differ by at most 1.
-	for _, n := range []int{1, 3, 7, 8} {
-		minSz, maxSz := 1<<30, 0
-		for i := 0; i < n; i++ {
-			s, e := RowWiseSplit(100, n, i)
-			sz := e - s
-			if sz < minSz {
-				minSz = sz
-			}
-			if sz > maxSz {
-				maxSz = sz
-			}
-		}
-		if maxSz-minSz > 1 {
-			t.Errorf("n=%d: row-wise sizes range [%d,%d]", n, minSz, maxSz)
-		}
-	}
-}
-
-func TestRowWiseSplitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	RowWiseSplit(100, 4, 4)
 }
 
 func TestMaxOverMean(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package embedding implements the sparse side of the recommendation
-// model: embedding tables accessed through the hashing trick, pooled
-// multi-hot (EmbeddingBag) lookups, sparse gradients, and the sharding
-// schemes (table-wise, row-wise) used to place tables across devices and
-// parameter-server shards.
+// model: embedding tables indexed by already-hashed ids in
+// [0, hashSize), pooled multi-hot (EmbeddingBag) lookups, sparse
+// gradients, and the table-wise sharding used to place tables across
+// ranks.
 //
 // In the paper (§III-A) each sparse feature owns a table of hashSize × dim
 // learned vectors; a training example activates n indices per feature and
@@ -123,35 +123,6 @@ func (t *Table) SyncAll() {
 		return
 	}
 	tensor.ParallelEncode(t.DType, t.half, t.Weights.Data)
-}
-
-// FNV-1a 64-bit parameters (offset basis and prime).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// HashIndex maps an arbitrary categorical ID into [0, HashSize) using
-// FNV-1a — the "hashing trick" of §III-A1 that bounds table size at the
-// cost of collisions. The hash is computed inline over the eight
-// little-endian bytes of rawID (bit-identical to hash/fnv over the same
-// bytes) so the per-lookup hash.Hash64 heap allocation is gone.
-func (t *Table) HashIndex(rawID uint64) int32 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < 64; i += 8 {
-		h ^= (rawID >> i) & 0xff
-		h *= fnvPrime64
-	}
-	return int32(h % uint64(t.HashSize))
-}
-
-// Bytes returns the lookup-path storage footprint in bytes: the bytes
-// the serving/forward path actually touches, which is what tier
-// placement prices. Reduced-precision tables count the quantized
-// replica width (the fp32 master is optimizer state, not lookup
-// traffic).
-func (t *Table) Bytes() int64 {
-	return int64(t.HashSize) * int64(t.Dim) * int64(t.DType.Bytes())
 }
 
 // Lookups returns the cumulative number of row accesses served.

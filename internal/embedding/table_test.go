@@ -1,11 +1,9 @@
 package embedding
 
 import (
-	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -27,9 +25,6 @@ func TestNewTableInit(t *testing.T) {
 	if !nonzero {
 		t.Fatal("all-zero init")
 	}
-	if tab.Bytes() != 100*16*4 {
-		t.Errorf("Bytes = %d", tab.Bytes())
-	}
 }
 
 func TestNewTablePanics(t *testing.T) {
@@ -39,76 +34,6 @@ func TestNewTablePanics(t *testing.T) {
 		}
 	}()
 	NewTable("bad", 0, 8, xrand.New(1))
-}
-
-func TestHashIndexInRangeAndDeterministic(t *testing.T) {
-	tab := NewTable("t", 997, 8, xrand.New(2))
-	f := func(id uint64) bool {
-		ix := tab.HashIndex(id)
-		return ix >= 0 && int(ix) < 997 && ix == tab.HashIndex(id)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestHashIndexMatchesStdlibFNV pins the inlined FNV-1a to the previous
-// implementation (hash/fnv over the 8 little-endian bytes of the raw ID):
-// any divergence would silently remap every trained embedding row.
-func TestHashIndexMatchesStdlibFNV(t *testing.T) {
-	ref := func(hashSize int, rawID uint64) int32 {
-		h := fnv.New64a()
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(rawID >> (8 * i))
-		}
-		h.Write(buf[:])
-		return int32(h.Sum64() % uint64(hashSize))
-	}
-	for _, hashSize := range []int{1, 2, 997, 100000, 1 << 20} {
-		tab := NewTable("t", hashSize, 4, xrand.New(11))
-		for _, id := range []uint64{0, 1, 2, 255, 256, 65535, 1 << 31, 1<<63 - 1, ^uint64(0)} {
-			if got, want := tab.HashIndex(id), ref(hashSize, id); got != want {
-				t.Fatalf("HashIndex(%d) with hashSize %d = %d, want %d (stdlib fnv)",
-					id, hashSize, got, want)
-			}
-		}
-		f := func(id uint64) bool { return tab.HashIndex(id) == ref(hashSize, id) }
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("hashSize %d: %v", hashSize, err)
-		}
-	}
-}
-
-// TestHashIndexNoAllocs guards the satellite fix: the per-lookup
-// hash.Hash64 heap allocation is gone.
-func TestHashIndexNoAllocs(t *testing.T) {
-	tab := NewTable("t", 997, 4, xrand.New(12))
-	var sink int32
-	if avg := testing.AllocsPerRun(100, func() { sink = tab.HashIndex(123456789) }); avg != 0 {
-		t.Errorf("HashIndex allocates %.1f objects per call, want 0", avg)
-	}
-	_ = sink
-}
-
-// BenchmarkHashIndex is the hashing trick on a bench-step table (10k rows,
-// dim 32) over ids spread by a multiplicative stride.
-func BenchmarkHashIndex(b *testing.B) {
-	tab := NewTable("bench", 10000, 32, xrand.New(5))
-	for id := uint64(0); b.Loop(); id++ {
-		tab.HashIndex(id * 2654435761)
-	}
-}
-
-func TestHashIndexSpread(t *testing.T) {
-	tab := NewTable("t", 64, 8, xrand.New(3))
-	seen := map[int32]bool{}
-	for id := uint64(0); id < 1000; id++ {
-		seen[tab.HashIndex(id)] = true
-	}
-	if len(seen) < 48 {
-		t.Errorf("hash uses only %d/64 buckets over 1000 ids", len(seen))
-	}
 }
 
 func TestBagConstructionAndValidate(t *testing.T) {

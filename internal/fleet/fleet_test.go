@@ -76,8 +76,14 @@ func TestSummariesTable(t *testing.T) {
 
 func TestServerCountStudy(t *testing.T) {
 	th, ph, p95 := ServerCountStudy(2000, 5)
-	if th.Total() != 2000 || ph.Total() != 2000 {
-		t.Fatalf("histogram totals %d/%d", th.Total(), ph.Total())
+	count := func(h *metrics.Histogram) (n int) {
+		for _, c := range h.Counts {
+			n += c
+		}
+		return n
+	}
+	if count(th) != 2000 || count(ph) != 2000 {
+		t.Fatalf("histogram counts %d/%d, want every run in range", count(th), count(ph))
 	}
 	// Fig 9: trainer counts concentrate (one bin >= 40%).
 	maxFrac := 0.0

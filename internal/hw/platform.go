@@ -33,9 +33,6 @@ type CPUSpec struct {
 	MemCapacity int64
 }
 
-// Cores returns the total core count.
-func (c CPUSpec) Cores() int { return c.Sockets * c.CoresPerSocket }
-
 // PeakFLOPs returns aggregate FP32 FLOP/s.
 func (c CPUSpec) PeakFLOPs() float64 { return float64(c.Sockets) * c.PeakFLOPsPerSocket }
 
@@ -78,11 +75,6 @@ type Platform struct {
 // TotalGPUMemory returns the aggregate accelerator memory in bytes.
 func (p Platform) TotalGPUMemory() int64 {
 	return int64(p.NumGPUs) * p.GPU.MemCapacity
-}
-
-// TotalGPUFLOPs returns aggregate accelerator FP32 FLOP/s.
-func (p Platform) TotalGPUFLOPs() float64 {
-	return float64(p.NumGPUs) * p.GPU.PeakFLOPs
 }
 
 // HasNVLink reports whether GPUs have a direct fabric.

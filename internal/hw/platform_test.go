@@ -58,9 +58,6 @@ func TestV100Specs(t *testing.T) {
 	if got := bb.TotalGPUMemory(); got != 8*32<<30 {
 		t.Errorf("BigBasin total GPU memory = %d", got)
 	}
-	if got := bb.TotalGPUFLOPs(); got != 8*15.7e12 {
-		t.Errorf("BigBasin total GPU FLOPs = %v", got)
-	}
 }
 
 func TestNVLinkTopology(t *testing.T) {
@@ -91,8 +88,8 @@ func TestPowerUnits(t *testing.T) {
 
 func TestCPUAggregates(t *testing.T) {
 	c := DualSocketCPU().CPU
-	if c.Cores() != 40 {
-		t.Errorf("cores = %d", c.Cores())
+	if cores := c.Sockets * c.CoresPerSocket; cores != 40 {
+		t.Errorf("cores = %d", cores)
 	}
 	if c.PeakFLOPs() != 2*c.PeakFLOPsPerSocket {
 		t.Error("PeakFLOPs aggregation")

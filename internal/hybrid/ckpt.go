@@ -27,11 +27,6 @@ func (t *Trainer) CkptState() *ckpt.ModelState {
 	return st
 }
 
-// DirtyRows returns the per-table touched-row trackers (aligned with the
-// config's table order) that every step feeds; ckpt.Store delta saves
-// consume and reset them.
-func (t *Trainer) DirtyRows() []*ckpt.Dirty { return t.dirty }
-
 // SaveCheckpoint snapshots the trainer into store, whose background
 // writer then publishes it, delegating the full-vs-delta choice to
 // ckpt.Store.AutoSave. Saving a

@@ -22,8 +22,9 @@
 // stream: each rank computes logit gradients with the global-batch
 // normalizer, so pooled-embedding gradients — and therefore the table
 // updates applied by each owner — match the single-process step exactly.
-// Dense gradients differ only by the summation order of the ring, keeping
-// the loss curve rank-count-invariant within float tolerance. Steady-state
+// Dense gradients differ only by the summation order of the ring: one
+// rank trains the single-process bits, and more ranks keep the loss curve
+// within float tolerance of them. Steady-state
 // steps reuse per-rank scratch arenas and perform no per-rank heap
 // allocations.
 package hybrid
@@ -463,9 +464,6 @@ func (t *Trainer) account(loss float64, batch int) StepBreakdown {
 		Exposed: sec(exposed), Step: sec(step),
 	}
 }
-
-// Err returns the error that poisoned the trainer, or nil while healthy.
-func (t *Trainer) Err() error { return t.failed }
 
 // StepBatch is Step behind the run loop's trainer seam (train.Stepper):
 // the loss and the abort error, without the per-step breakdown (the

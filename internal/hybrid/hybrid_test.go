@@ -73,8 +73,9 @@ func hybridLosses(t *testing.T, cfg core.Config, hc Config, steps, batch int) []
 
 // TestMatchesSingleProcess is the engine's core acceptance criterion: for
 // the same seed and workload, the synchronous hybrid trainer's loss curve
-// must match the single-process core.Trainer within float tolerance, for
-// 1, 2, and 4 ranks under AdaGrad and 1 and 2 ranks under SGD. Sparse
+// must match the single-process core.Trainer bit for bit at 1 rank and
+// within 5e-3 per step at 2 and 4 ranks, under AdaGrad (1, 2, 4 ranks)
+// and SGD (1, 2 ranks). Sparse
 // updates are bit-identical by construction — pinned on the first step,
 // before the dense replicas (whose gradients differ by ring summation
 // order) have diverged: every table must hold the single-process bits.
@@ -89,6 +90,18 @@ func TestMatchesSingleProcess(t *testing.T) {
 		for _, ranks := range tc.ranks {
 			hc := Config{Ranks: ranks, Seed: 1, LR: 0.05, Optimizer: tc.opt}
 			got := hybridLosses(t, cfg, hc, steps, batch)
+			// One rank runs the single-process trainer's arithmetic in
+			// its order: every loss must carry the same bits. More ranks
+			// sum the dense gradients in a different order, so their
+			// curves only stay close.
+			if ranks == 1 {
+				for i := range ref {
+					if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+						t.Errorf("%s ranks=1: step %d loss %v, single-process %v (want the same bits)", tc.opt, i, got[i], ref[i])
+						break
+					}
+				}
+			}
 			var worst float64
 			for i := range ref {
 				if d := math.Abs(got[i] - ref[i]); d > worst {
@@ -550,7 +563,7 @@ func TestTableParallelBitIdentical(t *testing.T) {
 		}
 		out.state = stateBits(ht.CkptState())
 		var touched [][]int32
-		for _, d := range ht.DirtyRows() {
+		for _, d := range ht.dirty {
 			var rows []int32
 			d.ForEach(func(r int32) { rows = append(rows, r) })
 			touched = append(touched, rows)

@@ -338,10 +338,17 @@ func decodeShard(raw []byte, man *Manifest, blk *block) error {
 	}
 	dense := int(binary.LittleEndian.Uint32(raw[4:]))
 	sparse := int(binary.LittleEndian.Uint32(raw[8:]))
-	count := int(binary.LittleEndian.Uint32(raw[12:]))
 	if dense != man.DenseFeatures || sparse != len(man.Sparse) {
 		return fmt.Errorf("shard schema %dd/%ds, manifest %dd/%ds",
 			dense, sparse, man.DenseFeatures, len(man.Sparse))
+	}
+	// Every example holds at least its label, its dense block and one
+	// index count per feature, so a count the bytes cannot hold is
+	// refused before any slab is sized by it.
+	count := int(min(binary.LittleEndian.Uint32(raw[12:]), math.MaxInt32))
+	if minBytes := 1 + 4*dense + 2*sparse; count > (len(raw)-shardHeader)/minBytes {
+		return fmt.Errorf("shard header claims %d examples; %d bytes hold at most %d",
+			count, len(raw), (len(raw)-shardHeader)/minBytes)
 	}
 
 	blk.n = count

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -273,6 +274,107 @@ func TestDecodeRejectsOutOfRangeIndex(t *testing.T) {
 		if errors.Is(err, io.EOF) || !strings.Contains(err.Error(), file) ||
 			!strings.Contains(err.Error(), "example 3 feature 1") {
 			t.Fatalf("index %d: pipeline error %v, want one naming %s, example 3 and feature 1", bad, err, file)
+		}
+	}
+}
+
+// FuzzDecodeShard feeds decodeShard mutated RSD1 shard images, seeded
+// with the two shards the ShardWriter wrote (one and seventeen
+// examples), each also with a header that claims 2³²−1 examples, and a
+// bare header of zero examples. A
+// decode must return an error or a block whose offsets run monotone
+// from 0 to the id count and whose ids lie in their feature's hash
+// space; it must never panic. Decoding the same bytes again into the
+// used block must give the same block.
+func FuzzDecodeShard(f *testing.F) {
+	cfg := testCfg()
+	dir := f.TempDir()
+	w, err := NewShardWriter(dir, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := xrand.New(9)
+	for _, n := range []int{1, 17} {
+		if err := w.Append(handBatch(cfg, rng, n)); err != nil {
+			f.Fatal(err)
+		}
+		if err := w.EndShard(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	ds, err := OpenDataset(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	man := ds.Manifest
+	ds.Close()
+	for _, sh := range man.Shards {
+		raw, err := os.ReadFile(filepath.Join(dir, sh.File))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		huge := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(huge[12:], 0xffffffff)
+		f.Add(huge)
+		empty := append([]byte(nil), raw[:shardHeader]...)
+		binary.LittleEndian.PutUint32(empty[12:], 0)
+		f.Add(empty)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var blk block
+		if decodeShard(raw, &man, &blk) != nil {
+			return
+		}
+		checkBlock(t, &blk, &man)
+		first := blk.n
+		labels := string(blk.labels)
+		idx := make([][]int32, len(blk.featIdx))
+		for f := range idx {
+			idx[f] = append([]int32(nil), blk.featIdx[f]...)
+		}
+		if err := decodeShard(raw, &man, &blk); err != nil {
+			t.Fatalf("second decode of accepted bytes: %v", err)
+		}
+		checkBlock(t, &blk, &man)
+		if blk.n != first || string(blk.labels) != labels {
+			t.Fatalf("second decode: %d examples, labels %q; first: %d, %q", blk.n, blk.labels, first, labels)
+		}
+		for f := range idx {
+			if !slices.Equal(blk.featIdx[f], idx[f]) {
+				t.Fatalf("second decode: feature %d ids %v, first %v", f, blk.featIdx[f], idx[f])
+			}
+		}
+	})
+}
+
+// checkBlock asserts a decoded block's shape: n labels, n dense rows, and
+// per feature n+1 monotone offsets from 0 to the id count over ids in
+// [0, HashSize).
+func checkBlock(t *testing.T, blk *block, man *Manifest) {
+	t.Helper()
+	n := blk.n
+	if n < 0 || len(blk.labels) != n || len(blk.dense) != n*man.DenseFeatures || len(blk.featIdx) != len(man.Sparse) {
+		t.Fatalf("block of %d examples: %d labels, %d dense values, %d features", n, len(blk.labels), len(blk.dense), len(blk.featIdx))
+	}
+	for f, ids := range blk.featIdx {
+		off := blk.featOff[f]
+		if len(off) < n+1 || off[0] != 0 || int(off[n]) != len(ids) {
+			t.Fatalf("feature %d: %d offsets for %d examples and %d ids", f, len(off), n, len(ids))
+		}
+		for i := 0; i < n; i++ {
+			if off[i+1] < off[i] {
+				t.Fatalf("feature %d: offsets fall at example %d (%d -> %d)", f, i, off[i], off[i+1])
+			}
+		}
+		for _, ix := range ids {
+			if ix < 0 || int(ix) >= man.Sparse[f].HashSize {
+				t.Fatalf("feature %d: id %d outside [0,%d)", f, ix, man.Sparse[f].HashSize)
+			}
 		}
 	}
 }

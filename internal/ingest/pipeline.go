@@ -14,6 +14,11 @@ import (
 	"repro/internal/xrand"
 )
 
+// shuffleBatches sizes the bounded shuffle window in batches: the
+// reservoir holds 4×BatchSize examples and every batch draws uniformly
+// from it, decoupling batch composition from shard order.
+const shuffleBatches = 4
+
 // Options tunes the staged reader pipeline.
 type Options struct {
 	// BatchSize is the assembled mini-batch size (required).
@@ -26,11 +31,6 @@ type Options struct {
 	// all are lent out it blocks until the trainer recycles one — the
 	// explicit backpressure that keeps the hot path allocation-free.
 	PrefetchDepth int
-	// ShuffleWindow is the bounded shuffle buffer size in examples
-	// (default 4×BatchSize; raised to BatchSize if smaller). Batches
-	// draw uniformly from the window, decoupling batch composition from
-	// shard order.
-	ShuffleWindow int
 	// Dedup builds the RecD-style within-batch unique-row view on every
 	// assembled batch, switching both trainers onto the dedup kernels.
 	Dedup bool
@@ -76,12 +76,6 @@ func (o *Options) defaults() error {
 	}
 	if o.PrefetchDepth <= 0 {
 		o.PrefetchDepth = 4
-	}
-	if o.ShuffleWindow <= 0 {
-		o.ShuffleWindow = 4 * o.BatchSize
-	}
-	if o.ShuffleWindow < o.BatchSize {
-		o.ShuffleWindow = o.BatchSize
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -403,7 +397,7 @@ func (p *Pipeline) assemble() {
 		// batch. The fill always blocks for whole blocks, never polls, so
 		// batch composition is a pure function of block arrival order —
 		// with one reader, of (dataset, Options) alone.
-		for open && len(res) < p.opt.ShuffleWindow {
+		for open && len(res) < shuffleBatches*p.opt.BatchSize {
 			select {
 			case blk, ok := <-p.blockCh:
 				if !ok {

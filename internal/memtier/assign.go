@@ -46,9 +46,6 @@ type AssignOptions struct {
 	// It is only spent when tables actually spill; < 0 disables the
 	// cache, 0 selects DefaultCacheFraction.
 	CacheFraction float64
-	// Policy names the eviction policy the cache is modeled with
-	// (advisory; recorded on the assignment). Empty selects "lru".
-	Policy string
 }
 
 // DefaultCacheFraction is the share of top-tier capacity dedicated to the
@@ -86,8 +83,6 @@ type Assignment struct {
 	// CacheHitRate is the estimated stationary hit rate of that cache
 	// over the lookup stream of spilled tables.
 	CacheHitRate float64
-	// Policy is the eviction policy the cache is modeled with.
-	Policy string
 }
 
 // TopTierFraction returns the fraction of all lookups served by the
@@ -117,8 +112,8 @@ func (a Assignment) String() string {
 			t.Tier.Kind.String(), len(t.Tables), core.HumanBytes(t.Bytes), 100*t.LookupFraction)
 	}
 	if a.CacheRows > 0 {
-		fmt.Fprintf(&b, "hot-row cache  %s (%d rows, %s): est. hit rate %.1f%%\n",
-			a.Policy, a.CacheRows, core.HumanBytes(a.CacheBytes), 100*a.CacheHitRate)
+		fmt.Fprintf(&b, "hot-row cache  lru (%d rows, %s): est. hit rate %.1f%%\n",
+			a.CacheRows, core.HumanBytes(a.CacheBytes), 100*a.CacheHitRate)
 	}
 	return b.String()
 }
@@ -134,9 +129,6 @@ func Assign(stats []core.TableStatView, tiers []hw.MemTier, opts AssignOptions) 
 	}
 	if len(tiers) == 0 {
 		return Assignment{}, fmt.Errorf("memtier: empty hierarchy")
-	}
-	if opts.Policy == "" {
-		opts.Policy = "lru"
 	}
 	if opts.CacheFraction == 0 {
 		opts.CacheFraction = DefaultCacheFraction
@@ -179,7 +171,6 @@ func Assign(stats []core.TableStatView, tiers []hw.MemTier, opts AssignOptions) 
 		asg := Assignment{
 			Tiers:     make([]TierLoad, len(tiers)),
 			TableTier: make([]int, len(stats)),
-			Policy:    opts.Policy,
 		}
 		free := make([]int64, len(tiers))
 		for t, tier := range tiers {

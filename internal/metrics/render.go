@@ -202,17 +202,6 @@ func Gantt(rows []GanttRow, t0, t1 float64, width int) string {
 	return b.String()
 }
 
-// CSV renders rows as comma-separated text (no quoting; intended for
-// numeric experiment dumps).
-func CSV(rows [][]string) string {
-	var b strings.Builder
-	for _, r := range rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // F formats a float with %.4g, the default numeric cell format.
 func F(v float64) string { return fmt.Sprintf("%.4g", v) }
 

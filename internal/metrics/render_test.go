@@ -147,13 +147,6 @@ func TestGantt(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	s := CSV([][]string{{"a", "b"}, {"1", "2"}})
-	if s != "a,b\n1,2\n" {
-		t.Errorf("CSV = %q", s)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if F(1234.5678) != "1235" {
 		t.Errorf("F = %q", F(1234.5678))

@@ -79,8 +79,6 @@ func (s Summary) String() string {
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
-	under  int
-	over   int
 	total  int
 }
 
@@ -92,26 +90,19 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
 }
 
-// Add records a value. Out-of-range values are counted in under/over
-// buckets and included in Total.
+// Add records a value. An out-of-range value falls in no bin but counts
+// toward the total that Fractions divides by.
 func (h *Histogram) Add(v float64) {
 	h.total++
-	switch {
-	case v < h.Lo:
-		h.under++
-	case v >= h.Hi:
-		h.over++
-	default:
-		i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // float edge
-			i--
-		}
-		h.Counts[i]++
+	if v < h.Lo || v >= h.Hi {
+		return
 	}
+	i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
+	if i == len(h.Counts) { // float edge
+		i--
+	}
+	h.Counts[i]++
 }
-
-// Total returns the number of recorded values including out-of-range.
-func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
@@ -208,20 +199,4 @@ func FitPowerLaw(freq []float64) (alpha float64, ok bool) {
 	}
 	slope := (n*sxy - sx*sy) / den
 	return -slope, true
-}
-
-// GeoMean returns the geometric mean of positive values (NaN if none).
-func GeoMean(xs []float64) float64 {
-	var sum float64
-	n := 0
-	for _, v := range xs {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return math.Exp(sum / float64(n))
 }

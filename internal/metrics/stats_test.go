@@ -68,8 +68,8 @@ func TestHistogram(t *testing.T) {
 	}
 	h.Add(-1)
 	h.Add(11)
-	if h.Total() != 12 {
-		t.Errorf("Total = %d", h.Total())
+	if h.total != 12 {
+		t.Errorf("total = %d", h.total)
 	}
 	for i, c := range h.Counts {
 		if c != 1 {
@@ -171,14 +171,5 @@ func TestFitPowerLawRecoversExponent(t *testing.T) {
 func TestFitPowerLawDegenerate(t *testing.T) {
 	if _, ok := FitPowerLaw([]float64{1, 0}); ok {
 		t.Error("fit should fail with < 3 positive points")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", g)
-	}
-	if g := GeoMean([]float64{-1, 0}); !math.IsNaN(g) {
-		t.Errorf("GeoMean of non-positive = %v, want NaN", g)
 	}
 }

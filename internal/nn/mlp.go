@@ -205,22 +205,3 @@ func (m *MLP) Clone() *MLP {
 	}
 	return c
 }
-
-// NumParams returns the total number of trainable scalars.
-func (m *MLP) NumParams() int64 {
-	var n int64
-	for _, l := range m.layers {
-		n += int64(l.in*l.out) + int64(l.out)
-	}
-	return n
-}
-
-// FLOPsPerExample returns the forward-pass multiply-add count for a single
-// example, the quantity the hardware cost model charges for MLP compute.
-func (m *MLP) FLOPsPerExample() int64 {
-	var f int64
-	for _, l := range m.layers {
-		f += 2 * int64(l.in) * int64(l.out)
-	}
-	return f
-}

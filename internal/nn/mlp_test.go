@@ -152,13 +152,13 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestNumParamsAndFLOPs(t *testing.T) {
 	m := NewMLP([]int{10, 20, 5}, xrand.New(6))
-	wantParams := int64(10*20 + 20 + 20*5 + 5)
-	if got := m.NumParams(); got != wantParams {
-		t.Errorf("NumParams = %d, want %d", got, wantParams)
+	wantParams := 10*20 + 20 + 20*5 + 5
+	got := 0
+	for _, p := range m.Params() {
+		got += len(p.Value)
 	}
-	wantFLOPs := int64(2 * (10*20 + 20*5))
-	if got := m.FLOPsPerExample(); got != wantFLOPs {
-		t.Errorf("FLOPsPerExample = %d, want %d", got, wantFLOPs)
+	if got != wantParams {
+		t.Errorf("Params hold %d scalars, want %d", got, wantParams)
 	}
 }
 

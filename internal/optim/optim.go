@@ -270,14 +270,6 @@ func LinearScaledLR(baseLR float64, baseBatch, batch int) float64 {
 	return baseLR * float64(batch) / float64(baseBatch)
 }
 
-// SqrtScaledLR is the gentler square-root scaling alternative.
-func SqrtScaledLR(baseLR float64, baseBatch, batch int) float64 {
-	if baseBatch <= 0 {
-		panic("optim: baseBatch must be positive")
-	}
-	return baseLR * math.Sqrt(float64(batch)/float64(baseBatch))
-}
-
 // WarmupSchedule ramps the learning rate linearly from zero over
 // WarmupIters iterations, then holds it at Base. Warmup iterations are one
 // of the hyper-parameters the paper lists as quality-critical (§III).
@@ -292,23 +284,4 @@ func (w WarmupSchedule) At(iter int) float64 {
 		return w.Base
 	}
 	return w.Base * float64(iter+1) / float64(w.WarmupIters)
-}
-
-// ClipByGlobalNorm rescales all gradients so their concatenated L2 norm is
-// at most maxNorm, returning the pre-clip norm.
-func ClipByGlobalNorm(params []nn.Param, maxNorm float32) float32 {
-	var sq float64
-	for _, p := range params {
-		for _, g := range p.Grad {
-			sq += float64(g) * float64(g)
-		}
-	}
-	norm := float32(math.Sqrt(sq))
-	if norm > maxNorm && norm > 0 {
-		scale := maxNorm / norm
-		for _, p := range params {
-			tensor.ScaleVec(p.Grad, scale)
-		}
-	}
-	return norm
 }

@@ -139,9 +139,6 @@ func TestLRScalingRules(t *testing.T) {
 	if lr := LinearScaledLR(0.1, 200, 1600); math.Abs(lr-0.8) > 1e-12 {
 		t.Errorf("linear scaled LR = %v, want 0.8", lr)
 	}
-	if lr := SqrtScaledLR(0.1, 100, 400); math.Abs(lr-0.2) > 1e-12 {
-		t.Errorf("sqrt scaled LR = %v, want 0.2", lr)
-	}
 }
 
 func TestWarmupSchedule(t *testing.T) {
@@ -158,24 +155,6 @@ func TestWarmupSchedule(t *testing.T) {
 	none := WarmupSchedule{Base: 0.5}
 	if lr := none.At(0); lr != 0.5 {
 		t.Errorf("no-warmup At(0) = %v, want 0.5", lr)
-	}
-}
-
-func TestClipByGlobalNorm(t *testing.T) {
-	g := []float32{3, 4} // norm 5
-	p := []nn.Param{{Value: make([]float32, 2), Grad: g}}
-	norm := ClipByGlobalNorm(p, 1)
-	if math.Abs(float64(norm)-5) > 1e-5 {
-		t.Errorf("pre-clip norm = %v, want 5", norm)
-	}
-	if n := tensor.L2Norm(g); math.Abs(float64(n)-1) > 1e-5 {
-		t.Errorf("post-clip norm = %v, want 1", n)
-	}
-	// Below the threshold nothing changes.
-	g2 := []float32{0.1, 0.1}
-	ClipByGlobalNorm([]nn.Param{{Value: make([]float32, 2), Grad: g2}}, 10)
-	if g2[0] != 0.1 {
-		t.Error("clip must not rescale small gradients")
 	}
 }
 

@@ -58,7 +58,7 @@ func TestRowWiseAdagradMatchesScalar(t *testing.T) {
 			grads := make([]*embedding.SparseGrad, steps)
 			for s := range grads {
 				grads[s] = embedding.NewSparseGrad(dim)
-				for _, ix := range rng.Perm(hashSize)[:n] {
+				for _, ix := range perm(rng, hashSize)[:n] {
 					grads[s].Add(int32(ix), nil)
 				}
 				slab := grads[s].Slab()
@@ -110,4 +110,16 @@ func requireSameFloats(t *testing.T, what string, got, want []float32) {
 			t.Fatalf("%s: element %d = %v (%#x), oracle %v (%#x)", what, i, g, math.Float32bits(g), w, math.Float32bits(w))
 		}
 	}
+}
+
+// perm returns a random permutation of [0, n) drawn from rng, the way
+// math/rand's Perm draws it.
+func perm(rng *xrand.RNG, n int) []int {
+	m := make([]int, n)
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }

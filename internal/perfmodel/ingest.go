@@ -15,9 +15,6 @@ import (
 // ReadMBps meters are the measured side, and the ingest_scaling
 // experiment cross-checks the two.
 
-// ingestShardHeaderBytes mirrors the shard header of the ingest format.
-const ingestShardHeaderBytes = 16
-
 // IngestRecordBytes returns the exact serialized size of one example
 // carrying the given per-feature index counts: a label byte, the dense
 // float32 block, and a uint16 count plus int32 ids per sparse feature.

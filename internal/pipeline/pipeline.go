@@ -35,15 +35,18 @@ type Config struct {
 	HogwildFlows int
 	// Iterations per trainer before the run ends.
 	Iterations int
-	// Jitter is the log-normal sigma applied to every service time —
-	// the "system level variability" the paper cites for Fig 5.
-	Jitter float64
-	// MachineSpread is the log-normal sigma of per-server static speed
-	// factors (slow hosts, co-location, thermal differences).
-	MachineSpread float64
-	Seed          int64
-	Cal           perfmodel.Calibration
+	Seed       int64
+	Cal        perfmodel.Calibration
 }
+
+const (
+	// jitter is the log-normal sigma applied to every service time —
+	// the "system level variability" the paper cites for Fig 5.
+	jitter = 0.15
+	// machineSpread is the log-normal sigma of per-server static speed
+	// factors (slow hosts, co-location, thermal differences).
+	machineSpread = 0.08
+)
 
 // Defaults fills unset fields.
 func (c *Config) Defaults() {
@@ -69,12 +72,6 @@ func (c *Config) Defaults() {
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 200
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.15
-	}
-	if c.MachineSpread == 0 {
-		c.MachineSpread = 0.08
 	}
 	if c.Cal == (perfmodel.Calibration{}) {
 		c.Cal = perfmodel.DefaultCalibration()
@@ -130,8 +127,8 @@ func Run(cfg Config) (Result, error) {
 	node := hw.DualSocketCPU()
 	cal := cfg.Cal
 
-	speed := func() float64 { return math.Exp(rng.NormMS(0, cfg.MachineSpread)) }
-	jit := func(g *xrand.RNG) float64 { return math.Exp(g.NormMS(0, cfg.Jitter)) }
+	speed := func() float64 { return math.Exp(rng.NormMS(0, machineSpread)) }
+	jit := func(g *xrand.RNG) float64 { return math.Exp(g.NormMS(0, jitter)) }
 
 	trainers := make([]*trainerNode, cfg.Trainers)
 	for i := range trainers {

@@ -54,11 +54,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// Strategies lists all placement options.
-func Strategies() []Strategy {
-	return []Strategy{GPUMemory, SystemMemory, RemoteCPU, Hybrid, Tiered}
-}
-
 const (
 	// gpuReserveFraction of HBM is withheld for activations,
 	// workspace, and optimizer scratch when packing tables.
@@ -296,18 +291,6 @@ func FitTiered(cfg core.Config, platform hw.Platform, opts TieredOptions) (Plan,
 	}
 	plan.HotFraction = asg.TopTierFraction()
 	return plan, nil
-}
-
-// Feasible returns every strategy that fits on the platform, in enum
-// order.
-func Feasible(cfg core.Config, platform hw.Platform) []Plan {
-	var plans []Plan
-	for _, s := range Strategies() {
-		if p, err := Fit(cfg, platform, s, 0); err == nil {
-			plans = append(plans, p)
-		}
-	}
-	return plans
 }
 
 func ceilDiv(a, b int64) int64 {

@@ -141,12 +141,26 @@ func TestHybridSplitsByLookupDensity(t *testing.T) {
 	}
 }
 
+// strategies lists every placement option in enum order.
+var strategies = []Strategy{GPUMemory, SystemMemory, RemoteCPU, Hybrid, Tiered}
+
+// feasible returns the strategies Fit accepts for cfg on platform.
+func feasible(cfg core.Config, platform hw.Platform) []Plan {
+	var plans []Plan
+	for _, s := range strategies {
+		if p, err := Fit(cfg, platform, s, 0); err == nil {
+			plans = append(plans, p)
+		}
+	}
+	return plans
+}
+
 func TestFeasibleEnumerates(t *testing.T) {
-	plans := Feasible(smallCfg(), hw.BigBasin())
+	plans := feasible(smallCfg(), hw.BigBasin())
 	if len(plans) != 5 {
 		t.Errorf("small model should fit all 5 strategies on BigBasin, got %d", len(plans))
 	}
-	plans = Feasible(workload.M3Prod(), hw.BigBasin())
+	plans = feasible(workload.M3Prod(), hw.BigBasin())
 	for _, p := range plans {
 		if p.Strategy == GPUMemory || p.Strategy == SystemMemory {
 			t.Errorf("M3prod must not report %v as feasible on BigBasin", p.Strategy)
@@ -156,7 +170,7 @@ func TestFeasibleEnumerates(t *testing.T) {
 
 func TestStrategyString(t *testing.T) {
 	names := []string{"GPUMemory", "SystemMemory", "RemoteCPU", "Hybrid", "Tiered"}
-	for i, s := range Strategies() {
+	for i, s := range strategies {
 		if s.String() != names[i] {
 			t.Errorf("Strategy(%d).String() = %q", i, s.String())
 		}

@@ -98,8 +98,6 @@ type Resource struct {
 	// freeAt[i] is when server i next becomes idle.
 	freeAt   []float64
 	busyTime float64
-	served   int64
-	waitTime float64
 }
 
 // NewResource attaches a resource with the given server count.
@@ -129,23 +127,7 @@ func (r *Resource) Acquire(duration float64, done func()) {
 	finish := start + duration
 	r.freeAt[best] = finish
 	r.busyTime += duration
-	r.waitTime += start - r.eng.now
-	r.served++
 	r.eng.Schedule(finish-r.eng.now, done)
-}
-
-// BusyTime returns the cumulative service time delivered.
-func (r *Resource) BusyTime() float64 { return r.busyTime }
-
-// Served returns the number of completed-or-started requests.
-func (r *Resource) Served() int64 { return r.served }
-
-// MeanWait returns the average queueing delay experienced by requests.
-func (r *Resource) MeanWait() float64 {
-	if r.served == 0 {
-		return 0
-	}
-	return r.waitTime / float64(r.served)
 }
 
 // Utilization returns busy time as a fraction of capacity over [0, now].

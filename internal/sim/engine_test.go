@@ -97,13 +97,6 @@ func TestResourceFIFOService(t *testing.T) {
 			t.Errorf("completion %d at %v, want %v", i, done[i], w)
 		}
 	}
-	if r.Served() != 3 {
-		t.Errorf("Served = %d", r.Served())
-	}
-	// Mean wait of (0 + 2 + 4)/3 = 2.
-	if math.Abs(r.MeanWait()-2) > 1e-12 {
-		t.Errorf("MeanWait = %v", r.MeanWait())
-	}
 }
 
 func TestResourceParallelServers(t *testing.T) {
@@ -127,9 +120,6 @@ func TestUtilizationAccounting(t *testing.T) {
 	e.Run(8)
 	if u := r.Utilization(); math.Abs(u-0.5) > 1e-12 {
 		t.Errorf("Utilization = %v, want 0.5", u)
-	}
-	if r.BusyTime() != 4 {
-		t.Errorf("BusyTime = %v", r.BusyTime())
 	}
 }
 
@@ -163,8 +153,10 @@ func TestMD1QueueWait(t *testing.T) {
 	n := 20000
 	var arrive func()
 	count := 0
+	var waited float64
 	arrive = func() {
-		r.Acquire(service, func() {})
+		at := e.Now()
+		r.Acquire(service, func() { waited += e.Now() - at - service })
 		count++
 		if count < n {
 			e.Schedule(rng.Exp(rho/service), arrive)
@@ -173,7 +165,7 @@ func TestMD1QueueWait(t *testing.T) {
 	e.Schedule(0, arrive)
 	e.Run(math.Inf(1))
 	want := rho / (2 * (1 - rho)) * service // ≈ 1.1667
-	got := r.MeanWait()
+	got := waited / float64(n)
 	if math.Abs(got-want)/want > 0.15 {
 		t.Errorf("M/D/1 mean wait = %v, want ≈ %v", got, want)
 	}

@@ -11,24 +11,21 @@ type AnomalyKind uint8
 
 const (
 	// AnomalyLossSpike fires when the step loss sits more than
-	// LossZScore EWMA standard deviations above the EWMA mean.
+	// lossZScore EWMA standard deviations above the EWMA mean.
 	AnomalyLossSpike AnomalyKind = iota
 	// AnomalyLossNaN fires on a NaN or ±Inf loss — divergence, not a
 	// statistical outlier, so it has no warmup and maximum severity.
 	AnomalyLossNaN
 	// AnomalyThroughputDip fires when examples/sec drops below
-	// (1 − DipFraction) of its EWMA baseline.
+	// (1 − dipFraction) of its EWMA baseline.
 	AnomalyThroughputDip
 	// AnomalyIngestStarvation fires when the trainer spent more than
-	// StarveFraction of the step blocked on the input pipeline.
+	// starveFraction of the step blocked on the input pipeline.
 	AnomalyIngestStarvation
 	// AnomalyStraggler fires when the per-step straggler index (max
 	// rank self time / mean self time, the Imbalance definition)
 	// crosses StragglerIndex.
 	AnomalyStraggler
-	// AnomalySLOBreach fires when the step exceeds the configured
-	// SLOStepNS wall-time budget.
-	AnomalySLOBreach
 	// AnomalyRankFault is recorded via FlightRecorder.RecordFault when
 	// a collective RankError (kill/fail) aborts a step.
 	AnomalyRankFault
@@ -41,7 +38,6 @@ var anomalyKindNames = [numAnomalyKinds]string{
 	"throughput_dip",
 	"ingest_starvation",
 	"straggler",
-	"slo_breach",
 	"rank_fault",
 }
 
@@ -128,22 +124,22 @@ func (f *AnomalyFinding) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Detector defaults. See DESIGN.md ("Flight recorder") for the math.
+// Detector thresholds. See DESIGN.md ("Flight recorder") for the math.
 const (
-	// DefaultLossZScore is the EWMA z-score above which a loss sample
-	// counts as a spike. 6σ keeps the detector quiet on the heavy-
+	// lossZScore is the EWMA z-score above which a loss sample counts
+	// as a spike. 6σ keeps the detector quiet on the heavy-
 	// tailed per-batch loss noise of small-batch training while still
 	// firing on order-of-magnitude jumps (corrupt batch, wire drift).
-	DefaultLossZScore = 6.0
-	// DefaultDipFraction: throughput below (1−0.5)× the EWMA baseline
+	lossZScore = 6.0
+	// dipFraction: throughput below (1−0.5)× the EWMA baseline
 	// — i.e. a >2× slowdown — counts as a dip.
-	DefaultDipFraction = 0.5
-	// DefaultStarveFraction: spending over half the step blocked on
+	dipFraction = 0.5
+	// starveFraction: spending over half the step blocked on
 	// ingest is reader-bound territory (the doctor's verdict line).
-	DefaultStarveFraction = 0.5
-	// DefaultWarmupSteps is how many samples the EWMA detectors absorb
+	starveFraction = 0.5
+	// warmupSteps is how many samples the EWMA detectors absorb
 	// before they may fire; early-run loss is legitimately steep.
-	DefaultWarmupSteps = 8
+	warmupSteps = 8
 	// DefaultDebounceSteps is the per-kind refractory window: once a
 	// kind fires, repeats within this many steps are suppressed so one
 	// incident yields one finding (and one bundle), not a burst.
@@ -153,15 +149,13 @@ const (
 	ewmaAlpha = 0.05
 )
 
-// anomalyConfig are the resolved detector thresholds.
+// anomalyConfig is the detectors' setting: the straggler index
+// threshold, the world size that gates the straggler detector (it needs
+// > 1 rank), and the per-kind debounce window in steps.
 type anomalyConfig struct {
-	lossZ      float64
-	dipFrac    float64
-	starveFrac float64
-	stragIdx   float64
-	sloStepNS  int64
-	warmup     int
-	ranks      int
+	stragIdx float64
+	ranks    int
+	debounce int64
 }
 
 // anomalyState is the online detector state: EWMA mean/variance of the
@@ -173,33 +167,49 @@ type anomalyState struct {
 	lossMean float64
 	lossVar  float64
 	thptMean float64
+	lastFire [numAnomalyKinds]int64 // last fired step per kind, +1 (0 = never)
+}
+
+// fire applies the per-kind debounce: it reports whether a finding of
+// kind at step falls outside the kind's refractory window, and if so
+// opens a new window at step. A detector formats its finding only after
+// fire says yes, so a suppressed repeat allocates nothing.
+func (a *anomalyState) fire(kind AnomalyKind, step int64) bool {
+	if last := a.lastFire[kind]; last != 0 && step-(last-1) < a.cfg.debounce {
+		return false
+	}
+	a.lastFire[kind] = step + 1
+	return true
 }
 
 // observe updates the detector state with sample s and appends any
-// findings to dst (reusing its backing array), returning the extended
-// slice. The common no-finding path does not allocate.
+// findings the debounce lets through to dst (reusing its backing
+// array), returning the extended slice. A step with no finding, or only
+// suppressed ones, does not allocate.
 func (a *anomalyState) observe(s StepSample, dst []AnomalyFinding) []AnomalyFinding {
 	// NaN/Inf guard: no warmup, and no EWMA update (a NaN would poison
 	// the baseline for the rest of the run).
 	if math.IsNaN(s.Loss) || math.IsInf(s.Loss, 0) {
-		dst = append(dst, AnomalyFinding{
-			Kind: AnomalyLossNaN, Step: s.Step, Severity: 10,
-			Value: s.Loss, Baseline: a.lossMean,
-			Detail: fmt.Sprintf("loss %v (EWMA baseline %.4f): model diverged", s.Loss, a.lossMean),
-		})
+		if a.fire(AnomalyLossNaN, s.Step) {
+			dst = append(dst, AnomalyFinding{
+				Kind: AnomalyLossNaN, Step: s.Step, Severity: 10,
+				Value: s.Loss, Baseline: a.lossMean,
+				Detail: fmt.Sprintf("loss %v (EWMA baseline %.4f): model diverged", s.Loss, a.lossMean),
+			})
+		}
 		a.seen++
 		return dst
 	}
 
-	warm := a.seen >= a.cfg.warmup
+	warm := a.seen >= warmupSteps
 	if warm {
 		// Loss spike: one-sided EWMA z-score (drops are good news).
 		sigma := math.Sqrt(a.lossVar)
 		if sigma < 1e-12 {
 			sigma = 1e-12
 		}
-		if z := (s.Loss - a.lossMean) / sigma; z >= a.cfg.lossZ {
-			sev := 5 + math.Min(5, z-a.cfg.lossZ)
+		if z := (s.Loss - a.lossMean) / sigma; z >= lossZScore && a.fire(AnomalyLossSpike, s.Step) {
+			sev := 5 + math.Min(5, z-lossZScore)
 			dst = append(dst, AnomalyFinding{
 				Kind: AnomalyLossSpike, Step: s.Step, Severity: sev,
 				Value: s.Loss, Baseline: a.lossMean,
@@ -208,7 +218,7 @@ func (a *anomalyState) observe(s StepSample, dst []AnomalyFinding) []AnomalyFind
 		}
 		// Throughput dip vs the EWMA baseline.
 		if thpt := s.ExamplesPerSec(); thpt > 0 && a.thptMean > 0 &&
-			thpt < (1-a.cfg.dipFrac)*a.thptMean {
+			thpt < (1-dipFraction)*a.thptMean && a.fire(AnomalyThroughputDip, s.Step) {
 			drop := 1 - thpt/a.thptMean
 			dst = append(dst, AnomalyFinding{
 				Kind: AnomalyThroughputDip, Step: s.Step, Severity: 3 + 5*drop,
@@ -219,28 +229,20 @@ func (a *anomalyState) observe(s StepSample, dst []AnomalyFinding) []AnomalyFind
 		}
 	}
 
-	// Fraction detectors need no baseline, only a valid step time.
+	// The starvation fraction needs no baseline, only a valid step time.
 	if s.StepNS > 0 {
-		if frac := float64(s.StarvedNS) / float64(s.StepNS); frac >= a.cfg.starveFrac {
+		if frac := float64(s.StarvedNS) / float64(s.StepNS); frac >= starveFraction && a.fire(AnomalyIngestStarvation, s.Step) {
 			dst = append(dst, AnomalyFinding{
 				Kind: AnomalyIngestStarvation, Step: s.Step, Severity: 3 + 5*frac,
-				Value: frac, Baseline: a.cfg.starveFrac,
+				Value: frac, Baseline: starveFraction,
 				Detail: fmt.Sprintf("trainer starved %.0f%% of the step waiting on ingest", 100*frac),
-			})
-		}
-		if a.cfg.sloStepNS > 0 && s.StepNS > a.cfg.sloStepNS {
-			dst = append(dst, AnomalyFinding{
-				Kind: AnomalySLOBreach, Step: s.Step, Severity: 4,
-				Value: float64(s.StepNS), Baseline: float64(a.cfg.sloStepNS),
-				Detail: fmt.Sprintf("step took %.2fms, SLO %.2fms",
-					float64(s.StepNS)/1e6, float64(a.cfg.sloStepNS)/1e6),
 			})
 		}
 	}
 
 	// Straggler-index crossing (multi-rank only): same index Imbalance
 	// reports post-hoc, evaluated per step.
-	if a.cfg.ranks > 1 && s.StragglerIndex >= a.cfg.stragIdx {
+	if a.cfg.ranks > 1 && s.StragglerIndex >= a.cfg.stragIdx && a.fire(AnomalyStraggler, s.Step) {
 		dst = append(dst, AnomalyFinding{
 			Kind: AnomalyStraggler, Step: s.Step,
 			Severity: 3 + math.Min(5, 2*(s.StragglerIndex-a.cfg.stragIdx)),

@@ -17,11 +17,6 @@ type FlightRecorderConfig struct {
 	// Dir is where blackbox-<step>/ bundles are dumped. Empty disables
 	// dumping (findings are still recorded in memory).
 	Dir string
-	// Capacity is the sample-ring depth in steps (DefaultTimeseriesCap).
-	Capacity int
-	// WindowSteps is K for the bundle's last-K-steps Chrome trace
-	// window and time-series tail (default 64).
-	WindowSteps int
 	// DebounceSteps is the per-kind refractory window
 	// (DefaultDebounceSteps); findings of a kind that already fired
 	// within the window are suppressed.
@@ -37,15 +32,9 @@ type FlightRecorderConfig struct {
 	Registry *Registry
 	// Ranks gates the straggler detector (needs > 1).
 	Ranks int
-	// Detector thresholds; zero means the package default.
-	LossZScore     float64
-	DipFraction    float64
-	StarveFraction float64
+	// StragglerIndex is the straggler detector's threshold (default
+	// StragglerIndexThreshold).
 	StragglerIndex float64
-	WarmupSteps    int
-	// SLOStepNS, when > 0, fires AnomalySLOBreach on any step slower
-	// than this wall-time budget.
-	SLOStepNS int64
 	// Logf, when set, receives one line per recorded finding and dump.
 	Logf func(format string, args ...any)
 }
@@ -74,36 +63,20 @@ type FlightRecorder struct {
 	mu       sync.Mutex
 	findings []AnomalyFinding
 	bundles  []string
-	lastFire [numAnomalyKinds]int64 // last recorded step per kind, +1 (0 = never)
-	scratch  []AnomalyFinding       // reused per-step findings buffer
+	scratch  []AnomalyFinding // reused per-step findings buffer
 }
 
 // OpenFlightRecorder validates cfg, creates cfg.Dir when set, and
 // returns a recorder ready to observe steps.
 func OpenFlightRecorder(cfg FlightRecorderConfig) (*FlightRecorder, error) {
-	if cfg.WindowSteps <= 0 {
-		cfg.WindowSteps = 64
-	}
 	if cfg.DebounceSteps <= 0 {
 		cfg.DebounceSteps = DefaultDebounceSteps
 	}
 	if cfg.MaxBundles <= 0 {
 		cfg.MaxBundles = 8
 	}
-	if cfg.LossZScore <= 0 {
-		cfg.LossZScore = DefaultLossZScore
-	}
-	if cfg.DipFraction <= 0 {
-		cfg.DipFraction = DefaultDipFraction
-	}
-	if cfg.StarveFraction <= 0 {
-		cfg.StarveFraction = DefaultStarveFraction
-	}
 	if cfg.StragglerIndex <= 0 {
 		cfg.StragglerIndex = StragglerIndexThreshold
-	}
-	if cfg.WarmupSteps <= 0 {
-		cfg.WarmupSteps = DefaultWarmupSteps
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -112,15 +85,9 @@ func OpenFlightRecorder(cfg FlightRecorderConfig) (*FlightRecorder, error) {
 	}
 	fr := &FlightRecorder{
 		cfg: cfg,
-		ts:  NewTimeseries(cfg.Capacity),
+		ts:  NewTimeseries(DefaultTimeseriesCap),
 		det: anomalyState{cfg: anomalyConfig{
-			lossZ:      cfg.LossZScore,
-			dipFrac:    cfg.DipFraction,
-			starveFrac: cfg.StarveFraction,
-			stragIdx:   cfg.StragglerIndex,
-			sloStepNS:  cfg.SLOStepNS,
-			warmup:     cfg.WarmupSteps,
-			ranks:      cfg.Ranks,
+			stragIdx: cfg.StragglerIndex, ranks: cfg.Ranks, debounce: int64(cfg.DebounceSteps),
 		}},
 		scratch: make([]AnomalyFinding, 0, 8),
 	}
@@ -181,10 +148,15 @@ func (fr *FlightRecorder) RecordFault(step int64, err error) {
 	if fr == nil || err == nil {
 		return
 	}
-	fr.recordFinding(AnomalyFinding{
-		Kind: AnomalyRankFault, Step: step, Severity: 10,
-		Detail: err.Error(),
-	})
+	fr.mu.Lock()
+	fire := fr.det.fire(AnomalyRankFault, step)
+	fr.mu.Unlock()
+	if fire {
+		fr.recordFinding(AnomalyFinding{
+			Kind: AnomalyRankFault, Step: step, Severity: 10,
+			Detail: err.Error(),
+		})
+	}
 }
 
 // Mark annotates the time-series with a non-finding event (world
@@ -200,15 +172,10 @@ func (fr *FlightRecorder) Mark(step int64, kind, detail string) {
 	}
 }
 
-// recordFinding applies the per-kind debounce, stores the finding,
-// mirrors it as a time-series mark, and dumps a bundle.
+// recordFinding stores a finding the debounce let through, mirrors it as
+// a time-series mark, and dumps a bundle.
 func (fr *FlightRecorder) recordFinding(f AnomalyFinding) {
 	fr.mu.Lock()
-	if last := fr.lastFire[f.Kind]; last != 0 && f.Step-(last-1) < int64(fr.cfg.DebounceSteps) {
-		fr.mu.Unlock()
-		return
-	}
-	fr.lastFire[f.Kind] = f.Step + 1
 	fr.findings = append(fr.findings, f)
 	fr.mu.Unlock()
 
@@ -259,19 +226,6 @@ func (fr *FlightRecorder) Bundles() []string {
 	return append([]string(nil), fr.bundles...)
 }
 
-// Dump writes a black-box bundle for the given step outside the finding
-// path (manual trigger, e.g. on demand from a signal handler). It
-// counts against MaxBundles.
-func (fr *FlightRecorder) Dump(step int64, reason string) (string, error) {
-	if fr == nil {
-		return "", nil
-	}
-	if fr.cfg.Dir == "" {
-		return "", fmt.Errorf("telemetry: flight recorder has no dump dir")
-	}
-	return fr.dump(AnomalyFinding{Kind: AnomalyRankFault, Step: step, Detail: reason})
-}
-
 // BundleManifest is the bundle.json schema: what triggered the dump and
 // which files the bundle holds.
 type BundleManifest struct {
@@ -280,6 +234,10 @@ type BundleManifest struct {
 	Trigger AnomalyFinding `json:"trigger"`
 	Files   []string       `json:"files"`
 }
+
+// bundleWindowSteps is K for a bundle's last-K-steps Chrome trace window
+// and time-series tail.
+const bundleWindowSteps = 64
 
 // bundleSchemaVersion identifies the bundle layout; bump on breaking
 // changes so readers can dispatch.
@@ -333,7 +291,7 @@ func (fr *FlightRecorder) dump(trigger AnomalyFinding) (string, error) {
 	// of the full snapshot.
 	snap := fr.cfg.Tracer.Snapshot()
 	var cutoff int64
-	if tail := fr.ts.Tail(fr.cfg.WindowSteps); len(tail) > 0 {
+	if tail := fr.ts.Tail(bundleWindowSteps); len(tail) > 0 {
 		cutoff = tail[0].ClockNS - tail[0].StepNS
 	}
 	win := snap

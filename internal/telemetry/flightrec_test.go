@@ -24,7 +24,7 @@ func TestFlightRecorderDumpsBundle(t *testing.T) {
 	tr := NewTracer(1, 128)
 	reg := NewRegistry()
 	fr, err := OpenFlightRecorder(FlightRecorderConfig{
-		Dir: dir, Capacity: 64, Tracer: tr, Registry: reg,
+		Dir: dir, Tracer: tr, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,27 +235,5 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	fr.Mark(0, "k", "d")
 	if fr.Findings() != nil || fr.Bundles() != nil || fr.Timeseries() != nil {
 		t.Fatal("nil recorder returned data")
-	}
-}
-
-func TestFlightRecorderManualDump(t *testing.T) {
-	fr, err := OpenFlightRecorder(FlightRecorderConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fr.Dump(3, "manual"); err == nil {
-		t.Fatal("Dump without a dir must error")
-	}
-	dir := t.TempDir()
-	fr, err = OpenFlightRecorder(FlightRecorderConfig{Dir: dir, Tracer: NewTracer(1, 16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := fr.Dump(3, "manual")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path != filepath.Join(dir, "blackbox-3") {
-		t.Fatalf("manual dump path %q", path)
 	}
 }

@@ -97,9 +97,6 @@ func (h *Histogram) Merge(o *Histogram) {
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the sum of all positive recorded values.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
 // Mean returns the exact mean of recorded values (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {

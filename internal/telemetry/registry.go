@@ -271,20 +271,6 @@ func (s Snapshot) Get(name string) int64 {
 	return v
 }
 
-// Sub returns this snapshot minus prev, metric-wise — the windowed view
-// between two snapshots. Metrics absent from prev pass through.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	old := make(map[string]int64, len(prev.Metrics))
-	for _, m := range prev.Metrics {
-		old[m.Name] = m.Value
-	}
-	out := Snapshot{TakenAt: s.TakenAt, ClockNS: s.ClockNS, Metrics: make([]Metric, len(s.Metrics))}
-	for i, m := range s.Metrics {
-		out.Metrics[i] = Metric{m.Name, m.Value - old[m.Name]}
-	}
-	return out
-}
-
 // Render returns the snapshot as an aligned two-column table, headed by
 // the resolution timestamp.
 func (s Snapshot) Render() string {

@@ -149,14 +149,6 @@ func NewTracer(shards, capacity int) *Tracer {
 	return t
 }
 
-// Shards returns the shard count (0 for a nil tracer).
-func (t *Tracer) Shards() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.shards)
-}
-
 // NameShard labels a shard for the exporters ("rank 0", "decoder 1").
 func (t *Tracer) NameShard(i int, name string) {
 	if t == nil {
@@ -310,19 +302,6 @@ func (s TraceSnapshot) ShardPhaseHist(i int, p Phase) Histogram {
 	}
 	if i >= 0 && i < len(s.Hists) {
 		out = s.Hists[i][p]
-	}
-	return out
-}
-
-// PhaseTotals sums span durations per phase in seconds across the whole
-// snapshot (PhaseStep excluded — it envelopes the others).
-func (s TraceSnapshot) PhaseTotals() map[Phase]float64 {
-	out := make(map[Phase]float64)
-	for _, sp := range s.Spans {
-		if sp.Phase == PhaseStep {
-			continue
-		}
-		out[sp.Phase] += float64(sp.Dur()) / 1e9
 	}
 	return out
 }

@@ -86,9 +86,9 @@ func checkAllKernels(t *testing.T, label string) {
 		bias := randShaped(rng, 1, sh.n).Data
 
 		dst := New(sh.m, sh.n)
-		MatMul(dst, a, b)
+		matMul(dst, a, b)
 		if !dst.Equal(naiveMatMul(a, b), eps) {
-			t.Errorf("%s: MatMul differs from naive reference", name)
+			t.Errorf("%s: MatMulBiasReLU(nil bias) differs from naive reference", name)
 		}
 
 		for _, relu := range []bool{false, true} {
@@ -109,16 +109,16 @@ func checkAllKernels(t *testing.T, label string) {
 		// For aᵀ·b the shared dim is the row count: use a as k×m.
 		at := randShaped(rng, sh.k, sh.m)
 		dstA := New(sh.m, sh.n)
-		MatMulTransA(dstA, at, b)
+		matMulTransA(dstA, at, b)
 		want := naiveMatMulTransA(at, b)
 		if !dstA.Equal(want, eps) {
-			t.Errorf("%s: MatMulTransA differs from naive reference", name)
+			t.Errorf("%s: MatMulTransAAcc into zeros differs from naive reference", name)
 		}
 
 		// Accumulating variant: dst0 + aᵀ·b.
 		acc := randShaped(rng, sh.m, sh.n)
 		wantAcc := acc.Clone()
-		wantAcc.Add(want)
+		AddTo(wantAcc.Data, want.Data)
 		MatMulTransAAcc(acc, at, b)
 		if !acc.Equal(wantAcc, eps) {
 			t.Errorf("%s: MatMulTransAAcc differs from naive reference", name)
@@ -166,7 +166,7 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 		go func() {
 			dst, dstT := New(48, 96), New(48, 96)
 			for i := 0; i < 20; i++ {
-				MatMul(dst, a, b)
+				matMul(dst, a, b)
 				MatMulTransB(dstT, a, bT)
 			}
 			done <- dst.Equal(want, 1e-3) && dstT.Equal(wantT, 0)
@@ -174,7 +174,7 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 	}
 	for c := 0; c < callers; c++ {
 		if !<-done {
-			t.Fatal("concurrent MatMul produced a wrong result")
+			t.Fatal("concurrent GEMMs produced a wrong result")
 		}
 	}
 }
@@ -200,7 +200,7 @@ func TestSerialKernelsAllocFree(t *testing.T) {
 	bias := randShaped(rng, 1, 8).Data
 	dst := New(16, 8)
 	if avg := testing.AllocsPerRun(20, func() {
-		MatMul(dst, a, b)
+		matMul(dst, a, b)
 		MatMulBiasReLU(dst, a, b, bias, true)
 	}); avg != 0 {
 		t.Errorf("serial kernels allocate %.1f objects per call, want 0", avg)

@@ -67,29 +67,6 @@ func (m *Matrix) Fill(v float32) {
 	}
 }
 
-// Add accumulates other into m element-wise. Shapes must match.
-func (m *Matrix) Add(other *Matrix) {
-	m.mustSameShape(other)
-	AddTo(m.Data, other.Data)
-}
-
-// Sub subtracts other from m element-wise. Shapes must match.
-func (m *Matrix) Sub(other *Matrix) {
-	m.mustSameShape(other)
-	for i, v := range other.Data {
-		m.Data[i] -= v
-	}
-}
-
-// Scale multiplies every element by a.
-func (m *Matrix) Scale(a float32) { ScaleVec(m.Data, a) }
-
-// AXPY computes m += a*x element-wise. Shapes must match.
-func (m *Matrix) AXPY(a float32, x *Matrix) {
-	m.mustSameShape(x)
-	Axpy(a, x.Data, m.Data)
-}
-
 // Equal reports whether two matrices have identical shape and elements
 // within tolerance eps.
 func (m *Matrix) Equal(other *Matrix, eps float32) bool {
@@ -108,13 +85,6 @@ func (m *Matrix) Equal(other *Matrix, eps float32) bool {
 	return true
 }
 
-func (m *Matrix) mustSameShape(other *Matrix) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(fmt.Sprintf("tensor: shape mismatch %dx%d vs %dx%d",
-			m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-}
-
 // parallelThreshold is the FLOP count above which matmuls fan out across
 // the persistent worker pool (pool.go). Below it the hand-off overhead
 // exceeds the win.
@@ -128,19 +98,10 @@ const (
 	tileK    = 256
 )
 
-// MatMul computes dst = a·b where a is m×k and b is k×n. dst must be m×n
-// and must not alias a or b.
-func MatMul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul dims (%dx%d)·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dispatch(kMatMul, dst, a, b, nil, false, a.Rows, a.Rows*a.Cols*b.Cols)
-}
-
 // MatMulBiasReLU computes dst = a·b + bias (broadcast over rows), applying
 // ReLU in place when relu is true — the fused forward kernel of one dense
-// layer. bias must have len b.Cols; dst must be m×n and must not alias a
+// layer. bias must have len b.Cols, or be nil for the plain product
+// dst = a·b (relu is then ignored); dst must be m×n and must not alias a
 // or b. The epilogue runs on each destination tile while it is still
 // cache-resident, replacing the matmul→bias→ReLU triple pass over memory.
 func MatMulBiasReLU(dst, a, b *Matrix, bias []float32, relu bool) {
@@ -148,7 +109,7 @@ func MatMulBiasReLU(dst, a, b *Matrix, bias []float32, relu bool) {
 		panic(fmt.Sprintf("tensor: MatMulBiasReLU dims (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	if len(bias) != b.Cols {
+	if bias != nil && len(bias) != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulBiasReLU bias len %d, want %d", len(bias), b.Cols))
 	}
 	dispatch(kMatMulBiasReLU, dst, a, b, bias, relu, a.Rows, a.Rows*a.Cols*b.Cols)
@@ -391,12 +352,9 @@ func axpyStrips(arow []float32, b *Matrix, kk int, drow []float32) int {
 	return j
 }
 
-// matMulRange computes rows [r0, r1) of dst = a·b with the i-k-j loop
-// order, k blocked in tileK panels reused across tileRows-row tiles.
-func matMulRange(dst, a, b *Matrix, r0, r1 int) {
-	matMulBiasReLURange(dst, a, b, nil, false, r0, r1)
-}
-
+// matMulBiasReLURange computes rows [r0, r1) of dst = a·b (+ bias, then
+// ReLU, when bias is set) with the i-k-j loop order, k blocked in tileK
+// panels reused across tileRows-row tiles.
 func matMulBiasReLURange(dst, a, b *Matrix, bias []float32, relu bool, r0, r1 int) {
 	n := b.Cols
 	k := a.Cols
@@ -514,17 +472,6 @@ func matMulTransBRange(dst, a, b *Matrix, panel []float32, r0, r1 int) {
 	}
 }
 
-// MatMulTransA computes dst = aᵀ·b where a is k×m and b is k×n. dst must
-// be m×n. This is the shape backprop needs for weight gradients
-// (dW = Xᵀ·dY).
-func MatMulTransA(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransA dims (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dispatch(kMatMulTransA, dst, a, b, nil, false, a.Cols, a.Rows*a.Cols*b.Cols)
-}
-
 // MatMulTransAAcc computes dst += aᵀ·b — the accumulate-fused weight
 // gradient kernel. Backprop adds dW = Xᵀ·dY into the running gradient
 // directly, eliminating the scratch matrix and the extra add pass.
@@ -534,17 +481,6 @@ func MatMulTransAAcc(dst, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	dispatch(kMatMulTransAAcc, dst, a, b, nil, false, a.Cols, a.Rows*a.Cols*b.Cols)
-}
-
-func matMulTransARange(dst, a, b *Matrix, r0, r1 int) {
-	n := b.Cols
-	for i := r0; i < r1; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
-	matMulTransAAccRange(dst, a, b, r0, r1)
 }
 
 // matMulTransAAccRange accumulates rows [r0, r1) of dst += aᵀ·b (rows of

@@ -23,6 +23,17 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 	return c
 }
 
+// matMul computes dst = a·b on the forward kernel the dense layers run:
+// MatMulBiasReLU with no bias (and so no ReLU).
+func matMul(dst, a, b *Matrix) { MatMulBiasReLU(dst, a, b, nil, false) }
+
+// matMulTransA computes dst = aᵀ·b on the weight-gradient kernel:
+// MatMulTransAAcc into a zeroed dst.
+func matMulTransA(dst, a, b *Matrix) {
+	dst.Zero()
+	MatMulTransAAcc(dst, a, b)
+}
+
 func randomMatrix(rng *xrand.RNG, rows, cols int) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
@@ -39,7 +50,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		b := randomMatrix(rng, s[1], s[2])
 		want := naiveMatMul(a, b)
 		got := New(s[0], s[2])
-		MatMul(got, a, b)
+		matMul(got, a, b)
 		if !got.Equal(want, 1e-4) {
 			t.Errorf("MatMul mismatch for shape %v", s)
 		}
@@ -53,7 +64,7 @@ func TestMatMulParallelLarge(t *testing.T) {
 	b := randomMatrix(rng, 90, 70)
 	want := naiveMatMul(a, b)
 	got := New(120, 70)
-	MatMul(got, a, b)
+	matMul(got, a, b)
 	if !got.Equal(want, 1e-3) {
 		t.Error("parallel MatMul diverges from naive result")
 	}
@@ -89,7 +100,7 @@ func TestMatMulTransA(t *testing.T) {
 	}
 	want := naiveMatMul(a, b)
 	got := New(6, 8)
-	MatMulTransA(got, aT, b)
+	matMulTransA(got, aT, b)
 	if !got.Equal(want, 1e-4) {
 		t.Error("MatMulTransA mismatch")
 	}
@@ -105,7 +116,7 @@ func TestMatMulIdentity(t *testing.T) {
 			id.Set(i, i, 1)
 		}
 		got := New(n, n)
-		MatMul(got, a, id)
+		matMul(got, a, id)
 		return got.Equal(a, 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -122,14 +133,14 @@ func TestMatMulDistributive(t *testing.T) {
 		b := randomMatrix(rng, k, n)
 		c := randomMatrix(rng, k, n)
 		bc := b.Clone()
-		bc.Add(c)
+		AddTo(bc.Data, c.Data)
 		left := New(m, n)
-		MatMul(left, a, bc)
+		matMul(left, a, bc)
 		ab := New(m, n)
 		ac := New(m, n)
-		MatMul(ab, a, b)
-		MatMul(ac, a, c)
-		ab.Add(ac)
+		matMul(ab, a, b)
+		matMul(ac, a, c)
+		AddTo(ab.Data, ac.Data)
 		return left.Equal(ab, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -143,7 +154,7 @@ func TestMatMulPanicsOnDimMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 2), New(2, 3), New(2, 2))
+	matMul(New(2, 2), New(2, 3), New(2, 2))
 }
 
 func TestFromDataPanicsOnBadLength(t *testing.T) {
@@ -162,28 +173,6 @@ func TestCloneIsDeep(t *testing.T) {
 	b.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
 		t.Error("Clone shares storage with original")
-	}
-}
-
-func TestAddSubScale(t *testing.T) {
-	a := FromData(2, 2, []float32{1, 2, 3, 4})
-	b := FromData(2, 2, []float32{4, 3, 2, 1})
-	a.Add(b)
-	want := FromData(2, 2, []float32{5, 5, 5, 5})
-	if !a.Equal(want, 0) {
-		t.Errorf("Add: got %v", a.Data)
-	}
-	a.Sub(b)
-	if !a.Equal(FromData(2, 2, []float32{1, 2, 3, 4}), 0) {
-		t.Errorf("Sub: got %v", a.Data)
-	}
-	a.Scale(2)
-	if !a.Equal(FromData(2, 2, []float32{2, 4, 6, 8}), 0) {
-		t.Errorf("Scale: got %v", a.Data)
-	}
-	a.AXPY(0.5, b)
-	if !a.Equal(FromData(2, 2, []float32{4, 5.5, 7, 8.5}), 1e-6) {
-		t.Errorf("AXPY: got %v", a.Data)
 	}
 }
 
@@ -212,19 +201,6 @@ func TestDotAxpy(t *testing.T) {
 	}
 }
 
-func TestL2NormAndMaxAbs(t *testing.T) {
-	x := []float32{3, -4}
-	if n := L2Norm(x); math.Abs(float64(n)-5) > 1e-6 {
-		t.Errorf("L2Norm = %v, want 5", n)
-	}
-	if m := MaxAbs(x); m != 4 {
-		t.Errorf("MaxAbs = %v, want 4", m)
-	}
-	if m := MaxAbs(nil); m != 0 {
-		t.Errorf("MaxAbs(nil) = %v, want 0", m)
-	}
-}
-
 func TestXavierInitBounds(t *testing.T) {
 	rng := xrand.New(5)
 	m := New(50, 50)
@@ -236,9 +212,12 @@ func TestXavierInitBounds(t *testing.T) {
 		}
 	}
 	// Should not be all zeros.
-	if MaxAbs(m.Data) == 0 {
-		t.Error("Xavier init produced all zeros")
+	for _, v := range m.Data {
+		if v != 0 {
+			return
+		}
 	}
+	t.Error("Xavier init produced all zeros")
 }
 
 func TestSigmoid(t *testing.T) {
@@ -253,17 +232,6 @@ func TestSigmoid(t *testing.T) {
 	}
 }
 
-func TestSumScaleVec(t *testing.T) {
-	x := []float32{1, 2, 3, 4}
-	if s := Sum(x); s != 10 {
-		t.Errorf("Sum = %v", s)
-	}
-	ScaleVec(x, 0.5)
-	if x[3] != 2 {
-		t.Errorf("ScaleVec: got %v", x)
-	}
-}
-
 func BenchmarkMatMul128(b *testing.B) {
 	rng := xrand.New(1)
 	x := randomMatrix(rng, 128, 128)
@@ -271,7 +239,7 @@ func BenchmarkMatMul128(b *testing.B) {
 	dst := New(128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(dst, x, y)
+		matMul(dst, x, y)
 	}
 }
 

@@ -24,13 +24,10 @@ import (
 type kernelKind uint8
 
 const (
-	kMatMul kernelKind = iota
-	kMatMulBiasReLU
+	kMatMulBiasReLU kernelKind = iota
 	kMatMulTransB
-	kMatMulTransA
 	kMatMulTransAAcc
 	kEncodeHalf
-	kDecodeHalf
 	kRange
 )
 
@@ -47,7 +44,7 @@ type job struct {
 	bias []float32
 	relu bool
 
-	// dtype-conversion operands (kEncodeHalf / kDecodeHalf)
+	// dtype-conversion operands (kEncodeHalf)
 	hu []uint16
 	hf []float32
 	dt DType
@@ -69,22 +66,15 @@ type job struct {
 // runRange executes the job's kernel over rows [r0, r1).
 func (j *job) runRange(r0, r1 int) {
 	switch j.kind {
-	case kMatMul:
-		matMulRange(j.dst, j.a, j.b, r0, r1)
 	case kMatMulBiasReLU:
 		matMulBiasReLURange(j.dst, j.a, j.b, j.bias, j.relu, r0, r1)
 	case kMatMulTransB:
 		matMulTransBRange(j.dst, j.a, j.b, j.panel, r0, r1)
-	case kMatMulTransA:
-		matMulTransARange(j.dst, j.a, j.b, r0, r1)
 	case kMatMulTransAAcc:
 		matMulTransAAccRange(j.dst, j.a, j.b, r0, r1)
 	case kEncodeHalf:
 		lo, hi := convRange(r0, r1, len(j.hf))
 		Encode(j.dt, j.hu[lo:hi], j.hf[lo:hi])
-	case kDecodeHalf:
-		lo, hi := convRange(r0, r1, len(j.hu))
-		Decode(j.dt, j.hf[lo:hi], j.hu[lo:hi])
 	case kRange:
 		j.r.RunRange(r0, r1)
 	}
@@ -229,25 +219,6 @@ func dispatch(kind kernelKind, dst, a, b *Matrix, bias []float32, relu bool, row
 	submit(j, rows, 0)
 }
 
-// dispatchConv runs a bulk dtype conversion over n elements, serially
-// below the work threshold and through the worker pool above it. The
-// conversion kernels cost a handful of integer ops per element, so the
-// work estimate is 4*n to share parallelThreshold's FLOP scale.
-func dispatchConv(kind kernelKind, dt DType, u []uint16, f []float32, n int) {
-	if n == 0 {
-		return
-	}
-	blocks := (n + convChunk - 1) / convChunk
-	if serial(blocks, 4*n) {
-		j := job{kind: kind, dt: dt, hu: u, hf: f}
-		j.runRange(0, blocks)
-		return
-	}
-	j := getJob()
-	j.kind, j.dt, j.hu, j.hf = kind, dt, u, f
-	submit(j, blocks, 0)
-}
-
 // Ranger is pool work that is not a matrix kernel: RunRange(lo, hi)
 // processes items [lo, hi) of an index space the caller defines. Calls
 // for disjoint ranges may run concurrently, so the items must share no
@@ -279,12 +250,21 @@ func ParallelRange(r Ranger, n, perItem int) {
 
 // ParallelEncode narrows src into dst[:len(src)] using dt, spreading
 // element blocks across the worker pool for large slices (bulk table
-// re-quantization); small slices run serially and allocation-free.
+// re-quantization); small slices run serially and allocation-free. The
+// conversion costs a handful of integer ops per element, so the work
+// estimate is 4*len(src) to share parallelThreshold's FLOP scale.
 func ParallelEncode(dt DType, dst []uint16, src []float32) {
-	dispatchConv(kEncodeHalf, dt, dst[:len(src)], src, len(src))
-}
-
-// ParallelDecode widens src into dst[:len(src)] using dt.
-func ParallelDecode(dt DType, dst []float32, src []uint16) {
-	dispatchConv(kDecodeHalf, dt, src, dst[:len(src)], len(src))
+	n := len(src)
+	if n == 0 {
+		return
+	}
+	dst = dst[:n]
+	blocks := (n + convChunk - 1) / convChunk
+	if serial(blocks, 4*n) {
+		Encode(dt, dst, src)
+		return
+	}
+	j := getJob()
+	j.kind, j.dt, j.hu, j.hf = kEncodeHalf, dt, dst, src
+	submit(j, blocks, 0)
 }

@@ -241,45 +241,6 @@ func sumSquares8(sums *[8]float32, rows []float32, dim, from int) {
 	*sums = [8]float32{s0, s1, s2, s3, s4, s5, s6, s7}
 }
 
-// ScaleVec multiplies every element of x by a.
-func ScaleVec(x []float32, a float32) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// Sum returns the sum of all elements.
-func Sum(x []float32) float32 {
-	var s float32
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// L2Norm returns the Euclidean norm of x.
-func L2Norm(x []float32) float32 {
-	var s float64
-	for _, v := range x {
-		s += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(s))
-}
-
-// MaxAbs returns the largest absolute element value of x (0 for empty x).
-func MaxAbs(x []float32) float32 {
-	var m float32
-	for _, v := range x {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // XavierInit fills m with Xavier/Glorot-uniform values appropriate for a
 // layer with the given fan-in and fan-out.
 func XavierInit(m *Matrix, fanIn, fanOut int, rng *xrand.RNG) {

@@ -3,10 +3,10 @@
 // access frequencies follow a power law, frequency does not correlate
 // with table size, and the skew creates caching opportunities.
 //
-// It also provides an LRU cache simulator (backed by the memtier
-// package's policy implementations) to quantify that caching opportunity
-// on recorded traces, and exports row-frequency profiles the memtier
-// planner consumes for trace-driven tier assignment.
+// CacheOpportunity replays recorded batches through the memtier
+// package's LRU to quantify that caching opportunity, and Collector
+// exports the row-frequency profiles the memtier planner consumes for
+// trace-driven tier assignment.
 package trace
 
 import (
@@ -103,16 +103,6 @@ func (c *Collector) Profiles(examples int) []TableProfile {
 	return out
 }
 
-// AccessFrequencies returns total accesses per table, the series whose
-// rank-frequency shape the paper describes as a power law.
-func (c *Collector) AccessFrequencies() []float64 {
-	out := make([]float64, len(c.totals))
-	for i, n := range c.totals {
-		out[i] = float64(n)
-	}
-	return out
-}
-
 // SizeFrequencyCorrelation returns the Pearson correlation between table
 // size and access count; the paper observes it is weak ("the access
 // frequency does not always correlate with the embedding table size").
@@ -158,31 +148,6 @@ func (c *Collector) RowFrequencies() [][]uint64 {
 	}
 	return out
 }
-
-// LRU is a fixed-capacity least-recently-used cache over (table, row)
-// keys, used to estimate the hit rate a row cache would achieve on a
-// recorded access stream. It is a thin (feature, row)-keyed wrapper over
-// memtier.LRU; use the memtier package directly for other eviction
-// policies (LFU, CLOCK).
-type LRU struct {
-	p *memtier.LRU
-}
-
-// NewLRU creates a cache holding capacity rows.
-func NewLRU(capacity int) *LRU {
-	return &LRU{p: memtier.NewLRU(capacity)}
-}
-
-// Access touches (feature, ix) and reports whether it hit.
-func (c *LRU) Access(feature int, ix int32) bool {
-	return c.p.Access(memtier.Key(feature, ix))
-}
-
-// HitRate returns hits / (hits + misses).
-func (c *LRU) HitRate() float64 { return memtier.HitRate(c.p) }
-
-// Len returns the number of cached rows.
-func (c *LRU) Len() int { return c.p.Len() }
 
 // CacheOpportunity replays the batches through LRU caches of the given
 // row capacities and returns the hit rate per capacity — the §III-A2

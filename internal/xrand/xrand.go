@@ -37,9 +37,6 @@ func (g *RNG) Split() *RNG {
 // Uint64 returns a uniformly distributed 64-bit value.
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
-// Int63 returns a non-negative 63-bit value.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
@@ -145,9 +142,6 @@ func (z *BoundedZipf) Mean() float64 {
 	}
 	return m
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -172,21 +172,3 @@ func TestFloat32Range(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed int64) bool {
-		g := New(seed)
-		p := g.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}

@@ -61,7 +61,7 @@
 //     per-step time-series ring (loss, throughput, phase/comm/wait/
 //     starvation ns, straggler index) fed by both trainers, online
 //     anomaly detectors (EWMA loss z-score, NaN guard, throughput dip,
-//     ingest starvation, straggler-index and step-SLO crossings) that
+//     ingest starvation and straggler-index crossings) that
 //     localize incidents to the offending step, and trigger-dumped
 //     black-box bundles — trace window, metrics snapshot, series tail,
 //     doctor verdict — plus a live /timeseries endpoint and an ASCII
@@ -304,7 +304,7 @@ type (
 	TimeseriesMark = telemetry.SeriesMark
 	// AnomalyKind classifies an online detector finding (loss_spike,
 	// loss_nan, throughput_dip, ingest_starvation, straggler,
-	// slo_breach, rank_fault).
+	// rank_fault).
 	AnomalyKind = telemetry.AnomalyKind
 	// AnomalyFinding is one structured detector hit: kind, offending
 	// step, severity, observed value vs baseline, detail line.
@@ -315,7 +315,7 @@ type (
 	// series tail, doctor verdict) on every debounced finding.
 	FlightRecorder = telemetry.FlightRecorder
 	// FlightRecorderConfig configures OpenFlightRecorder (bundle dir,
-	// ring capacity, detector thresholds, debounce, tracer/registry to
+	// debounce, bundle cap, straggler threshold, tracer/registry to
 	// derive phase and meter deltas from).
 	FlightRecorderConfig = telemetry.FlightRecorderConfig
 	// BundleManifest is the parsed bundle.json of a black-box bundle
@@ -332,7 +332,6 @@ const (
 	AnomalyThroughputDip    = telemetry.AnomalyThroughputDip
 	AnomalyIngestStarvation = telemetry.AnomalyIngestStarvation
 	AnomalyStraggler        = telemetry.AnomalyStraggler
-	AnomalySLOBreach        = telemetry.AnomalySLOBreach
 	AnomalyRankFault        = telemetry.AnomalyRankFault
 )
 
@@ -654,7 +653,7 @@ func NewTimeseries(capacity int) *Timeseries { return telemetry.NewTimeseries(ca
 // time-series ring fed by Trainer.SetRecorder or
 // HybridConfig.Recorder, online anomaly
 // detectors (EWMA loss z-score, NaN guard, throughput dip, ingest
-// starvation, straggler index, step SLO), and — when cfg.Dir is set —
+// starvation, straggler index), and — when cfg.Dir is set —
 // atomic blackbox-<step>/ bundle dumps on every debounced finding.
 func OpenFlightRecorder(cfg FlightRecorderConfig) (*FlightRecorder, error) {
 	return telemetry.OpenFlightRecorder(cfg)
@@ -694,7 +693,7 @@ func RunExperiment(id string, opt ExperimentOptions) (ExperimentResult, error) {
 }
 
 // Version identifies the reproduction release.
-const Version = "6.0.0"
+const Version = "7.0.0"
 
 // Describe returns a one-line summary of a model config.
 func Describe(cfg ModelConfig) string {

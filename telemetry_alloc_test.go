@@ -1,6 +1,7 @@
 package recsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/benchreport"
@@ -28,7 +29,7 @@ func TestTimeseriesZeroAlloc(t *testing.T) {
 		trace := telemetry.NewTracer(1, 2048)
 		reg := telemetry.NewRegistry()
 		fr, err := telemetry.OpenFlightRecorder(telemetry.FlightRecorderConfig{
-			Tracer: trace, Registry: reg,
+			Tracer: trace, Registry: reg, DebounceSteps: math.MaxInt32,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -40,6 +41,7 @@ func TestTimeseriesZeroAlloc(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			tr.Step(batch)
 		}
+		quietWallClockDetectors(t, fr, 1)
 		if avg := testing.AllocsPerRun(10, func() { tr.Step(batch) }); avg != 0 {
 			t.Fatalf("recorded Trainer.Step allocates %.1f objects per step, want 0", avg)
 		}
@@ -54,6 +56,7 @@ func TestTimeseriesZeroAlloc(t *testing.T) {
 		hc.Registry = telemetry.NewRegistry()
 		fr, err := telemetry.OpenFlightRecorder(telemetry.FlightRecorderConfig{
 			Tracer: hc.Trace, Registry: hc.Registry, Ranks: hc.Ranks,
+			DebounceSteps: math.MaxInt32,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -68,6 +71,7 @@ func TestTimeseriesZeroAlloc(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			ht.Step(batch)
 		}
+		quietWallClockDetectors(t, fr, hc.Ranks)
 		if avg := testing.AllocsPerRun(20, func() { ht.Step(batch) }); avg != 0 {
 			t.Fatalf("recorded hybrid step allocates %.1f objects per step, want 0", avg)
 		}
@@ -76,6 +80,29 @@ func TestTimeseriesZeroAlloc(t *testing.T) {
 			t.Fatalf("recorded hybrid sample malformed: %+v (ok=%v)", last, ok)
 		}
 	})
+}
+
+// quietWallClockDetectors makes a recorded step's allocation count
+// independent of the box's load. A loaded box can run one step 2× slower
+// than its EWMA, or one rank behind the other, and the throughput-dip or
+// straggler detector then records a finding, which allocates by design
+// (its detail line, the stored finding, the series mark). One crafted
+// sample fires every detector a wall clock can trip, on a recorder
+// whose debounce outlasts the test, so their later hits are suppressed,
+// and a suppressed hit allocates nothing: the measured window holds the
+// per-step sample path alone. Call it after the detectors' warmup.
+func quietWallClockDetectors(t *testing.T, fr *telemetry.FlightRecorder, ranks int) {
+	t.Helper()
+	fr.ObserveStep(telemetry.StepSample{Loss: 1e9, Examples: 1, StepNS: 1 << 50, StragglerIndex: 1e9})
+	kinds := []telemetry.AnomalyKind{telemetry.AnomalyLossSpike, telemetry.AnomalyThroughputDip}
+	if ranks > 1 {
+		kinds = append(kinds, telemetry.AnomalyStraggler)
+	}
+	for _, kind := range kinds {
+		if len(fr.FindingsOf(kind)) == 0 {
+			t.Fatalf("the crafted sample did not fire %s", kind)
+		}
+	}
 }
 
 func TestStepTraceZeroAlloc(t *testing.T) {
