@@ -15,11 +15,12 @@ import (
 	"repro/internal/hw"
 	"repro/internal/hybrid"
 	"repro/internal/ingest"
+	"repro/internal/memtier"
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
-	"repro/internal/trace"
+	"repro/internal/train"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -80,7 +81,7 @@ func BenchmarkTrainStep(b *testing.B) {
 // BenchmarkTrainStep's one reused batch never lets them be. It reports
 // the three sparse phases from the trainer's own spans.
 func BenchmarkSparseHeavyStep(b *testing.B) {
-	sparse := UniformSparse(8, 200000, 40)
+	sparse := core.UniformSparse(8, 200000, 40)
 	for i := range sparse {
 		sparse[i].MaxPooled = 64
 	}
@@ -126,7 +127,7 @@ func BenchmarkSparseHeavyStep(b *testing.B) {
 // phases from the trainer's own spans.
 func BenchmarkDenseHeavyStep(b *testing.B) {
 	cfg := ModelConfig{
-		Name: "dense_heavy", DenseFeatures: 256, Sparse: UniformSparse(4, 10000, 2),
+		Name: "dense_heavy", DenseFeatures: 256, Sparse: core.UniformSparse(4, 10000, 2),
 		EmbeddingDim: 32, BottomMLP: []int{512, 256}, TopMLP: []int{512, 256}, Interaction: InteractionDot,
 	}
 	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
@@ -254,7 +255,7 @@ func BenchmarkIngestStep(b *testing.B) {
 	defer pipe.Close()
 	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
 	b.ResetTimer()
-	if _, _, err := TrainFrom(tr, pipe, b.N); err != nil {
+	if _, _, err := train.Span(tr, pipe, b.N); err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()
@@ -469,8 +470,7 @@ func BenchmarkAblationLRUCacheHitRate(b *testing.B) {
 	b.ResetTimer()
 	var hit float64
 	for i := 0; i < b.N; i++ {
-		rates := trace.CacheOpportunity(batches, []int{4096})
-		hit = rates[0]
+		hit = memtier.Replay(memtier.NewLRU(4096), batches)
 	}
 	b.ReportMetric(hit, "hit-rate@4096rows")
 }

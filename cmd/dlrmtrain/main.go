@@ -114,6 +114,10 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("dlrmtrain: -iters must not be negative, got %d", *iters)
 	case *batch < 1:
 		return fmt.Errorf("dlrmtrain: -batch must be positive, got %d", *batch)
+	case *ranks < 1:
+		return fmt.Errorf("dlrmtrain: -ranks must be positive, got %d", *ranks)
+	case *readers < 1:
+		return fmt.Errorf("dlrmtrain: -readers must be positive, got %d", *readers)
 	case *mode == "hybrid" && *batch < *ranks:
 		return fmt.Errorf("dlrmtrain: -batch %d is smaller than -ranks %d", *batch, *ranks)
 	}
@@ -493,7 +497,9 @@ func runTraining(out io.Writer, cfg core.Config, fd *feed, mode string, batch, i
 			if ht, err = hybrid.New(cfg, hc); err != nil {
 				return nil, err
 			}
-			ht.SetFaults(co.faults)
+			if err := ht.SetFaults(co.faults); err != nil {
+				return nil, fmt.Errorf("dlrmtrain: -faults: %w", err)
+			}
 			evalModel = ht.EvalModel
 			return ht, nil
 		}

@@ -40,6 +40,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	// Each of these once panicked, spun forever or trained to NaN, so
 	// every case runs under its own deadline.
+	// The last three once ran and misbehaved quietly: zero ranks trained
+	// two, negative readers were printed and ignored, and a fault on a
+	// rank the world lacks never fired. Each error names the case's first
+	// flag.
 	small := []string{"-dense", "4", "-sparse", "2", "-hash", "50", "-dim", "4", "-iters", "3"}
 	for _, bad := range [][]string{
 		{"-lr", "0"},
@@ -49,7 +53,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"-iters", "-3"},
 		{"-batch", "0"},
 		{"-batch", "-5"},
-		{"-mode", "hybrid", "-batch", "1"},
+		{"-batch", "1", "-mode", "hybrid"},
+		{"-ranks", "0", "-mode", "hybrid"},
+		{"-readers", "-3", "-data", "file:" + t.TempDir(), "-materialize"},
+		{"-faults", "kill:7@5", "-mode", "hybrid", "-ranks", "2", "-ckpt.dir", t.TempDir()},
 	} {
 		args := append(append([]string(nil), small...), bad...)
 		done := make(chan error, 1)
@@ -62,6 +69,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 			var out strings.Builder
 			if err := run(args, &out); err == nil {
 				done <- errors.New("accepted")
+			} else if !strings.Contains(err.Error(), bad[0]) {
+				done <- fmt.Errorf("error %q does not name %s", err, bad[0])
 			} else {
 				done <- nil
 			}

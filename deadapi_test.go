@@ -14,10 +14,11 @@ import (
 	"testing"
 )
 
-// deadAPIAllowlist names the exported declarations under internal/ that no
-// non-test code references and that stay anyway, each with its reason. A
-// name is the package's path below internal/, then the declaration, then
-// the method for a method: "tensor.SetVectorKernels", "core.Model.Step".
+// deadAPIAllowlist names the exported declarations under internal/ or in
+// the root package that no non-test code references and that stay anyway,
+// each with its reason. A name is the package's path below internal/ (or
+// recsim for the root), then the declaration, then the method for a
+// method: "tensor.SetVectorKernels", "core.Model.Step", "recsim.Describe".
 var deadAPIAllowlist = map[string]string{
 	"collective.PerfectLink":              "zero-cost wire model that the collective tests build their worlds on",
 	"embedding.MaxOverMean":               "load-imbalance measure shared by the sharding tests and the root sharding ablation benchmark",
@@ -36,11 +37,12 @@ var deadAPIAllowlist = map[string]string{
 
 // TestNoDeadAPI type-checks every non-test package of this module and the
 // nested bench/e2e module (its tests included) and fails on any exported
-// package-level name or method declared under internal/ that no code
-// outside the root module's tests references, outside its own declaration,
-// unless deadAPIAllowlist names it. A method that satisfies an interface
-// counts as used. An allowlist entry whose name is used, or gone, fails
-// too, so the list stays exact.
+// package-level name or method declared under internal/ or in the root
+// package that no code outside the root module's tests references, outside
+// its own declaration, unless deadAPIAllowlist names it. The root package's
+// godoc Example functions count as code: they are the facade's documented
+// uses. A method that satisfies an interface counts as used. An allowlist
+// entry whose name is used, or gone, fails too, so the list stays exact.
 func TestNoDeadAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -144,7 +146,41 @@ func newDeadScan(t *testing.T) *deadScan {
 	// is live. Its files are one package main (no external test package).
 	bench := filepath.Join(root, "bench", "e2e")
 	s.check(bench, "main", s.parseDir(bench, true))
+	s.addExampleUses()
 	return s
+}
+
+// addExampleUses type-checks the root's external test package and keeps
+// only the references made inside its Example functions.
+func (s *deadScan) addExampleUses() {
+	var files []*ast.File
+	var examples []posRange
+	for _, f := range s.parseDir(s.root, true) {
+		if !strings.HasSuffix(f.Name.Name, "_test") {
+			continue
+		}
+		files = append(files, f)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
+				examples = append(examples, posRange{fd.Pos(), fd.End()})
+			}
+		}
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: s}
+	if _, err := conf.Check(modulePath+"_test", s.fset, files, info); err != nil {
+		s.t.Fatalf("type-check %s examples: %v", s.root, err)
+	}
+	kept := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	for id, obj := range info.Uses {
+		for _, r := range examples {
+			if r.from <= id.Pos() && id.Pos() < r.to {
+				kept.Uses[id] = obj
+				break
+			}
+		}
+	}
+	s.infos = append(s.infos, kept)
 }
 
 func (s *deadScan) importPath(dir string) string {
@@ -219,6 +255,8 @@ func (s *deadScan) check(dir, path string, files []*ast.File) *types.Package {
 	s.infos = append(s.infos, info)
 	if rel, ok := strings.CutPrefix(path, modulePath+"/internal/"); ok {
 		s.addCandidates(rel, files, info)
+	} else if path == modulePath {
+		s.addCandidates(pkg.Name(), files, info)
 	}
 	return pkg
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/benchreport"
+	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/tensor"
 )
@@ -34,7 +35,7 @@ const digestSteps = 40
 // compares each run's digest with the committed one.
 func TestDenseDigest(t *testing.T) {
 	denseHeavy := ModelConfig{
-		Name: "dense_heavy", DenseFeatures: 256, Sparse: UniformSparse(4, 10000, 2),
+		Name: "dense_heavy", DenseFeatures: 256, Sparse: core.UniformSparse(4, 10000, 2),
 		EmbeddingDim: 32, BottomMLP: []int{512, 256}, TopMLP: []int{512, 256}, Interaction: InteractionDot,
 	}
 	kernels := []bool{false}
@@ -90,8 +91,8 @@ const (
 // ingestStreamConfig is the bench/e2e ingest_stream model.
 func ingestStreamConfig() ModelConfig {
 	return ModelConfig{
-		Name: "ingest_stream", DenseFeatures: 16, Sparse: UniformSparse(16, 200, 24),
-		EmbeddingDim: 2, BottomMLP: []int{4}, TopMLP: []int{4}, Interaction: InteractionConcat,
+		Name: "ingest_stream", DenseFeatures: 16, Sparse: core.UniformSparse(16, 200, 24),
+		EmbeddingDim: 2, BottomMLP: []int{4}, TopMLP: []int{4}, Interaction: core.Concat,
 	}
 }
 

@@ -22,7 +22,7 @@ func main() {
 		TopMLP:       []int{64, 32},
 		Interaction:  recsim.InteractionDot,
 	}
-	fmt.Println(recsim.Describe(cfg))
+	fmt.Printf("recsim %s\n%s\n", recsim.Version, recsim.Describe(cfg))
 
 	model := recsim.NewModel(cfg, 42)
 	trainer := recsim.NewTrainer(model, recsim.TrainerConfig{LR: 0.05})

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -74,13 +73,6 @@ type RankError struct {
 // Error implements error.
 func (e *RankError) Error() string {
 	return fmt.Sprintf("collective: rank %d %s fault at step %d", e.Rank, e.Kind, e.Step)
-}
-
-// AsRankError extracts a RankError from an error chain.
-func AsRankError(err error) (*RankError, bool) {
-	var re *RankError
-	ok := errors.As(err, &re)
-	return re, ok
 }
 
 // FaultSchedule is a set of step-triggered faults shared by one or more
@@ -211,8 +203,20 @@ func (fs *FaultSchedule) next(rank, step int) (Fault, bool) {
 
 // SetFaults arms a fault schedule on the world. Passing nil disarms.
 // Arm before launching rank goroutines; the schedule may be shared by
-// successive worlds (rebuilds) so fired faults stay fired.
-func (w *World) SetFaults(fs *FaultSchedule) { w.faults = fs }
+// successive worlds (rebuilds) so fired faults stay fired. A schedule
+// that names a rank outside the world is refused, since its fault could
+// never fire.
+func (w *World) SetFaults(fs *FaultSchedule) error {
+	if fs != nil {
+		for _, f := range fs.faults {
+			if f.Rank >= w.n {
+				return fmt.Errorf("collective: fault %s targets rank %d of a %d-rank world", f, f.Rank, w.n)
+			}
+		}
+	}
+	w.faults = fs
+	return nil
+}
 
 // BeginStep advances the world's fault clock: faults scheduled at or
 // before step become eligible to fire on their rank's next collective.

@@ -57,6 +57,22 @@ func FuzzParseFaultSchedule(f *testing.F) {
 	})
 }
 
+// TestSetFaultsRefusesRankOutsideWorld: a fault on rank n of an n-rank
+// world could never fire, so arming it is an error and leaves the world
+// unarmed.
+func TestSetFaultsRefusesRankOutsideWorld(t *testing.T) {
+	w := NewWorld(2, PerfectLink())
+	if err := w.SetFaults(NewFaultSchedule(Fault{Kind: FaultKill, Rank: 2, Step: 5})); err == nil {
+		t.Fatal("kill on rank 2 of a 2-rank world accepted")
+	}
+	if w.faults != nil {
+		t.Fatal("refused schedule was armed")
+	}
+	if err := w.SetFaults(NewFaultSchedule(Fault{Kind: FaultKill, Rank: 1, Step: 5})); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestKillAbortsAllRanks(t *testing.T) {
 	const n = 4
 	w := NewWorld(n, PerfectLink())
@@ -89,8 +105,8 @@ func TestKillAbortsAllRanks(t *testing.T) {
 		}
 		// The kill step and every later op fail on every rank.
 		for r, err := range errs {
-			re, ok := AsRankError(err)
-			if !ok {
+			var re *RankError
+			if !errors.As(err, &re) {
 				t.Fatalf("step %d rank %d: %v, want RankError", step, r, err)
 			}
 			if re.Rank != 2 || re.Kind != FaultKill || re.Step != 3 {
@@ -124,10 +140,10 @@ func TestKillPropagatesAcrossGroups(t *testing.T) {
 		mainErr = main.AllReduce(0, make([]float32, 4))
 	}()
 	wg.Wait()
-	if _, ok := AsRankError(mainErr); !ok {
+	if !errors.As(mainErr, new(*RankError)) {
 		t.Fatalf("killed rank got %v", mainErr)
 	}
-	if _, ok := AsRankError(sideErr); !ok {
+	if !errors.As(sideErr, new(*RankError)) {
 		t.Fatalf("bystander group wait got %v, want RankError", sideErr)
 	}
 	if !errors.Is(sideErr, mainErr) {
@@ -198,7 +214,8 @@ func TestFailFaultFiresOnce(t *testing.T) {
 	w1.SetFaults(fs)
 	errs := run(w1)
 	for r, err := range errs {
-		if re, ok := AsRankError(err); !ok || re.Kind != FaultFail {
+		var re *RankError
+		if !errors.As(err, &re) || re.Kind != FaultFail {
 			t.Fatalf("first world rank %d: %v, want fail RankError", r, err)
 		}
 	}

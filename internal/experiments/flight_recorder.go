@@ -243,7 +243,10 @@ func flightRecorder(opt Options) (Result, error) {
 				Kind: collective.FaultDelay, Rank: 0, Step: s, Delay: delay,
 			})
 		}
-		ht.SetFaults(collective.NewFaultSchedule(faults...))
+		if err := ht.SetFaults(collective.NewFaultSchedule(faults...)); err != nil {
+			ht.Close()
+			return Result{}, err
+		}
 		gen = data.NewGenerator(cfg, opt.Seed+3, data.DefaultOptions())
 		for step := 0; step < delayIters; step++ {
 			if _, _, err := ht.Step(gen.NextBatch(batch)); err != nil {

@@ -139,7 +139,10 @@ func stragglerAnalysis(opt Options) (Result, error) {
 						Kind: collective.FaultDelay, Rank: 0, Step: s, Delay: delay,
 					})
 				}
-				ht.SetFaults(collective.NewFaultSchedule(faults...))
+				if err := ht.SetFaults(collective.NewFaultSchedule(faults...)); err != nil {
+					ht.Close()
+					return Result{}, err
+				}
 			}
 
 			col := trace.NewCollector(cfg)

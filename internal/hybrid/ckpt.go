@@ -12,8 +12,9 @@ import (
 // kill/fail faults abort the step they strike (Step returns the
 // collective.RankError on every rank), delay faults stall the scheduled
 // rank. A schedule may be shared across rebuilds — fired faults stay
-// fired, so a recovery run replaying the same steps is not re-struck.
-func (t *Trainer) SetFaults(fs *collective.FaultSchedule) { t.world.SetFaults(fs) }
+// fired, so a recovery run replaying the same steps is not re-struck. A
+// fault on a rank the trainer does not have is refused.
+func (t *Trainer) SetFaults(fs *collective.FaultSchedule) error { return t.world.SetFaults(fs) }
 
 // CkptState exports the trainer's live parameters and optimizer state as
 // a checkpointable view: rank 0's dense replica (replicas are kept
@@ -51,7 +52,7 @@ func (t *Trainer) SaveCheckpoint(store *ckpt.Store, fullEvery int) (ckpt.SaveInf
 // again.
 func (t *Trainer) RestoreCheckpoint(store *ckpt.Store) (ckpt.RestoreInfo, error) {
 	if t.failed != nil {
-		return ckpt.RestoreInfo{}, fmt.Errorf("hybrid: cannot restore into failed trainer (rebuild with hybrid.Restore): %w", t.failed)
+		return ckpt.RestoreInfo{}, fmt.Errorf("hybrid: cannot restore into failed trainer (rebuild with hybrid.New): %w", t.failed)
 	}
 	st := t.CkptState()
 	info, err := store.Restore(st)
@@ -83,24 +84,4 @@ func (t *Trainer) syncReplicas() {
 			copy(acc, a0[ai])
 		}
 	}
-}
-
-// Restore builds a trainer from cfg/hc and loads the latest checkpoint
-// in store — the recovery path after a rank fault (the rebuilt world
-// re-shards the tables with the same deterministic layout, or a new one
-// when hc.Ranks changed) and the resume path for cold starts. The fault
-// schedule, when non-nil, is armed before the restore so its fired
-// entries carry over.
-func Restore(cfg core.Config, hc Config, store *ckpt.Store, fs *collective.FaultSchedule) (*Trainer, ckpt.RestoreInfo, error) {
-	t, err := New(cfg, hc)
-	if err != nil {
-		return nil, ckpt.RestoreInfo{}, err
-	}
-	t.SetFaults(fs)
-	info, err := t.RestoreCheckpoint(store)
-	if err != nil {
-		t.Close()
-		return nil, info, err
-	}
-	return t, info, nil
 }

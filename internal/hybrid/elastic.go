@@ -64,7 +64,9 @@ func RunElastic(ec ElasticConfig) (*train.Result, error) {
 			if t, err = New(ec.Cfg, ec.HC); err != nil {
 				return nil, err
 			}
-			t.SetFaults(ec.Faults)
+			if err := t.SetFaults(ec.Faults); err != nil {
+				return nil, err
+			}
 			return t, nil
 		},
 		Source:    ec.Source,

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -178,11 +179,15 @@ func TestElasticRankRejoinElastic(t *testing.T) {
 			ht4.Close()
 
 			// Rejoin with 2 ranks from the same checkpoint.
-			ht2, info, err := Restore(cfg, Config{Ranks: 2, LR: 0.05, Optimizer: opt}, store, nil)
+			ht2, err := New(cfg, Config{Ranks: 2, LR: 0.05, Optimizer: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ht2.Close()
+			info, err := ht2.RestoreCheckpoint(store)
 			if err != nil {
 				t.Fatalf("restore into resized world: %v", err)
 			}
-			defer ht2.Close()
 			if info.Step != 8 || ht2.Iter() != 8 {
 				t.Fatalf("restored step = %d/%d, want 8", info.Step, ht2.Iter())
 			}
@@ -221,7 +226,9 @@ func TestSaveRefusedOnFailedTrainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ht.Close()
-	ht.SetFaults(fs)
+	if err := ht.SetFaults(fs); err != nil {
+		t.Fatal(err)
+	}
 	gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
 	var stepErr error
 	for i := 0; i < 4 && stepErr == nil; i++ {
@@ -230,8 +237,8 @@ func TestSaveRefusedOnFailedTrainer(t *testing.T) {
 	if stepErr == nil {
 		t.Fatal("fault never fired")
 	}
-	re, ok := collective.AsRankError(stepErr)
-	if !ok || re.Rank != 0 {
+	var re *collective.RankError
+	if !errors.As(stepErr, &re) || re.Rank != 0 {
 		t.Fatalf("step error = %v, want RankError on rank 0", stepErr)
 	}
 	store, err := ckpt.OpenStore(t.TempDir())

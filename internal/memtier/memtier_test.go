@@ -268,9 +268,13 @@ func TestOpportunityCurveMonotoneAcrossPolicies(t *testing.T) {
 	}
 	caps := []int{10, 100, 1000, 5000}
 	for _, name := range PolicyNames() {
-		rates, err := OpportunityCurve(name, batches, caps)
-		if err != nil {
-			t.Fatal(err)
+		rates := make([]float64, len(caps))
+		for i, c := range caps {
+			p, err := NewPolicy(name, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rates[i] = Replay(p, batches)
 		}
 		for i := 1; i < len(rates); i++ {
 			if rates[i]+1e-9 < rates[i-1] {
@@ -281,7 +285,7 @@ func TestOpportunityCurveMonotoneAcrossPolicies(t *testing.T) {
 			t.Errorf("%s: large-cache hit rate %v; expected Zipf locality", name, rates)
 		}
 	}
-	if _, err := OpportunityCurve("belady", batches, caps); err == nil {
+	if _, err := NewPolicy("belady", caps[0]); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }

@@ -39,18 +39,3 @@ func DemandFromProfile(stats []core.TableStatView, profile [][]uint64, skew floa
 	}
 	return demand
 }
-
-// OpportunityCurve replays the batches through fresh caches of the given
-// row capacities and returns the hit rate per capacity — the §III-A2
-// caching-opportunity curve, generalized over eviction policies.
-func OpportunityCurve(policy string, batches []*core.MiniBatch, capacities []int) ([]float64, error) {
-	out := make([]float64, len(capacities))
-	for i, cap := range capacities {
-		p, err := NewPolicy(policy, cap)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Replay(p, batches)
-	}
-	return out, nil
-}

@@ -141,7 +141,8 @@ func (fr *FlightRecorder) ObserveStep(s StepSample) {
 
 // RecordFault reports a failed step (typically a collective RankError
 // surfaced by the hybrid trainer or RunElastic — the caller localizes
-// step via collective.AsRankError, which this package cannot import).
+// step via errors.As on collective.RankError, which this package cannot
+// import).
 // It records a maximum-severity AnomalyRankFault finding at that step
 // and triggers a bundle dump.
 func (fr *FlightRecorder) RecordFault(step int64, err error) {

@@ -51,11 +51,6 @@ func TestFlightRecorderDumpsBundle(t *testing.T) {
 	if bundles[0] != want {
 		t.Fatalf("bundle path %q, want %q", bundles[0], want)
 	}
-	for _, name := range []string{"bundle.json", "timeseries.json", "metrics.json", "trace.json", "doctor.txt"} {
-		if _, err := os.Stat(filepath.Join(want, name)); err != nil {
-			t.Fatalf("bundle missing %s: %v", name, err)
-		}
-	}
 	// Atomic publication: no temp directories survive.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -80,6 +75,29 @@ func TestFlightRecorderDumpsBundle(t *testing.T) {
 	}
 	if len(man.Files) != 4 {
 		t.Fatalf("manifest files: %v", man.Files)
+	}
+	if man.Trigger.Detail == "" {
+		t.Error("manifest trigger has no detail")
+	}
+	// Each member is listed, non-empty, and parses if it is JSON.
+	listed := map[string]bool{}
+	for _, f := range man.Files {
+		listed[f] = true
+	}
+	for _, name := range []string{"timeseries.json", "metrics.json", "trace.json", "doctor.txt"} {
+		if !listed[name] {
+			t.Errorf("manifest does not list %s (files: %v)", name, man.Files)
+		}
+		raw, err := os.ReadFile(filepath.Join(want, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) == 0 {
+			t.Errorf("%s is empty", name)
+		}
+		if filepath.Ext(name) == ".json" && !json.Valid(raw) {
+			t.Errorf("%s is not valid JSON", name)
+		}
 	}
 	// The time-series tail parses and ends at the triggering step.
 	raw, err = os.ReadFile(filepath.Join(want, "timeseries.json"))

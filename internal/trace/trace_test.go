@@ -22,24 +22,30 @@ func traceCfg() core.Config {
 	}
 }
 
+// accesses sums one table's row counts.
+func accesses(freqs []uint64) uint64 {
+	var n uint64
+	for _, f := range freqs {
+		n += f
+	}
+	return n
+}
+
 func TestCollectorCounts(t *testing.T) {
 	cfg := traceCfg()
 	c := NewCollector(cfg)
 	c.Record(0, 5)
 	c.Record(0, 5)
 	c.Record(1, 7)
-	profs := c.Profiles(10)
-	if profs[0].Accesses != 2 || profs[0].UniqueRows != 1 {
-		t.Errorf("table0 profile %+v", profs[0])
+	freqs := c.RowFrequencies()
+	if accesses(freqs[0]) != 2 || len(freqs[0]) != 1 {
+		t.Errorf("table0 frequencies %v", freqs[0])
 	}
-	if profs[1].Accesses != 1 {
-		t.Errorf("table1 profile %+v", profs[1])
+	if accesses(freqs[1]) != 1 {
+		t.Errorf("table1 frequencies %v", freqs[1])
 	}
-	if profs[0].MeanPerExample != 0.2 {
-		t.Errorf("mean per example %v", profs[0].MeanPerExample)
-	}
-	if profs[2].Accesses != 0 || profs[2].Top1PctShare != 0 {
-		t.Errorf("untouched table profile %+v", profs[2])
+	if len(freqs[2]) != 0 {
+		t.Errorf("untouched table frequencies %v", freqs[2])
 	}
 }
 
@@ -53,17 +59,19 @@ func TestRecordBatchAndProfiles(t *testing.T) {
 		c.RecordBatch(b)
 		examples += 64
 	}
-	profs := c.Profiles(examples)
-	for _, p := range profs {
-		if p.Accesses == 0 {
-			t.Fatalf("table %d saw no accesses", p.Feature)
+	for f, freqs := range c.RowFrequencies() {
+		n := accesses(freqs)
+		if n == 0 {
+			t.Fatalf("table %d saw no accesses", f)
 		}
-		if p.MeanPerExample < 1 || p.MeanPerExample > 32 {
-			t.Errorf("table %d mean/example %v", p.Feature, p.MeanPerExample)
+		if mean := float64(n) / float64(examples); mean < 1 || mean > 32 {
+			t.Errorf("table %d mean/example %v", f, mean)
 		}
-		// Zipf-popular rows: top 1% should absorb far more than 1%.
-		if p.Top1PctShare < 0.02 {
-			t.Errorf("table %d top-1%% share %v; expected locality", p.Feature, p.Top1PctShare)
+		// Zipf-popular rows: the top 1% of touched rows should absorb far
+		// more than 1% of the accesses.
+		top := max(len(freqs)/100, 1)
+		if share := float64(accesses(freqs[:top])) / float64(n); share < 0.02 {
+			t.Errorf("table %d top-1%% share %v; expected locality", f, share)
 		}
 	}
 }
@@ -83,9 +91,9 @@ func TestAccessFrequenciesPowerLaw(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.RecordBatch(gen.NextBatch(64))
 	}
-	freqs := make([]float64, len(c.totals))
-	for i, n := range c.totals {
-		freqs[i] = float64(n)
+	var freqs []float64
+	for _, rows := range c.RowFrequencies() {
+		freqs = append(freqs, float64(accesses(rows)))
 	}
 	if _, ok := metrics.FitPowerLaw(freqs); !ok {
 		t.Error("power-law fit failed")
@@ -109,8 +117,9 @@ func TestSizeFrequencyCorrelationWeak(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.RecordBatch(gen.NextBatch(64))
 	}
-	if corr := c.SizeFrequencyCorrelation(); corr > 0.5 {
-		t.Errorf("size-frequency correlation %v; paper observes weak/none", corr)
+	freqs := c.RowFrequencies()
+	if small, big := accesses(freqs[0]), accesses(freqs[1]); small <= big {
+		t.Errorf("small table accessed %d times, big table %d; paper observes size does not predict frequency", small, big)
 	}
 }
 
@@ -169,26 +178,6 @@ func TestLRUPanicsOnZeroCapacity(t *testing.T) {
 		}
 	}()
 	memtier.NewLRU(0)
-}
-
-func TestCacheOpportunityMonotone(t *testing.T) {
-	cfg := traceCfg()
-	gen := data.NewGenerator(cfg, 4, data.DefaultOptions())
-	var batches []*core.MiniBatch
-	for i := 0; i < 10; i++ {
-		batches = append(batches, gen.NextBatch(64))
-	}
-	caps := []int{10, 100, 1000, 10000}
-	rates := CacheOpportunity(batches, caps)
-	for i := 1; i < len(rates); i++ {
-		if rates[i]+1e-9 < rates[i-1] {
-			t.Errorf("hit rate must not fall with capacity: %v", rates)
-		}
-	}
-	// Zipf access gives a sizeable hit rate even with a modest cache.
-	if rates[len(rates)-1] < 0.3 {
-		t.Errorf("large-cache hit rate %v; expected Zipf locality", rates[len(rates)-1])
-	}
 }
 
 func TestEmptyHitRate(t *testing.T) {

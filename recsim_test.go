@@ -4,30 +4,47 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/collective"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/experiments"
+	"repro/internal/hw"
+	"repro/internal/hybrid"
+	"repro/internal/memtier"
+	"repro/internal/perfmodel"
+	"repro/internal/placement"
+	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
-// TestPublicAPITelemetry drives the v1.5 observability surface: trace a
-// few traced single-process steps, attribute them, export Chrome JSON,
-// and read a metric back out of a registry snapshot.
+// The tests below drive each subsystem end to end from the root: through
+// the facade where it exports the name, and through the internal package
+// where the commands reach it.
+
+// TestPublicAPITelemetry drives the observability surface: trace a few
+// single-process steps, attribute them, export Chrome JSON, and read a
+// metric back out of a registry snapshot.
 func TestPublicAPITelemetry(t *testing.T) {
 	cfg := ModelConfig{
 		Name:          "telemetry-api",
 		DenseFeatures: 8,
-		Sparse:        UniformSparse(2, 100, 3),
+		Sparse:        core.UniformSparse(2, 100, 3),
 		EmbeddingDim:  8,
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
 		Interaction:   InteractionDot,
 	}
 	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
-	tracer := NewTracer(1, 256)
+	tracer := telemetry.NewTracer(1, 256)
 	tr.SetTrace(tracer, 0)
 	gen := NewGenerator(cfg, 2)
 	for i := 0; i < 5; i++ {
 		tr.Step(gen.NextBatch(32))
 	}
 
-	attr := Attribute(tracer.Snapshot())
+	attr := telemetry.Attribute(tracer.Snapshot())
 	if attr.TotalSteps != 5 {
 		t.Errorf("attributed %d steps, want 5", attr.TotalSteps)
 	}
@@ -41,14 +58,14 @@ func TestPublicAPITelemetry(t *testing.T) {
 		t.Errorf("report missing dense_fwd:\n%s", out)
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tracer.Snapshot()); err != nil {
+	if err := telemetry.WriteChromeTrace(&buf, tracer.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "traceEvents") {
 		t.Error("chrome trace missing traceEvents")
 	}
 
-	reg := NewTelemetryRegistry()
+	reg := telemetry.NewRegistry()
 	reg.Counter("api/steps").Add(5)
 	if got := reg.Snapshot().Get("api/steps"); got != 5 {
 		t.Errorf("registry snapshot api/steps = %d, want 5", got)
@@ -91,24 +108,24 @@ func TestPublicAPIHybridTraining(t *testing.T) {
 	cfg := ModelConfig{
 		Name:          "api-hybrid",
 		DenseFeatures: 8,
-		Sparse:        UniformSparse(4, 200, 3),
+		Sparse:        core.UniformSparse(4, 200, 3),
 		EmbeddingDim:  8,
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
 		Interaction:   InteractionDot,
 	}
-	link, err := HybridLink("BigBasin")
+	bb, err := hw.ByName("BigBasin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ht, err := NewHybridTrainer(cfg, HybridConfig{Ranks: 2, LR: 0.05, Link: link})
+	ht, err := hybrid.New(cfg, hybrid.Config{Ranks: 2, LR: 0.05, Link: collective.LinkFor(bb)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ht.Close()
 	gen := NewGenerator(cfg, 2)
 	var first, last float64
-	var bd HybridStepBreakdown
+	var bd hybrid.StepBreakdown
 	for i := 0; i < 100; i++ {
 		var loss float64
 		loss, bd, _ = ht.Step(gen.NextBatch(32))
@@ -122,10 +139,10 @@ func TestPublicAPIHybridTraining(t *testing.T) {
 	if last >= first {
 		t.Errorf("hybrid loss did not improve: %v -> %v", first/10, last/10)
 	}
-	if got, want := float64(bd.AllToAllBytes), HybridAllToAllBytes(cfg, 32, 2); got != want {
+	if got, want := float64(bd.AllToAllBytes), perfmodel.HybridAllToAllBytes(cfg, 32, 2); got != want {
 		t.Errorf("metered all-to-all %v bytes, analytic %v", got, want)
 	}
-	if got, want := float64(bd.AllReduceBytes), HybridAllReduceBytes(cfg, 2); got != want {
+	if got, want := float64(bd.AllReduceBytes), perfmodel.HybridAllReduceBytes(cfg, 2); got != want {
 		t.Errorf("metered all-reduce %v bytes, analytic %v", got, want)
 	}
 	if bd.ModelAllToAllSec <= 0 {
@@ -136,7 +153,7 @@ func TestPublicAPIHybridTraining(t *testing.T) {
 	}
 }
 
-// TestPublicAPIElasticCheckpoint drives the v1.6 durability surface: an
+// TestPublicAPIElasticCheckpoint drives the durability surface: an
 // elastic run that survives a rank kill by rolling back to the last
 // checkpoint, then a rank-elastic restore of the same store into a
 // smaller world.
@@ -144,29 +161,29 @@ func TestPublicAPIElasticCheckpoint(t *testing.T) {
 	cfg := ModelConfig{
 		Name:          "api-elastic",
 		DenseFeatures: 8,
-		Sparse:        UniformSparse(4, 200, 3),
+		Sparse:        core.UniformSparse(4, 200, 3),
 		EmbeddingDim:  8,
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
 		Interaction:   InteractionDot,
 	}
-	store, err := OpenCheckpointStore(t.TempDir())
+	store, err := ckpt.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults, err := ParseFaultSchedule("kill:1@10")
+	faults, err := collective.ParseFaultSchedule("kill:1@10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const steps, batch = 16, 32
-	res, err := RunElastic(ElasticConfig{
+	res, err := hybrid.RunElastic(hybrid.ElasticConfig{
 		Cfg:       cfg,
-		HC:        HybridConfig{Ranks: 2, LR: 0.05, Seed: 1},
+		HC:        hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1},
 		Store:     store,
 		CkptEvery: 4,
 		FullEvery: 2,
 		Steps:     steps,
-		Source:    ReplaySource(cfg, 7, batch),
+		Source:    data.ReplaySource(cfg, 7, data.DefaultOptions(), batch),
 		Faults:    faults,
 	})
 	if err != nil {
@@ -185,11 +202,15 @@ func TestPublicAPIElasticCheckpoint(t *testing.T) {
 		t.Fatalf("run's last root %q, store tip %q (err %v); want the tip's non-empty root", res.LastRoot, name, err)
 	}
 
-	ht, info, err := RestoreHybridTrainer(cfg, HybridConfig{Ranks: 1, LR: 0.05, Seed: 1}, store, nil)
+	ht, err := hybrid.New(cfg, hybrid.Config{Ranks: 1, LR: 0.05, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ht.Close()
+	info, err := ht.RestoreCheckpoint(store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.Step != steps || ht.Iter() != steps {
 		t.Errorf("single-rank rejoin at step %d (info %d), want %d", ht.Iter(), info.Step, steps)
 	}
@@ -201,7 +222,10 @@ func TestPublicAPIEstimation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := EstimateCPUCluster(cfg, 200, 1, 1, 1)
+	c, err := perfmodel.Estimate(perfmodel.Scenario{
+		Cfg: cfg, Platform: hw.DualSocketCPU(), Batch: 200,
+		NumTrainers: 1, NumSparsePS: 1, NumDensePS: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +246,11 @@ func TestPublicAPIPlacement(t *testing.T) {
 	if _, err := FitPlacement(models[2], "BigBasin", PlaceGPUMemory, 0); err == nil {
 		t.Error("M3prod must not fit on Big Basin GPUs")
 	}
-	plan, bd, err := BestPlacement(models[1], "Zion", 3200)
+	zion, err := hw.ByName("Zion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, bd, err := perfmodel.BestPlacement(models[1], zion, 3200, perfmodel.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,43 +266,46 @@ func TestPublicAPITieredPlacement(t *testing.T) {
 	// M3prod overflows Big Basin HBM: the tiered hierarchy must hold it
 	// and beat the remote-PS estimate.
 	m3 := ProductionModels()[2]
-	plan, err := FitPlacement(m3, "BigBasin", PlaceTiered, 0)
+	plan, err := FitPlacement(m3, "BigBasin", placement.Tiered, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Tiered == nil || plan.HotFraction <= 0 || plan.HotFraction >= 1 {
 		t.Errorf("tiered plan %+v", plan)
 	}
-	tiered, err := EstimateGPU(m3, "BigBasin", 800, PlaceTiered)
+	tiered, err := EstimateGPU(m3, "BigBasin", 800, placement.Tiered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := EstimateGPU(m3, "BigBasin", 800, PlaceRemoteCPU)
+	remote, err := EstimateGPU(m3, "BigBasin", 800, placement.RemoteCPU)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tiered.Throughput <= remote.Throughput {
 		t.Errorf("tiered %v must beat remote %v for M3prod", tiered.Throughput, remote.Throughput)
 	}
-	tiers, err := MemoryTiers("BigBasin", 0)
-	if err != nil || len(tiers) != 4 || tiers[0].Kind != TierHBM {
-		t.Errorf("MemoryTiers: %v %v", tiers, err)
+	bb, err := hw.ByName("BigBasin")
+	if err != nil {
+		t.Fatal(err)
 	}
-	p, err := NewCachePolicy("clock", 16)
+	if tiers := bb.MemoryTiers(0); len(tiers) != 4 || tiers[0].Kind != hw.TierHBM {
+		t.Errorf("MemoryTiers: %v", tiers)
+	}
+	p, err := memtier.NewPolicy("clock", 16)
 	if err != nil || p.Name() != "clock" {
-		t.Errorf("NewCachePolicy: %v %v", p, err)
+		t.Errorf("NewPolicy: %v %v", p, err)
 	}
-	if _, err := PlaceTieredWith(m3, "BigBasin", TieredOptions{}); err != nil {
-		t.Errorf("PlaceTieredWith: %v", err)
+	if _, err := placement.FitTiered(m3, bb, placement.TieredOptions{}); err != nil {
+		t.Errorf("FitTiered: %v", err)
 	}
 }
 
 func TestPublicAPIExperiments(t *testing.T) {
-	ids := Experiments()
+	ids := experiments.IDs()
 	if len(ids) != 24 {
-		t.Fatalf("Experiments() = %d ids", len(ids))
+		t.Fatalf("experiments.IDs() = %d ids", len(ids))
 	}
-	res, err := RunExperiment("table1", ExperimentOptions{Quick: true})
+	res, err := experiments.Run("table1", experiments.Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +315,10 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestPlatformsAndDescribe(t *testing.T) {
-	if len(Platforms()) != 3 {
+	if len(hw.Platforms()) != 3 {
 		t.Error("three platforms expected")
 	}
-	if _, err := PlatformByName("BigBasin"); err != nil {
+	if _, err := hw.ByName("BigBasin"); err != nil {
 		t.Error(err)
 	}
 	d := Describe(ProductionModels()[0])
@@ -300,29 +331,29 @@ func TestPlatformsAndDescribe(t *testing.T) {
 // dtype/wire parsing, a bf16-table hybrid trainer with compressed wires,
 // and the dtype-aware analytic volume helpers.
 func TestPublicAPIMixedPrecision(t *testing.T) {
-	dt, err := ParseDType("bf16")
-	if err != nil || dt != DTypeBF16 {
+	dt, err := tensor.ParseDType("bf16")
+	if err != nil || dt != tensor.BF16 {
 		t.Fatalf("ParseDType(bf16) = %v, %v", dt, err)
 	}
-	w, err := ParseWireFormat("int8")
-	if err != nil || w != WireINT8 {
+	w, err := collective.ParseWireFormat("int8")
+	if err != nil || w != collective.WireINT8 {
 		t.Fatalf("ParseWireFormat(int8) = %v, %v", w, err)
 	}
-	if _, err := ParseWireFormat("fp8"); err == nil {
+	if _, err := collective.ParseWireFormat("fp8"); err == nil {
 		t.Error("ParseWireFormat accepted fp8")
 	}
 
 	cfg := TestSuiteModel(500, 8)
-	cfg.TableDType = DTypeBF16
+	cfg.TableDType = tensor.BF16
 	fp32 := cfg
-	fp32.TableDType = DTypeFP32
+	fp32.TableDType = tensor.FP32
 	if b, f := cfg.EmbeddingBytes(), fp32.EmbeddingBytes(); 2*b != f {
 		t.Errorf("bf16 embedding bytes %d, want half of %d", b, f)
 	}
 
-	ht, err := NewHybridTrainer(cfg, HybridConfig{
+	ht, err := hybrid.New(cfg, hybrid.Config{
 		Ranks: 2, LR: 0.05, Seed: 1,
-		WireA2A: WireFP16, WireAllReduce: WireINT8,
+		WireA2A: collective.WireFP16, WireAllReduce: collective.WireINT8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -336,11 +367,11 @@ func TestPublicAPIMixedPrecision(t *testing.T) {
 		}
 	}
 	st := ht.CollectiveStats()
-	wantA2A := HybridAllToAllBytesWire(cfg, batch, 2, WireFP16.BytesPerElem()) * steps
+	wantA2A := perfmodel.HybridAllToAllBytesWire(cfg, batch, 2, collective.WireFP16.BytesPerElem()) * steps
 	if rel := float64(st.AllToAll.Bytes)/wantA2A - 1; rel > 0.02 || rel < -0.02 {
 		t.Errorf("fp16 all-to-all meter %d bytes, analytic %.0f", st.AllToAll.Bytes, wantA2A)
 	}
-	if full := HybridAllToAllBytesWire(cfg, batch, 2, 4) * steps; float64(st.AllToAll.Bytes) > full/1.9 {
+	if full := perfmodel.HybridAllToAllBytesWire(cfg, batch, 2, 4) * steps; float64(st.AllToAll.Bytes) > full/1.9 {
 		t.Errorf("fp16 wire moved %d bytes, want ~half of fp32's %.0f", st.AllToAll.Bytes, full)
 	}
 }

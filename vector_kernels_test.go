@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/benchreport"
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/tensor"
 )
@@ -23,7 +24,7 @@ func TestVectorKernelsTrainSameModel(t *testing.T) {
 		t.Skip("no vector kernels on this CPU")
 	}
 	denseHeavy := ModelConfig{
-		Name: "dense_heavy", DenseFeatures: 256, Sparse: UniformSparse(4, 10000, 2),
+		Name: "dense_heavy", DenseFeatures: 256, Sparse: core.UniformSparse(4, 10000, 2),
 		EmbeddingDim: 32, BottomMLP: []int{512, 256}, TopMLP: []int{512, 256}, Interaction: InteractionDot,
 	}
 	steps := 50

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/benchreport"
 	"repro/internal/collective"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/hybrid"
 	"repro/internal/tensor"
@@ -71,7 +72,7 @@ func TestQuantizedStepZeroAlloc(t *testing.T) {
 func TestFanOutStepZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := benchreport.BenchStepConfig()
-	cfg.Sparse = UniformSparse(4, 2000, 40)
+	cfg.Sparse = core.UniformSparse(4, 2000, 40)
 	for i := range cfg.Sparse {
 		cfg.Sparse[i].MaxPooled = 64
 	}
@@ -115,11 +116,11 @@ func TestNextBatchIntoRecyclesBuffers(t *testing.T) {
 	cfg := ModelConfig{
 		Name:          "recycle",
 		DenseFeatures: 8,
-		Sparse:        UniformSparse(2, 1000, 4),
+		Sparse:        core.UniformSparse(2, 1000, 4),
 		EmbeddingDim:  8,
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
-		Interaction:   InteractionConcat,
+		Interaction:   core.Concat,
 	}
 	gen := NewGenerator(cfg, 3)
 	mb := gen.NextBatch(64)
