@@ -121,6 +121,26 @@ func run(args []string, out io.Writer) error {
 	case *mode == "hybrid" && *batch < *ranks:
 		return fmt.Errorf("dlrmtrain: -batch %d is smaller than -ranks %d", *batch, *ranks)
 	}
+	// Checked in full before telemetry or the checkpoint store creates
+	// anything, so a refused schedule leaves no -ckpt.dir behind.
+	var faultSched *collective.FaultSchedule
+	if *faults != "" {
+		switch {
+		case *ckptDir == "":
+			return fmt.Errorf("dlrmtrain: -faults needs -ckpt.dir to recover into")
+		case *mode != "hybrid":
+			return fmt.Errorf("dlrmtrain: -faults needs -mode=hybrid (single mode has no collectives)")
+		case *dataFlag != "synthetic":
+			return fmt.Errorf("dlrmtrain: -faults needs -data=synthetic (recovery replays the batch stream)")
+		}
+		var err error
+		if faultSched, err = collective.ParseFaultSchedule(*faults); err != nil {
+			return fmt.Errorf("dlrmtrain: -faults: %w", err)
+		}
+		if err := faultSched.CheckRanks(*ranks); err != nil {
+			return fmt.Errorf("dlrmtrain: -faults: %w", err)
+		}
+	}
 
 	tableDT, err := tensor.ParseDType(*precTables)
 	if err != nil {
@@ -156,10 +176,11 @@ func run(args []string, out io.Writer) error {
 
 	// The checkpoint store opens after telemetry so its save/restore
 	// spans land on the tracer's dedicated "ckpt" shard.
-	co, err := openCkpt(*ckptDir, *ckptEvery, *resume, *faults, *mode, *dataFlag, tel)
+	co, err := openCkpt(*ckptDir, *ckptEvery, *resume, tel)
 	if err != nil {
 		return err
 	}
+	co.faults = faultSched
 
 	fd, cfg, err := openFeed(out, cfg, *dataFlag, *batch, *readers, *dedup, *materialize, *seed, tel)
 	if err != nil {
@@ -184,14 +205,11 @@ type ckptOpts struct {
 	faults *collective.FaultSchedule
 }
 
-func openCkpt(dir string, every int, resume bool, faults, mode, dataFlag string, tel *telem) (ckptOpts, error) {
+func openCkpt(dir string, every int, resume bool, tel *telem) (ckptOpts, error) {
 	var co ckptOpts
 	if dir == "" {
 		if resume {
 			return co, fmt.Errorf("dlrmtrain: -resume needs -ckpt.dir")
-		}
-		if faults != "" {
-			return co, fmt.Errorf("dlrmtrain: -faults needs -ckpt.dir to recover into")
 		}
 		return co, nil
 	}
@@ -218,17 +236,6 @@ func openCkpt(dir string, every int, resume bool, faults, mode, dataFlag string,
 		}
 		if name != "" {
 			return co, fmt.Errorf("dlrmtrain: %s already holds %s: pass -resume to continue that run, or use an empty -ckpt.dir", dir, name)
-		}
-	}
-	if faults != "" {
-		if mode != "hybrid" {
-			return co, fmt.Errorf("dlrmtrain: -faults needs -mode=hybrid (single mode has no collectives)")
-		}
-		if dataFlag != "synthetic" {
-			return co, fmt.Errorf("dlrmtrain: -faults needs -data=synthetic (recovery replays the batch stream)")
-		}
-		if co.faults, err = collective.ParseFaultSchedule(faults); err != nil {
-			return co, err
 		}
 	}
 	return co, nil

@@ -40,11 +40,13 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	// Each of these once panicked, spun forever or trained to NaN, so
 	// every case runs under its own deadline.
-	// The last three once ran and misbehaved quietly: zero ranks trained
-	// two, negative readers were printed and ignored, and a fault on a
-	// rank the world lacks never fired. Each error names the case's first
-	// flag.
+	// The ranks, readers and first -faults cases once ran and misbehaved
+	// quietly: zero ranks trained two, negative readers were printed and
+	// ignored, and a fault on a rank the world lacks never fired. Each
+	// error names the case's first flag, and a refused -faults run leaves
+	// no -ckpt.dir behind.
 	small := []string{"-dense", "4", "-sparse", "2", "-hash", "50", "-dim", "4", "-iters", "3"}
+	ckptRoot := t.TempDir()
 	for _, bad := range [][]string{
 		{"-lr", "0"},
 		{"-lr", "-0.1"},
@@ -56,7 +58,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"-batch", "1", "-mode", "hybrid"},
 		{"-ranks", "0", "-mode", "hybrid"},
 		{"-readers", "-3", "-data", "file:" + t.TempDir(), "-materialize"},
-		{"-faults", "kill:7@5", "-mode", "hybrid", "-ranks", "2", "-ckpt.dir", t.TempDir()},
+		{"-faults", "kill:7@5", "-mode", "hybrid", "-ranks", "2", "-ckpt.dir", filepath.Join(ckptRoot, "d1")},
+		{"-faults", "kill:1@5", "-mode", "single", "-ckpt.dir", filepath.Join(ckptRoot, "d2")},
 	} {
 		args := append(append([]string(nil), small...), bad...)
 		done := make(chan error, 1)
@@ -82,6 +85,13 @@ func TestRunRejectsBadConfig(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Errorf("%v: run did not return", bad)
+		}
+		for i, a := range bad[:len(bad)-1] {
+			if a == "-ckpt.dir" {
+				if _, err := os.Stat(bad[i+1]); !os.IsNotExist(err) {
+					t.Errorf("%v: refused run left %s behind (stat: %v)", bad, bad[i+1], err)
+				}
+			}
 		}
 	}
 }

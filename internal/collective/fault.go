@@ -201,18 +201,27 @@ func (fs *FaultSchedule) next(rank, step int) (Fault, bool) {
 	return Fault{}, false
 }
 
+// CheckRanks refuses a schedule that names a rank outside an n-rank
+// world, since that fault could never fire. A nil schedule passes.
+func (fs *FaultSchedule) CheckRanks(n int) error {
+	if fs == nil {
+		return nil
+	}
+	for _, f := range fs.faults {
+		if f.Rank >= n {
+			return fmt.Errorf("collective: fault %s targets rank %d of a %d-rank world", f, f.Rank, n)
+		}
+	}
+	return nil
+}
+
 // SetFaults arms a fault schedule on the world. Passing nil disarms.
 // Arm before launching rank goroutines; the schedule may be shared by
 // successive worlds (rebuilds) so fired faults stay fired. A schedule
-// that names a rank outside the world is refused, since its fault could
-// never fire.
+// that fails CheckRanks is refused.
 func (w *World) SetFaults(fs *FaultSchedule) error {
-	if fs != nil {
-		for _, f := range fs.faults {
-			if f.Rank >= w.n {
-				return fmt.Errorf("collective: fault %s targets rank %d of a %d-rank world", f, f.Rank, w.n)
-			}
-		}
+	if err := fs.CheckRanks(w.n); err != nil {
+		return err
 	}
 	w.faults = fs
 	return nil

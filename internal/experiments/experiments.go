@@ -40,30 +40,28 @@ var registry = map[string]struct {
 	title string
 	run   Runner
 }{
-	"fig1":                  {"Fig 1: production model throughput across platforms", fig1},
-	"fig2":                  {"Fig 2: training frequency and duration by workload", fig2},
-	"fig5":                  {"Fig 5: utilization distributions, trainers vs parameter servers", fig5},
-	"fig6":                  {"Fig 6: hash size vs mean feature length per table", fig6},
-	"fig7":                  {"Fig 7: mean sparse feature length distributions", fig7},
-	"fig9":                  {"Fig 9: histogram of trainer / parameter server counts", fig9},
-	"fig10":                 {"Fig 10: sparse x dense sweep on CPU and GPU", fig10},
-	"fig11":                 {"Fig 11: batch size scaling on CPU and GPU", fig11},
-	"fig12":                 {"Fig 12: hash size scaling on CPU and GPU", fig12},
-	"fig13":                 {"Fig 13: throughput under varying MLP dimensions", fig13},
-	"fig14":                 {"Fig 14: embedding placements on Big Basin vs Zion (M2prod)", fig14},
-	"fig15":                 {"Fig 15: accuracy loss vs batch size after manual tuning", fig15},
-	"elastic_recovery":      {"Elastic recovery: kill/restore/rejoin wall time, bytes restored, loss bit-identity (1/2/4 ranks)", elasticRecovery},
-	"flight_recorder":       {"Flight recorder: online anomaly detection localizing injected spike/delay/kill incidents to ±1 step, with black-box bundles (1/2/4 ranks)", flightRecorder},
-	"hybrid_scaling":        {"Hybrid-parallel scaling: ranks x batch comm/compute breakdown (real collectives)", hybridScaling},
-	"ingest_scaling":        {"Ingestion scaling: readers per trainer, reader-bound vs trainer-bound crossover + RecD dedup", ingestScaling},
-	"mixed_precision":       {"Mixed precision: table dtype x wire format sweep, quality drift and wire-byte compression (1/2/4 ranks)", mixedPrecision},
-	"memtier":               {"Tiered memory: cache capacity vs hit rate vs throughput (MTrainS-style)", memtierSweep},
-	"straggler_analysis":    {"Straggler detection: imbalance index and doctor verdict under an injected per-step delay fault (1/2/4 ranks)", stragglerAnalysis},
-	"table1":                {"Table I: hardware platform details", table1},
-	"telemetry_attribution": {"Telemetry attribution: observed span phases vs perfmodel prediction (1/2/4 ranks from disk)", telemetryAttribution},
-	"table2":                {"Table II: production model descriptions", table2},
-	"table3":                {"Table III: CPU-GPU optimal setup comparison", table3},
-	"vic":                   {"Sec VI-C: AutoML hyper-parameter re-tuning on GPU", vic},
+	"fig1":               {"Fig 1: production model throughput across platforms", fig1},
+	"fig2":               {"Fig 2: training frequency and duration by workload", fig2},
+	"fig5":               {"Fig 5: utilization distributions, trainers vs parameter servers", fig5},
+	"fig6":               {"Fig 6: hash size vs mean feature length per table", fig6},
+	"fig7":               {"Fig 7: mean sparse feature length distributions", fig7},
+	"fig9":               {"Fig 9: histogram of trainer / parameter server counts", fig9},
+	"fig10":              {"Fig 10: sparse x dense sweep on CPU and GPU", fig10},
+	"fig11":              {"Fig 11: batch size scaling on CPU and GPU", fig11},
+	"fig12":              {"Fig 12: hash size scaling on CPU and GPU", fig12},
+	"fig13":              {"Fig 13: throughput under varying MLP dimensions", fig13},
+	"fig14":              {"Fig 14: embedding placements on Big Basin vs Zion (M2prod)", fig14},
+	"fig15":              {"Fig 15: accuracy loss vs batch size after manual tuning", fig15},
+	"elastic_recovery":   {"Elastic recovery: kill/restore/rejoin wall time, bytes restored, loss bit-identity (1/2/4 ranks)", elasticRecovery},
+	"flight_recorder":    {"Flight recorder: online anomaly detection localizing injected spike/delay/kill incidents to ±1 step, with black-box bundles (1/2/4 ranks)", flightRecorder},
+	"hybrid_scaling":     {"Hybrid-parallel scaling: ranks x batch x table dtype/wire format, comm/compute breakdown, loss drift and wire-byte compression (real collectives)", hybridScaling},
+	"ingest_scaling":     {"Ingestion scaling: readers per trainer, reader-bound vs trainer-bound crossover + RecD dedup", ingestScaling},
+	"memtier":            {"Tiered memory: cache capacity vs hit rate vs throughput (MTrainS-style)", memtierSweep},
+	"straggler_analysis": {"Straggler detection and phase attribution: observed span phases vs perfmodel on clean runs, imbalance index and doctor verdict under an injected per-step delay fault (1/2/4 ranks from disk)", stragglerAnalysis},
+	"table1":             {"Table I: hardware platform details", table1},
+	"table2":             {"Table II: production model descriptions", table2},
+	"table3":             {"Table III: CPU-GPU optimal setup comparison", table3},
+	"vic":                {"Sec VI-C: AutoML hyper-parameter re-tuning on GPU", vic},
 }
 
 // IDs lists experiment identifiers in a stable order.

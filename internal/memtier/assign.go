@@ -3,7 +3,6 @@ package memtier
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/hw"
@@ -102,20 +101,6 @@ func (a Assignment) SpilledShare() float64 {
 		s += t.ResidentShare
 	}
 	return s
-}
-
-// String renders the assignment as a compact per-tier table.
-func (a Assignment) String() string {
-	var b strings.Builder
-	for _, t := range a.Tiers {
-		fmt.Fprintf(&b, "%-14s %2d tables  %9s  serves %5.1f%% of lookups\n",
-			t.Tier.Kind.String(), len(t.Tables), core.HumanBytes(t.Bytes), 100*t.LookupFraction)
-	}
-	if a.CacheRows > 0 {
-		fmt.Fprintf(&b, "hot-row cache  lru (%d rows, %s): est. hit rate %.1f%%\n",
-			a.CacheRows, core.HumanBytes(a.CacheBytes), 100*a.CacheHitRate)
-	}
-	return b.String()
 }
 
 // Assign packs the tables onto the hierarchy hottest-first and carves a

@@ -70,25 +70,22 @@ func TestHybridVolumeFormulas(t *testing.T) {
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
 	}
-	if got := HybridAllToAllBytes(cfg, 64, 1); got != 0 {
+	if got := HybridAllToAllBytesWire(cfg, 64, 1, 4); got != 0 {
 		t.Errorf("single rank should exchange nothing, got %v", got)
 	}
 	// 2 · 64 · 4 tables · 8 dim · 4 bytes · 3/4
-	if got, want := HybridAllToAllBytes(cfg, 64, 4), 2.0*64*4*8*4*3/4; got != want {
+	if got, want := HybridAllToAllBytesWire(cfg, 64, 4, 4), 2.0*64*4*8*4*3/4; got != want {
 		t.Errorf("all-to-all %v, want %v", got, want)
 	}
-	if got, want := HybridAllReduceBytes(cfg, 4), 6*float64(cfg.DenseParamBytes()); got != want {
+	if got, want := HybridAllReduceBytesWire(cfg, 4, 4), 6*float64(cfg.DenseParamBytes()); got != want {
 		t.Errorf("all-reduce %v, want %v", got, want)
 	}
-	// Wire-width parameterization: fp16 halves both volumes, int8 is
-	// 1.0625 bytes/element, and bpe=4 reproduces the fp32 forms.
-	if got, want := HybridAllToAllBytesWire(cfg, 64, 4, 2), HybridAllToAllBytes(cfg, 64, 4)/2; got != want {
+	// Wire-width parameterization: fp16 halves both volumes and int8 is
+	// 1.0625 bytes/element.
+	if got, want := HybridAllToAllBytesWire(cfg, 64, 4, 2), 2.0*64*4*8*2*3/4; got != want {
 		t.Errorf("fp16 all-to-all %v, want %v", got, want)
 	}
 	if got, want := HybridAllReduceBytesWire(cfg, 4, 1.0625), 6*float64(cfg.DenseParamBytes())/4*1.0625; got != want {
 		t.Errorf("int8 all-reduce %v, want %v", got, want)
-	}
-	if got, want := HybridAllToAllBytesWire(cfg, 64, 4, 4), HybridAllToAllBytes(cfg, 64, 4); got != want {
-		t.Errorf("bpe=4 all-to-all %v, want %v", got, want)
 	}
 }

@@ -424,16 +424,10 @@ func bottleneckName(bd Breakdown) string {
 // fastest feasible plan with its breakdown. Tiered is evaluated last and
 // ties break toward the flat strategies, so it only wins when staging
 // across the hierarchy is strictly faster (e.g. models that overflow
-// HBM). Use BestPlacementAmong to restrict or extend the candidate set.
+// HBM).
 func BestPlacement(cfg core.Config, platform hw.Platform, batch int, cal Calibration) (placement.Plan, Breakdown, error) {
-	return BestPlacementAmong(cfg, platform, batch, cal,
-		[]placement.Strategy{placement.GPUMemory, placement.SystemMemory, placement.RemoteCPU, placement.Tiered})
-}
-
-// BestPlacementAmong is BestPlacement restricted to the given strategies.
-func BestPlacementAmong(cfg core.Config, platform hw.Platform, batch int, cal Calibration, strategies []placement.Strategy) (placement.Plan, Breakdown, error) {
 	var plans []placement.Plan
-	for _, strat := range strategies {
+	for _, strat := range []placement.Strategy{placement.GPUMemory, placement.SystemMemory, placement.RemoteCPU, placement.Tiered} {
 		if plan, err := placement.Fit(cfg, platform, strat, 0); err == nil {
 			plans = append(plans, plan)
 		}

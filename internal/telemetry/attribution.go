@@ -154,7 +154,7 @@ func (a Attribution) StepWallNS() float64 {
 
 // Coverage is the phase-sum / step-wall ratio over all step shards. The
 // tracer's gap-free tiling (Tracer.Next) makes this structurally ~1.0;
-// the telemetry_attribution experiment asserts |1-Coverage| < 1%.
+// the straggler_analysis experiment asserts |1-Coverage| < 1%.
 func (a Attribution) Coverage() float64 {
 	var phases, wall int64
 	for _, sa := range a.Shards {

@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/memtier"
 	"repro/internal/metrics"
 )
 
@@ -139,49 +137,5 @@ func TestRowFrequenciesSortedAndAligned(t *testing.T) {
 	}
 	if len(freqs[1]) != 0 || len(freqs[2]) != 1 {
 		t.Errorf("tables 1/2 frequencies %v / %v", freqs[1], freqs[2])
-	}
-}
-
-func TestLRUBasics(t *testing.T) {
-	lru := memtier.NewLRU(2)
-	if lru.Access(memtier.Key(0, 1)) {
-		t.Error("first access must miss")
-	}
-	if !lru.Access(memtier.Key(0, 1)) {
-		t.Error("repeat access must hit")
-	}
-	lru.Access(memtier.Key(0, 2))
-	lru.Access(memtier.Key(0, 3)) // evicts (0,1)
-	if lru.Access(memtier.Key(0, 1)) {
-		t.Error("evicted entry must miss")
-	}
-	if lru.Len() != 2 {
-		t.Errorf("Len = %d", lru.Len())
-	}
-	if hr := memtier.HitRate(lru); math.Abs(hr-0.2) > 1e-9 {
-		t.Errorf("HitRate = %v, want 1/5", hr)
-	}
-}
-
-func TestLRUDistinguishesTables(t *testing.T) {
-	lru := memtier.NewLRU(10)
-	lru.Access(memtier.Key(0, 1))
-	if lru.Access(memtier.Key(1, 1)) {
-		t.Error("same row in different tables must be distinct keys")
-	}
-}
-
-func TestLRUPanicsOnZeroCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	memtier.NewLRU(0)
-}
-
-func TestEmptyHitRate(t *testing.T) {
-	if memtier.HitRate(memtier.NewLRU(4)) != 0 {
-		t.Error("empty cache hit rate should be 0")
 	}
 }

@@ -17,9 +17,8 @@
 // Everything else runs through the commands: cmd/dlrmbench regenerates
 // each table and figure of the paper and each subsystem study,
 // cmd/dlrmtrain trains on the single or hybrid-parallel trainer with
-// ingestion, checkpoints, faults, mixed precision and telemetry,
-// cmd/memtier sweeps the tiered embedding memory, and cmd/calibrate
-// re-fits the performance model.
+// ingestion, checkpoints, faults, mixed precision and telemetry, and
+// cmd/calibrate re-fits the performance model.
 //
 // Quick start:
 //
