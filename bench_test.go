@@ -325,12 +325,14 @@ func BenchmarkIngestStreamStep(b *testing.B) {
 		h := tracer.PhaseHist(ph.phase)
 		b.ReportMetric(h.Mean()/1e3, ph.name)
 	}
+	reportBlocks(b, pipe)
 }
 
 // BenchmarkIngestDrain is the reader tier alone at the ingest_stream
 // shape: NextBatch and Recycle on a one-reader dedup pipeline with no
 // trainer behind it, the ceiling bench/e2e reports as
-// ingest.drain_examples_per_sec.
+// ingest.drain_examples_per_sec. Both ingest_stream benchmarks also
+// report the blocks the pipeline minted and the share of rows compacted.
 func BenchmarkIngestDrain(b *testing.B) {
 	_, pipe := openIngestStream(b, 4)
 	b.ResetTimer()
@@ -343,6 +345,16 @@ func BenchmarkIngestDrain(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "examples/sec")
+	reportBlocks(b, pipe)
+}
+
+// reportBlocks reports the blocks the pipeline minted, decoder and
+// compaction blocks together, and the share of decoded rows its
+// compaction copied a second time.
+func reportBlocks(b *testing.B, pipe *ingest.Pipeline) {
+	m := pipe.Registry().Snapshot()
+	b.ReportMetric(float64(m.Get("ingest/blocks_minted")), "blocks_minted")
+	b.ReportMetric(float64(m.Get("ingest/rows_compacted"))/float64(m.Get("ingest/examples_decoded")), "compacted_share")
 }
 
 // BenchmarkPerfModelEstimate measures the analytic model's cost.

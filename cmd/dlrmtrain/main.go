@@ -341,17 +341,25 @@ func (t *telem) finish(out io.Writer, predicted map[telemetry.Phase]float64) err
 			fmt.Fprintf(out, "  bundle: %s\n", b)
 		}
 	}
+	// The doctor's report carries the attribution it was read from, so
+	// -telemetry.report renders that one rather than a second walk.
+	var doc telemetry.DoctorReport
+	if t.doctor {
+		doc = telemetry.Diagnose(telemetry.DoctorInput{
+			Snap: snap, Metrics: t.reg.Snapshot(), Predicted: predicted,
+		})
+	}
 	if t.report {
-		attr := telemetry.Attribute(snap)
+		attr := doc.Attribution
+		if !t.doctor {
+			attr = telemetry.Attribute(snap)
+		}
 		fmt.Fprintf(out, "\nattribution (observed vs analytic perfmodel):\n%s", attr.Render(predicted))
 		fmt.Fprintf(out, "\ntimeline:\n%s", snap.Timeline(72))
 		fmt.Fprintf(out, "\nregistry snapshot:\n%s", t.reg.Snapshot().Render())
 	}
 	if t.doctor {
-		rep := telemetry.Diagnose(telemetry.DoctorInput{
-			Snap: snap, Metrics: t.reg.Snapshot(), Predicted: predicted,
-		})
-		fmt.Fprintf(out, "\n%s", rep.Render())
+		fmt.Fprintf(out, "\n%s", doc.Render())
 	}
 	if t.traceFile != "" {
 		f, err := os.Create(t.traceFile)

@@ -213,6 +213,27 @@ func TestTelemetryTraceGolden(t *testing.T) {
 	}
 }
 
+// TestRunReportWithDoctor: -telemetry.report and -telemetry.doctor
+// together print the attribution table once, from the doctor's report,
+// and the doctor's verdict after it.
+func TestRunReportWithDoctor(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-mode", "hybrid", "-ranks", "2", "-dense", "8", "-sparse", "4",
+		"-hash", "200", "-dim", "8", "-batch", "32", "-iters", "10",
+		"-telemetry.report", "-telemetry.doctor"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	if n := strings.Count(s, "attribution (observed vs analytic perfmodel):"); n != 1 {
+		t.Errorf("attribution table printed %d times, want 1:\n%s", n, s)
+	}
+	a, d := strings.Index(s, "phase coverage="), strings.Index(s, "doctor verdict: ")
+	if a < 0 || d < a {
+		t.Errorf("want the attribution's coverage line, then the doctor verdict:\n%s", s)
+	}
+}
+
 func TestRunFileModeErrors(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-data", "file:"}, &out); err == nil {

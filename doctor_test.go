@@ -1,6 +1,7 @@
 package recsim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -11,7 +12,8 @@ import (
 // compute-bound, the same model on a crippled 1 MB/s link is
 // communication-bound (the Link-priced model time dominates even though
 // the in-process collectives move at memory speed), and a trainer
-// starved by a throttled reader is reader-bound.
+// starved by a throttled reader is reader-bound. Each report also
+// carries the snapshot's attribution.
 //
 // Each case classifies a recorded run, not a live one. A verdict turns on
 // the ratio of phase times, and a live run only added the chance that a
@@ -28,9 +30,15 @@ func TestDoctorClassifiesRegimes(t *testing.T) {
 		{"reader", recordedReaderRun, telemetry.VerdictReader},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rep := telemetry.Diagnose(c.run.replay())
+			in := c.run.replay()
+			rep := telemetry.Diagnose(in)
 			if rep.Verdict != c.want {
 				t.Fatalf("verdict %q, want %q\n%s", rep.Verdict, c.want, rep.Render())
+			}
+			// The report carries the attribution it was read from, for
+			// callers that render it too.
+			if !reflect.DeepEqual(rep.Attribution, telemetry.Attribute(in.Snap)) {
+				t.Fatal("report's attribution differs from Attribute(snapshot)")
 			}
 		})
 	}

@@ -189,15 +189,16 @@ func stragglerAnalysis(opt Options) (Result, error) {
 			}
 
 			snap, ms := tr.Snapshot(), reg.Snapshot()
-			if !faulted {
-				if ranks == rankCounts[len(rankCounts)-1] {
-					// Skew is a property of the data, not the fault:
-					// profile it once, on the largest clean run.
-					for ti, counts := range col.RowFrequencies() {
-						skews = append(skews, telemetry.SkewFromRowCounts(fmt.Sprintf("table%d", ti), counts))
-					}
+			if !faulted && ranks == rankCounts[len(rankCounts)-1] {
+				// Skew is a property of the data, not the fault:
+				// profile it once, on the largest clean run.
+				for ti, counts := range col.RowFrequencies() {
+					skews = append(skews, telemetry.SkewFromRowCounts(fmt.Sprintf("table%d", ti), counts))
 				}
-				attr := telemetry.Attribute(snap)
+			}
+			doc := telemetry.Diagnose(telemetry.DoctorInput{Snap: snap, Metrics: ms, Skew: skews})
+			if !faulted {
+				attr := doc.Attribution
 				worstCov = min(worstCov, attr.Coverage())
 				// A fixed delay is too small where steps run slower (-race
 				// runs the same math an order of magnitude slower): the
@@ -223,7 +224,6 @@ func stragglerAnalysis(opt Options) (Result, error) {
 				fmt.Fprintf(&b, "registry: hybrid/steps=%d ingest/batches_out=%d collective a2a bytes=%d\n",
 					ms.Get("hybrid/steps"), ms.Get("ingest/batches_out"), ms.Get("collective/alltoall/bytes"))
 			}
-			doc := telemetry.Diagnose(telemetry.DoctorInput{Snap: snap, Metrics: ms, Skew: skews})
 			outcomes = append(outcomes, outcome{ranks: ranks, faulted: faulted, delay: delay, imb: doc.Imbalance, verdict: doc.Verdict})
 		}
 	}

@@ -302,17 +302,50 @@ func (ds *Dataset) CompatibleWith(cfg core.Config) error {
 	return nil
 }
 
-// block is one decoded shard resident in slab storage. Blocks recycle
-// through the pipeline's free list; the assembler copies examples out at
-// admission and returns the block immediately.
+// block is one decoded shard, or one compaction block, resident in slab
+// storage. The shuffle reservoir holds (block, row) references into it,
+// so an example's bytes stay here until a batch copies them out; live
+// counts the rows the reservoir still references. Blocks recycle
+// through the pipeline's free list once live reaches zero.
 type block struct {
 	n      int       // examples
 	labels []byte    // n
 	dense  []float32 // n × denseFeatures
 	// Per sparse feature, flat indices plus n+1 offsets.
-	featIdx [][]int32
-	featOff [][]int32
-	raw     []byte // reusable shard read buffer
+	featIdx    [][]int32
+	featOff    [][]int32
+	live       int  // rows the reservoir still references
+	moving     bool // marked for compaction in the current sweep
+	compaction bool // the assembler's compaction block, not a decoder's
+}
+
+// reset empties blk, reusing its slabs, so rows can be appended to it.
+func (blk *block) reset(sparse int) {
+	blk.n, blk.live = 0, 0
+	blk.labels = blk.labels[:0]
+	blk.dense = blk.dense[:0]
+	if len(blk.featIdx) != sparse {
+		blk.featIdx = make([][]int32, sparse)
+		blk.featOff = make([][]int32, sparse)
+	}
+	for f := range blk.featIdx {
+		blk.featIdx[f] = blk.featIdx[f][:0]
+		blk.featOff[f] = append(blk.featOff[f][:0], 0)
+	}
+}
+
+// appendRow copies row i of src onto the end of blk and returns its row
+// number there.
+func (blk *block) appendRow(src *block, i, dense int) int {
+	blk.labels = append(blk.labels, src.labels[i])
+	blk.dense = append(blk.dense, src.dense[i*dense:(i+1)*dense]...)
+	for f := range blk.featIdx {
+		off := src.featOff[f]
+		blk.featIdx[f] = append(blk.featIdx[f], src.featIdx[f][off[i]:off[i+1]]...)
+		blk.featOff[f] = append(blk.featOff[f], int32(len(blk.featIdx[f])))
+	}
+	blk.n++
+	return blk.n - 1
 }
 
 // growI32 grows (without shrinking) an int32 slab.

@@ -19,6 +19,17 @@ import (
 // from it, decoupling batch composition from shard order.
 const shuffleBatches = 4
 
+// compactBelow sets the compaction rule: once fewer than 1/compactBelow
+// of a held block's rows are live, the assembler copies the survivors
+// into a compaction block and releases the source, so every block the
+// reservoir pins keeps at least that share of its rows live.
+const compactBelow = 8
+
+// readAhead bounds the decoded blocks queued for the assembler; with
+// each decoder holding at most one more, at most Readers+readAhead
+// decoded blocks wait for admission.
+const readAhead = 2
+
 // Options tunes the staged reader pipeline.
 type Options struct {
 	// BatchSize is the assembled mini-batch size (required).
@@ -138,16 +149,25 @@ func (m MeterSnapshot) Occupancy() float64 {
 	return float64(m.OccupancySum) / float64(m.NextCalls) / float64(m.OccupancyCap)
 }
 
-// exSlot is one shuffle-buffer entry: an example copied out of its
-// decoded block into reservoir-owned storage. Copying at admission lets a
-// block return to the decode stage the moment it is admitted — no
-// pinning, so the bounded reservoir can never starve the block free list
-// — and slots recycle through the assembler's free list, so steady-state
-// admission is allocation-free.
-type exSlot struct {
-	dense []float32
-	label float32
-	idx   [][]int32 // per sparse feature
+// ref is one shuffle-reservoir entry: row row of a held block. The
+// reservoir holds references, not copies, so an example's bytes are
+// copied once after decode: from its block into the batch that draws it.
+type ref struct {
+	blk *block
+	row int
+}
+
+// reservoir is the assembler's bounded shuffle window.
+type reservoir struct {
+	refs []ref
+	held []*block // every block refs points into, the open one included
+	// open is the compaction block still taking rows (nil when none is);
+	// it closes at closeAt rows, 4×BatchSize. Compaction blocks are the
+	// assembler's own: they recycle through free, not through the
+	// decoders' list, so neither kind's slabs grow to the other's size.
+	open    *block
+	closeAt int
+	free    []*block
 }
 
 // Pipeline is the staged reader: parallel shard decode → bounded shuffle
@@ -159,12 +179,16 @@ type Pipeline struct {
 	cfg core.Config
 	opt Options
 
-	shardCh    chan int
-	blockCh    chan *block
-	freeBlocks chan *block
-	batchCh    chan *core.MiniBatch
-	freeBatch  chan *core.MiniBatch
-	allocated  int // MiniBatches minted by the assembler
+	shardCh   chan int
+	blockCh   chan *block
+	batchCh   chan *core.MiniBatch
+	freeBatch chan *core.MiniBatch
+	allocated int // MiniBatches minted by the assembler
+
+	// free holds released blocks; a decoder mints a block only when it
+	// is empty.
+	freeMu sync.Mutex
+	free   []*block
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -178,6 +202,7 @@ type Pipeline struct {
 	examplesDecoded, batchesOut       *telemetry.Counter
 	totalIdx, uniqueIdx               *telemetry.Counter
 	starvedNanos, occSum, nextCalls   *telemetry.Counter
+	blocksMinted, rowsCompacted       *telemetry.Counter
 	// firstNext/lastNext bound the trainer's measurement window, in
 	// telemetry-clock nanos — the same monotonic base as starvedNanos and
 	// every span, so StarvationFrac and the attribution report agree.
@@ -198,17 +223,15 @@ func Open(ds *Dataset, cfg core.Config, opt Options) (*Pipeline, error) {
 			return nil, fmt.Errorf("ingest: shard %s with zero examples", sh.File)
 		}
 	}
-	nBlocks := opt.Readers + 2
 	p := &Pipeline{
-		ds:         ds,
-		cfg:        cfg,
-		opt:        opt,
-		shardCh:    make(chan int),
-		blockCh:    make(chan *block, nBlocks),
-		freeBlocks: make(chan *block, nBlocks),
-		batchCh:    make(chan *core.MiniBatch, opt.PrefetchDepth),
-		freeBatch:  make(chan *core.MiniBatch, opt.PrefetchDepth+2),
-		stop:       make(chan struct{}),
+		ds:        ds,
+		cfg:       cfg,
+		opt:       opt,
+		shardCh:   make(chan int),
+		blockCh:   make(chan *block, readAhead),
+		batchCh:   make(chan *core.MiniBatch, opt.PrefetchDepth),
+		freeBatch: make(chan *core.MiniBatch, opt.PrefetchDepth+2),
+		stop:      make(chan struct{}),
 	}
 	reg := opt.Registry
 	if reg == nil {
@@ -225,6 +248,8 @@ func Open(ds *Dataset, cfg core.Config, opt Options) (*Pipeline, error) {
 	p.starvedNanos = reg.Counter("ingest/starved_ns")
 	p.occSum = reg.Counter("ingest/occupancy_sum")
 	p.nextCalls = reg.Counter("ingest/next_calls")
+	p.blocksMinted = reg.Counter("ingest/blocks_minted")
+	p.rowsCompacted = reg.Counter("ingest/rows_compacted")
 	p.firstNext = reg.Gauge("ingest/first_next_ns")
 	p.lastNext = reg.Gauge("ingest/last_next_ns")
 	reg.RegisterFunc("ingest/ring_depth", func() int64 { return int64(len(p.batchCh)) })
@@ -236,10 +261,6 @@ func Open(ds *Dataset, cfg core.Config, opt Options) (*Pipeline, error) {
 		t.NameShard(opt.TraceShard+opt.Readers, "ingest assembler")
 		t.NameShard(opt.TraceShard+opt.Readers+1, "ingest batch-wait")
 	}
-	for i := 0; i < nBlocks; i++ {
-		p.freeBlocks <- &block{}
-	}
-
 	p.wg.Add(1)
 	go p.coordinate()
 	var decoders sync.WaitGroup
@@ -290,11 +311,13 @@ func (p *Pipeline) coordinate() {
 }
 
 // decodeLoop is one reader of the parallel decode stage: claim a shard,
-// read it (throttled to the emulated storage bandwidth) into the block's
-// reusable buffer, parse, and hand the block downstream. shard is this
-// decoder's tracer shard (it is the only goroutine recording onto it).
+// read it (throttled to the emulated storage bandwidth) into this
+// decoder's reusable buffer, parse it into a free block, and hand the
+// block downstream. shard is this decoder's tracer shard (it is the only
+// goroutine recording onto it).
 func (p *Pipeline) decodeLoop(shard int) {
 	defer p.wg.Done()
+	var raw []byte
 	for {
 		var si int
 		var ok bool
@@ -306,20 +329,14 @@ func (p *Pipeline) decodeLoop(shard int) {
 		case <-p.stop:
 			return
 		}
-		var blk *block
-		select {
-		case blk = <-p.freeBlocks:
-		case <-p.stop:
-			return
-		}
 
 		sh := p.ds.Manifest.Shards[si]
 		t0 := telemetry.Now()
-		if cap(blk.raw) < int(sh.Bytes) {
-			blk.raw = make([]byte, sh.Bytes)
+		if cap(raw) < int(sh.Bytes) {
+			raw = make([]byte, sh.Bytes)
 		}
-		blk.raw = blk.raw[:sh.Bytes]
-		if _, err := p.ds.files[si].ReadAt(blk.raw, 0); err != nil {
+		raw = raw[:sh.Bytes]
+		if _, err := p.ds.files[si].ReadAt(raw, 0); err != nil {
 			p.fail(fmt.Errorf("ingest: reading shard %s: %w", sh.File, err))
 			return
 		}
@@ -338,7 +355,8 @@ func (p *Pipeline) decodeLoop(shard int) {
 		p.bytesRead.Add(sh.Bytes)
 		p.opt.Trace.Emit(shard, telemetry.PhaseIngestRead, t0, t1)
 
-		if err := decodeShard(blk.raw, &p.ds.Manifest, blk); err != nil {
+		blk := p.takeBlock()
+		if err := decodeShard(raw, &p.ds.Manifest, blk); err != nil {
 			p.fail(fmt.Errorf("ingest: decoding shard %s: %w", sh.File, err))
 			return
 		}
@@ -355,77 +373,79 @@ func (p *Pipeline) decodeLoop(shard int) {
 	}
 }
 
+// takeBlock pops a released block, or mints one when none is free. It
+// never waits: the decoders' read-ahead is bounded by the block channel
+// and the blocks the reservoir pins by the compaction rule, so the
+// blocks in use stay bounded without a fixed pool (which would deadlock:
+// the assembler waits for whole blocks before it draws the rows that
+// would free one).
+func (p *Pipeline) takeBlock() *block {
+	p.freeMu.Lock()
+	defer p.freeMu.Unlock()
+	if n := len(p.free); n > 0 {
+		blk := p.free[n-1]
+		p.free = p.free[:n-1]
+		return blk
+	}
+	p.blocksMinted.Inc()
+	return &block{}
+}
+
+// releaseBlock returns a block no reference points into.
+func (p *Pipeline) releaseBlock(blk *block) {
+	p.freeMu.Lock()
+	p.free = append(p.free, blk)
+	p.freeMu.Unlock()
+}
+
 // assemble is the shuffle + batch-assembly stage: it keeps the bounded
-// reservoir topped up from decoded blocks, draws uniform examples into a
-// recycled MiniBatch, optionally attaches the dedup view, and publishes
-// the batch. It closes the batch ring when the dataset is exhausted.
+// reservoir of (block, row) references topped up from decoded blocks,
+// draws uniform examples into a recycled MiniBatch, optionally attaches
+// the dedup view, and publishes the batch. After each batch it releases
+// the blocks whose rows are all drawn and compacts those below the
+// 1/compactBelow rule. It closes the batch ring when the dataset is
+// exhausted.
 func (p *Pipeline) assemble() {
 	defer p.wg.Done()
 	rng := xrand.New(p.opt.Seed + 1)
-	var res []*exSlot   // shuffle reservoir
-	var spare []*exSlot // recycled slots
-	sparse := p.cfg.NumSparse()
-	dense := p.cfg.DenseFeatures
+	window := shuffleBatches * p.opt.BatchSize
+	res := &reservoir{closeAt: window}
 	asmShard := p.opt.TraceShard + p.opt.Readers // this goroutine's tracer shard
-	admit := func(blk *block) {
-		t0 := telemetry.Now()
-		for i := 0; i < blk.n; i++ {
-			var s *exSlot
-			if n := len(spare); n > 0 {
-				s = spare[n-1]
-				spare = spare[:n-1]
-			} else {
-				s = &exSlot{idx: make([][]int32, sparse)}
-			}
-			s.dense = append(s.dense[:0], blk.dense[i*dense:(i+1)*dense]...)
-			s.label = float32(blk.labels[i])
-			for f := 0; f < sparse; f++ {
-				off := blk.featOff[f]
-				s.idx[f] = append(s.idx[f][:0], blk.featIdx[f][off[i]:off[i+1]]...)
-			}
-			res = append(res, s)
-		}
-		p.opt.Trace.Emit(asmShard, telemetry.PhaseIngestShuffle, t0, telemetry.Now())
-		select { // block fully copied out; hand it straight back
-		case p.freeBlocks <- blk:
-		default:
-		}
-	}
 	open := true
 	for {
 		// Fill the reservoir to the shuffle window before cutting a
 		// batch. The fill always blocks for whole blocks, never polls, so
 		// batch composition is a pure function of block arrival order —
 		// with one reader, of (dataset, Options) alone.
-		for open && len(res) < shuffleBatches*p.opt.BatchSize {
+		for open && len(res.refs) < window {
 			select {
 			case blk, ok := <-p.blockCh:
 				if !ok {
 					open = false
 				} else {
-					admit(blk)
+					t0 := telemetry.Now()
+					p.admit(res, blk)
+					p.opt.Trace.Emit(asmShard, telemetry.PhaseIngestShuffle, t0, telemetry.Now())
 				}
 			case <-p.stop:
 				return
 			}
 		}
-		if len(res) == 0 {
+		if len(res.refs) == 0 {
 			if !open {
 				close(p.batchCh)
 				return
 			}
 			continue
 		}
-		bs := p.opt.BatchSize
-		if bs > len(res) {
-			bs = len(res) // final partial batch of a finite stream
-		}
+		bs := min(p.opt.BatchSize, len(res.refs)) // short: the final batch of a finite stream
 		mb := p.claimBatch()
 		if mb == nil {
 			return // stopped
 		}
 		tFill := telemetry.Now()
-		spare = p.fillBatch(mb, bs, &res, spare, rng)
+		p.fillBatch(mb, bs, res, rng)
+		p.sweep(res)
 		p.opt.Trace.Emit(asmShard, telemetry.PhaseIngestAssemble, tFill, telemetry.Now())
 		select {
 		case p.batchCh <- mb:
@@ -434,6 +454,89 @@ func (p *Pipeline) assemble() {
 			return
 		}
 	}
+}
+
+// admit appends a reference to each of blk's rows to the reservoir.
+func (p *Pipeline) admit(res *reservoir, blk *block) {
+	if blk.n == 0 {
+		p.releaseBlock(blk)
+		return
+	}
+	for i := 0; i < blk.n; i++ {
+		res.refs = append(res.refs, ref{blk, i})
+	}
+	blk.live = blk.n
+	res.held = append(res.held, blk)
+}
+
+// sweep releases every held block whose rows have all been drawn, and
+// compacts every closed block with fewer than 1/compactBelow of its rows
+// live: one pass over the reservoir copies those blocks' survivors into
+// the open compaction block and rewrites their references in place.
+// Positions do not move, so the draws that follow pick the same
+// examples as if nothing had been copied.
+func (p *Pipeline) sweep(res *reservoir) {
+	moving := false
+	for _, b := range res.held {
+		if b != res.open && b.live > 0 && b.live*compactBelow < b.n {
+			b.moving, moving = true, true
+		}
+	}
+	if moving {
+		dense := p.cfg.DenseFeatures
+		var moved int64
+		for j, r := range res.refs {
+			if !r.blk.moving {
+				continue
+			}
+			if res.open == nil {
+				res.open = p.takeCompaction(res)
+				res.held = append(res.held, res.open)
+			}
+			dst := res.open
+			res.refs[j] = ref{dst, dst.appendRow(r.blk, r.row, dense)}
+			dst.live++
+			r.blk.live--
+			moved++
+			if dst.n >= res.closeAt {
+				res.open = nil
+			}
+		}
+		p.rowsCompacted.Add(moved)
+	}
+	kept := res.held[:0]
+	for _, b := range res.held {
+		b.moving = false
+		if b.live > 0 {
+			kept = append(kept, b)
+			continue
+		}
+		if b == res.open {
+			res.open = nil
+		}
+		if b.compaction {
+			res.free = append(res.free, b)
+		} else {
+			p.releaseBlock(b)
+		}
+	}
+	clear(res.held[len(kept):])
+	res.held = kept
+}
+
+// takeCompaction returns an empty compaction block, recycled if one is
+// free.
+func (p *Pipeline) takeCompaction(res *reservoir) *block {
+	var blk *block
+	if n := len(res.free); n > 0 {
+		blk = res.free[n-1]
+		res.free = res.free[:n-1]
+	} else {
+		p.blocksMinted.Inc()
+		blk = &block{compaction: true}
+	}
+	blk.reset(p.cfg.NumSparse())
+	return blk
 }
 
 // claimBatch takes a recycled MiniBatch from the free ring, minting new
@@ -460,8 +563,8 @@ func (p *Pipeline) claimBatch() *core.MiniBatch {
 }
 
 // fillBatch assembles bs uniformly drawn reservoir examples into mb,
-// reusing its buffers, and returns the drawn slots to the spare list.
-func (p *Pipeline) fillBatch(mb *core.MiniBatch, bs int, res *[]*exSlot, spare []*exSlot, rng *xrand.RNG) []*exSlot {
+// reusing its buffers, copying each straight from its block.
+func (p *Pipeline) fillBatch(mb *core.MiniBatch, bs int, res *reservoir, rng *xrand.RNG) {
 	cfg := &p.cfg
 	dense := cfg.DenseFeatures
 	if mb.Dense == nil || mb.Dense.Rows != bs || mb.Dense.Cols != dense {
@@ -470,32 +573,39 @@ func (p *Pipeline) fillBatch(mb *core.MiniBatch, bs int, res *[]*exSlot, spare [
 	if len(mb.Bags) != cfg.NumSparse() {
 		mb.Bags = make([]embedding.Bag, cfg.NumSparse())
 	}
-	for f := range mb.Bags {
-		mb.Bags[f].Indices = mb.Bags[f].Indices[:0]
-		mb.Bags[f].Offsets = append(mb.Bags[f].Offsets[:0], 0)
-	}
 	if cap(mb.Labels) < bs {
 		mb.Labels = make([]float32, bs)
 	}
 	mb.Labels = mb.Labels[:bs]
 
-	r := *res
-	for k := 0; k < bs; k++ {
-		j := rng.Intn(len(r))
-		s := r[j]
-		r[j] = r[len(r)-1]
-		r = r[:len(r)-1]
-
-		copy(mb.Dense.Row(k), s.dense)
-		mb.Labels[k] = s.label
-		for f := range mb.Bags {
-			bag := &mb.Bags[f]
-			bag.Indices = append(bag.Indices, s.idx[f]...)
-			bag.Offsets = append(bag.Offsets, int32(len(bag.Indices)))
-		}
-		spare = append(spare, s)
+	// Each draw swaps the drawn reference with the window's last and
+	// shrinks the window by one, so the draws collect at the end of
+	// res.refs, the first drawn last.
+	r := res.refs
+	for range bs {
+		j, last := rng.Intn(len(r)), len(r)-1
+		r[j], r[last] = r[last], r[j]
+		r = r[:last]
 	}
-	*res = r
+	drawn := res.refs[len(r):]
+	res.refs = r
+	for k := range bs {
+		d := drawn[bs-1-k]
+		copy(mb.Dense.Row(k), d.blk.dense[d.row*dense:(d.row+1)*dense])
+		mb.Labels[k] = float32(d.blk.labels[d.row])
+		d.blk.live--
+	}
+	for f := range mb.Bags {
+		bag := &mb.Bags[f]
+		idx, offs := bag.Indices[:0], append(bag.Offsets[:0], 0)
+		for k := bs - 1; k >= 0; k-- {
+			d := drawn[k]
+			off := d.blk.featOff[f]
+			idx = append(idx, d.blk.featIdx[f][off[d.row]:off[d.row+1]]...)
+			offs = append(offs, int32(len(idx)))
+		}
+		bag.Indices, bag.Offsets = idx, offs
+	}
 
 	var total, unique int64
 	if p.opt.Dedup {
@@ -513,7 +623,6 @@ func (p *Pipeline) fillBatch(mb *core.MiniBatch, bs int, res *[]*exSlot, spare [
 	}
 	p.totalIdx.Add(total)
 	p.uniqueIdx.Add(unique)
-	return spare
 }
 
 // NextBatch implements core.BatchSource. It meters ring occupancy and the

@@ -35,14 +35,17 @@ type Finding struct {
 }
 
 // DoctorReport is the classified run: a verdict naming the dominant
-// cost, the bucket decomposition behind it, the straggler analysis, and
-// ranked findings.
+// cost, the bucket decomposition behind it, the straggler analysis,
+// ranked findings, and the span attribution all of them were read from,
+// so a caller that also renders the attribution need not walk the
+// snapshot again.
 type DoctorReport struct {
-	Verdict   string
-	Steps     int // rank-steps observed
-	Shares    []ShareEntry
-	Imbalance ImbalanceReport
-	Findings  []Finding
+	Verdict     string
+	Steps       int // rank-steps observed
+	Shares      []ShareEntry
+	Imbalance   ImbalanceReport
+	Findings    []Finding
+	Attribution Attribution
 }
 
 // Boundedness verdicts. Straggler-bound overrides the bucket verdicts:
@@ -82,7 +85,7 @@ var computePhases = []Phase{PhaseEmbLookup, PhaseDenseFwd, PhaseLoss, PhaseDense
 // the spread across ranks, not the mean, is the problem.
 func Diagnose(in DoctorInput) DoctorReport {
 	attr := Attribute(in.Snap)
-	rep := DoctorReport{Steps: attr.TotalSteps, Imbalance: Imbalance(in.Snap, in.Metrics)}
+	rep := DoctorReport{Steps: attr.TotalSteps, Imbalance: Imbalance(attr, in.Snap, in.Metrics), Attribution: attr}
 	if attr.TotalSteps == 0 {
 		rep.Verdict = VerdictInconclusive
 		rep.Findings = append(rep.Findings, Finding{

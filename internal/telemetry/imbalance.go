@@ -75,17 +75,17 @@ func rankWaitNs(s Snapshot) map[int]int64 {
 	return out
 }
 
-// Imbalance computes the straggler report for a run: the trace snapshot
-// supplies per-rank step windows and phase attribution (step shards in
-// ascending shard order are ranks 0..n-1, the hybrid trainer's layout),
-// and the metrics snapshot supplies the collective wait meters. With
-// overlapped all-reduce (detected by background all-reduce spans) the
-// background goroutine's barrier waits are unmetered — they hide under
-// compute — and the rank's exposed all-reduce join span counts as wait
-// instead: it is exactly the time the critical path sat blocked on the
-// collective. SelfSec is clamped at a floor of zero.
-func Imbalance(snap TraceSnapshot, ms Snapshot) ImbalanceReport {
-	attr := Attribute(snap)
+// Imbalance computes the straggler report for a run: attr, the trace
+// snapshot's attribution, supplies per-rank step windows and phases
+// (step shards in ascending shard order are ranks 0..n-1, the hybrid
+// trainer's layout), snap the per-rank step histograms, and the metrics
+// snapshot the collective wait meters. With overlapped all-reduce
+// (detected by background all-reduce spans) the background goroutine's
+// barrier waits are unmetered — they hide under compute — and the
+// rank's exposed all-reduce join span counts as wait instead: it is
+// exactly the time the critical path sat blocked on the collective.
+// SelfSec is clamped at a floor of zero.
+func Imbalance(attr Attribution, snap TraceSnapshot, ms Snapshot) ImbalanceReport {
 	waits := rankWaitNs(ms)
 	overlapped := attr.Background[PhaseAllReduce] > 0
 	rep := ImbalanceReport{Slowest: -1}
