@@ -38,9 +38,10 @@ type Options struct {
 	// the readers-per-trainer knob of the ingest_scaling experiment.
 	Readers int
 	// PrefetchDepth bounds the assembled-batch ring (default 4). The
-	// assembler owns at most PrefetchDepth+1 recycled MiniBatches; once
-	// all are lent out it blocks until the trainer recycles one — the
-	// explicit backpressure that keeps the hot path allocation-free.
+	// assembler owns PrefetchDepth+1 recycled MiniBatches, minted at
+	// Open; once all are lent out it blocks until the trainer recycles
+	// one — the explicit backpressure that keeps the hot path
+	// allocation-free.
 	PrefetchDepth int
 	// Dedup builds the RecD-style within-batch unique-row view on every
 	// assembled batch, switching both trainers onto the dedup kernels.
@@ -182,8 +183,7 @@ type Pipeline struct {
 	shardCh   chan int
 	blockCh   chan *block
 	batchCh   chan *core.MiniBatch
-	freeBatch chan *core.MiniBatch
-	allocated int // MiniBatches minted by the assembler
+	freeBatch chan *core.MiniBatch // PrefetchDepth+1 batches, minted at Open
 
 	// free holds released blocks; a decoder mints a block only when it
 	// is empty.
@@ -232,6 +232,9 @@ func Open(ds *Dataset, cfg core.Config, opt Options) (*Pipeline, error) {
 		batchCh:   make(chan *core.MiniBatch, opt.PrefetchDepth),
 		freeBatch: make(chan *core.MiniBatch, opt.PrefetchDepth+2),
 		stop:      make(chan struct{}),
+	}
+	for range opt.PrefetchDepth + 1 {
+		p.freeBatch <- &core.MiniBatch{}
 	}
 	reg := opt.Registry
 	if reg == nil {
@@ -539,21 +542,11 @@ func (p *Pipeline) takeCompaction(res *reservoir) *block {
 	return blk
 }
 
-// claimBatch takes a recycled MiniBatch from the free ring, minting new
-// ones only until the ring's batch budget is reached — after that it
-// blocks until the trainer recycles (the backpressure edge).
+// claimBatch takes the free ring's oldest MiniBatch, blocking while the
+// trainer holds all of them (the backpressure edge). The ring is FIFO, so
+// the first PrefetchDepth+1 claims get PrefetchDepth+1 distinct batches
+// and every batch is first filled during start-up.
 func (p *Pipeline) claimBatch() *core.MiniBatch {
-	select {
-	case mb := <-p.freeBatch:
-		return mb
-	case <-p.stop:
-		return nil
-	default:
-	}
-	if p.allocated <= p.opt.PrefetchDepth {
-		p.allocated++
-		return &core.MiniBatch{}
-	}
 	select {
 	case mb := <-p.freeBatch:
 		return mb

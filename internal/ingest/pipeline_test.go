@@ -135,6 +135,35 @@ func TestPipelineRecyclesBatches(t *testing.T) {
 	}
 }
 
+// TestPipelineFillsEveryBatchAtStartup: the assembler's batches are all
+// minted at Open and reused oldest first, so even a consumer that never
+// lags gets PrefetchDepth+1 distinct batches in its first PrefetchDepth+1
+// calls. Each batch's first fill allocates its buffers; none is left to
+// be filled for the first time mid-run.
+func TestPipelineFillsEveryBatchAtStartup(t *testing.T) {
+	cfg := pipeCfg()
+	ds := writeDataset(t, cfg, 13, 2, 256)
+	for _, depth := range []int{1, 2, 4} {
+		p, err := ingest.Open(ds, cfg, ingest.Options{BatchSize: 64, PrefetchDepth: depth, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[*core.MiniBatch]bool{}
+		for i := 0; i <= depth; i++ {
+			mb, err := p.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[mb] = true
+			p.Recycle(mb)
+		}
+		p.Close()
+		if len(seen) != depth+1 {
+			t.Fatalf("PrefetchDepth %d: %d distinct batches in the first %d calls, want %d", depth, len(seen), depth+1, depth+1)
+		}
+	}
+}
+
 // TestPipelineDeterministicWithOneReader: fixed seed + single reader =>
 // bit-identical batch stream.
 func TestPipelineDeterministicWithOneReader(t *testing.T) {

@@ -244,17 +244,13 @@ func sumSquares8(sums *[8]float32, rows []float32, dim, from int) {
 // XavierInit fills m with Xavier/Glorot-uniform values appropriate for a
 // layer with the given fan-in and fan-out.
 func XavierInit(m *Matrix, fanIn, fanOut int, rng *xrand.RNG) {
-	bound := float32(math.Sqrt(6.0 / float64(fanIn+fanOut)))
-	for i := range m.Data {
-		m.Data[i] = (2*rng.Float32() - 1) * bound
-	}
+	UniformInit(m, float32(math.Sqrt(6.0/float64(fanIn+fanOut))), rng)
 }
 
-// UniformInit fills m with uniform values in [-bound, bound].
+// UniformInit fills m with uniform values in [-bound, bound], each
+// (2*rng.Float32()-1)*bound in row-major order, drawn by rng's fused fill.
 func UniformInit(m *Matrix, bound float32, rng *xrand.RNG) {
-	for i := range m.Data {
-		m.Data[i] = (2*rng.Float32() - 1) * bound
-	}
+	rng.FillUniform(m.Data, bound)
 }
 
 // NormalInit fills m with N(0, std²) values.

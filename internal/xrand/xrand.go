@@ -13,18 +13,24 @@ import (
 )
 
 // RNG is a convenience wrapper around math/rand.Rand with distribution
-// helpers used by the workload generators. It is NOT safe for concurrent
-// use; create one RNG per goroutine (see Split).
+// helpers used by the workload generators. Its stream is math/rand's,
+// draw for draw: the generator state lives in src (see source), and r is
+// a rand.Rand over that same state for the samplers math/rand already
+// implements. It is NOT safe for concurrent use; create one RNG per
+// goroutine (see Split).
 type RNG struct {
-	r *rand.Rand
+	src *source
+	r   *rand.Rand
 	// cached second normal variate from Box-Muller
 	normCached bool
 	normValue  float64
 }
 
-// New returns a deterministic RNG seeded with seed.
+// New returns a deterministic RNG seeded with seed. Its stream equals
+// rand.New(rand.NewSource(seed))'s.
 func New(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	src := newSource(seed)
+	return &RNG{src: src, r: rand.New(src)}
 }
 
 // Split derives a new independent RNG from this one. The derived stream is
@@ -45,6 +51,13 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Float32 returns a uniform float32 in [0, 1).
 func (g *RNG) Float32() float32 { return g.r.Float32() }
+
+// FillUniform fills dst with uniform values in [-bound, bound], each
+// (2*Float32()-1)*bound: the same values and the same stream advance as
+// that loop, drawn without a call per value.
+func (g *RNG) FillUniform(dst []float32, bound float32) {
+	g.src.fillUniform(dst, bound)
+}
 
 // Norm returns a standard normal variate (Box-Muller, cached pairs).
 func (g *RNG) Norm() float64 {
