@@ -24,8 +24,8 @@ import (
 // that alters them on purpose says why in CHANGES.md; a failing run
 // prints the new value (go test -run '^TestDenseDigest$' .).
 var denseDigests = map[string]string{
-	"dense_heavy": "27050cc20719613f02ae7eca84e8dc2e85ec5b340986da6eeeb0086c08d180af",
-	"bench_step":  "50cbe62c34b30ae4989194f462a751c8ddea0848fa0a463c046562de8c4d3604",
+	"dense_heavy": "85e06d3bd04575a95e5b9798d6f1791791e61086f08e526e9ac1e1b1598d743a",
+	"bench_step":  "73699bc21a460998f1022efcc506cc60d1865712109fd9549327bcb371525a0e",
 }
 
 const digestSteps = 40
@@ -82,7 +82,7 @@ func TestDenseDigest(t *testing.T) {
 // seed 2 generator, for ingestSteps steps. Dedup on and off must both
 // give it: the dedup view changes which rows are read, not the sums.
 const (
-	ingestDigest   = "2770e79a2310f69f4aee9b7c369d999286cf9e1aec57940ff0e0476bd12d857c"
+	ingestDigest   = "696d35e8f3064b3dcb4748dac437a915e8879bbbfd43a256f84b5e03dddcd076"
 	ingestSteps    = 50
 	ingestShards   = 4
 	ingestPerShard = 1024

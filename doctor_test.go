@@ -1,7 +1,9 @@
 package recsim
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -15,10 +17,17 @@ import (
 // starved by a throttled reader is reader-bound. Each report also
 // carries the snapshot's attribution.
 //
+// The straggler index is judged the same way: both clean 2-rank
+// recordings stay under the threshold, and so does the compute run with
+// rank 0's self time raised 1.5× on every step (index 2r/(1+r) = 1.2 at
+// r = 1.5), while 2× (1.33) is flagged with rank 0 slowest.
+//
 // Each case classifies a recorded run, not a live one. A verdict turns on
 // the ratio of phase times, and a live run only added the chance that a
 // loaded box skews them: two ranks' wall clocks into a straggler verdict,
 // or a faster reader under a slower trainer into a compute verdict.
+// straggler_analysis prints its live clean runs' index for that reason
+// but does not judge it.
 func TestDoctorClassifiesRegimes(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -28,12 +37,19 @@ func TestDoctorClassifiesRegimes(t *testing.T) {
 		{"compute", recordedComputeRun, telemetry.VerdictCompute},
 		{"comm", recordedSlowWireRun, telemetry.VerdictAllReduce},
 		{"reader", recordedReaderRun, telemetry.VerdictReader},
+		{"rank0x1.5", recordedComputeRun.slowRank0(1.5), telemetry.VerdictCompute},
+		{"rank0x2", recordedComputeRun.slowRank0(2), telemetry.VerdictStraggler},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			in := c.run.replay()
 			rep := telemetry.Diagnose(in)
 			if rep.Verdict != c.want {
 				t.Fatalf("verdict %q, want %q\n%s", rep.Verdict, c.want, rep.Render())
+			}
+			imb, want := rep.Imbalance, c.want == telemetry.VerdictStraggler
+			if imb.Straggling() != want || want && imb.Slowest != 0 {
+				t.Fatalf("imbalance index %.3f, slowest rank %d; want straggling=%v with rank 0 slowest\n%s",
+					imb.Index, imb.Slowest, want, imb.Render())
 			}
 			// The report carries the attribution it was read from, for
 			// callers that render it too.
@@ -94,6 +110,23 @@ func (rc recording) replay() telemetry.DoctorInput {
 		reg.Counter(name).Add(rc.steps * v)
 	}
 	return telemetry.DoctorInput{Snap: tr.Snapshot(), Metrics: reg.Snapshot()}
+}
+
+// slowRank0 returns the 2-rank recording with rank 0's self time raised
+// r× on every step. Its dense backward runs that much longer, and rank 1,
+// reaching the last all-to-all that much earlier, waits there for it:
+// rank 1's step and metered wait grow alike, so its self time holds.
+func (rc recording) slowRank0(r float64) recording {
+	self := telemetry.Diagnose(rc.replay()).Imbalance.Ranks[0].SelfSec
+	extra := int64((r - 1) * self / float64(rc.steps) * 1e6)
+	out := rc
+	out.periodUS += extra
+	out.tiling = [][]seg{slices.Clone(rc.tiling[0]), slices.Clone(rc.tiling[1])}
+	out.tiling[0][4].durUS += extra // rank 0's dense_bwd
+	out.tiling[1][5].durUS += extra // rank 1's second all_to_all
+	out.perStep = maps.Clone(rc.perStep)
+	out.perStep["collective/rank1/wait_ns"] += extra * 1000
+	return out
 }
 
 // The hybrid recordings are 40 steps (after one warm-up) of a model small

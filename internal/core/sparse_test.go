@@ -310,15 +310,18 @@ func TestSparseStepPrefetchBitIdentical(t *testing.T) {
 			outs[ti], dOuts[ti] = tensor.New(batch, dim), tensor.New(batch, dim)
 		}
 		data := xrand.New(9)
+		zipfs := make([]*xrand.Zipf, len(rows))
+		for ti := range zipfs {
+			zipfs[ti] = xrand.NewZipf(1.1, rows[ti])
+		}
 		var r run
 		for s := 0; s < steps; s++ {
 			b := &MiniBatch{Dense: tensor.New(batch, 1)}
 			for ti := range rows {
-				z := data.Zipf(1.1, uint64(rows[ti]-1))
 				per := make([][]int32, batch)
 				for i := range per {
 					for k := 1 + data.Intn(ids[ti]); k > 0; k-- {
-						per[i] = append(per[i], int32(z.Uint64()))
+						per[i] = append(per[i], int32(zipfs[ti].Draw(data)-1))
 					}
 				}
 				b.Bags = append(b.Bags, embedding.NewBag(per))

@@ -12,7 +12,6 @@ package data
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/embedding"
@@ -53,10 +52,13 @@ type Generator struct {
 	opts GeneratorOptions
 	rng  *xrand.RNG
 
-	teacher   *core.Model
-	bias      float32
-	lengthGen []*xrand.BoundedZipf
-	indexGen  []*rand.Zipf
+	teacher *core.Model
+	bias    float32
+	// By sparse feature: the bag-length and row-id samplers, whose tables
+	// every feature with the same (exponent, size) and every Fork share,
+	// and the feature's own RNG for each.
+	lengths, ids     []*xrand.Zipf
+	lengthRNG, idRNG []*xrand.RNG
 }
 
 // NewGenerator builds a deterministic generator for cfg. The teacher model
@@ -78,15 +80,31 @@ func NewGenerator(cfg core.Config, seed int64, opts GeneratorOptions) *Generator
 	tCfg.TopMLP = []int{16}
 	g.teacher = core.NewModel(tCfg, rng.Split())
 
-	for _, s := range cfg.Sparse {
-		lg := xrand.NewBoundedZipf(rng.Split(), opts.LengthSkew, s.MaxPooled)
-		g.lengthGen = append(g.lengthGen, lg)
-		ir := xrand.New(int64(rng.Uint64()))
-		g.indexGen = append(g.indexGen, ir.Zipf(opts.IndexSkew, uint64(s.HashSize-1)))
+	tables := map[[2]float64]*xrand.Zipf{}
+	zipf := func(s float64, n int) *xrand.Zipf {
+		k := [2]float64{s, float64(n)}
+		if tables[k] == nil {
+			tables[k] = xrand.NewZipf(s, n)
+		}
+		return tables[k]
 	}
+	for _, s := range cfg.Sparse {
+		g.lengths = append(g.lengths, zipf(opts.LengthSkew, s.MaxPooled))
+		g.ids = append(g.ids, zipf(opts.IndexSkew, s.HashSize))
+	}
+	g.seedSparse()
 
 	g.calibrateBias()
 	return g
+}
+
+// seedSparse gives every sparse feature its own length and id RNGs,
+// drawn from g.rng in feature order.
+func (g *Generator) seedSparse() {
+	for range g.cfg.Sparse {
+		g.lengthRNG = append(g.lengthRNG, g.rng.Split())
+		g.idRNG = append(g.idRNG, xrand.New(int64(g.rng.Uint64())))
+	}
 }
 
 // calibrateBias estimates the logit shift needed to hit TargetCTR using a
@@ -131,16 +149,14 @@ func (g *Generator) rawBatchInto(b int, mb *core.MiniBatch) *core.MiniBatch {
 		mb.Bags = make([]embedding.Bag, g.cfg.NumSparse())
 	}
 	for f := range g.cfg.Sparse {
-		hashSize := g.cfg.Sparse[f].HashSize
-		meanTarget := g.cfg.Sparse[f].MeanPooled
-		scale := meanTarget / g.lengthGen[f].Mean()
+		scale := g.cfg.Sparse[f].MeanPooled / g.lengths[f].Mean()
 		bag := &mb.Bags[f]
 		bag.Indices = bag.Indices[:0]
 		bag.Offsets = append(bag.Offsets[:0], 0)
 		for i := 0; i < b; i++ {
 			// Draw a power-law length, rescaled toward the
 			// configured mean, at least 1, truncated at max.
-			n := int(float64(g.lengthGen[f].Sample())*scale + 0.5)
+			n := int(float64(g.lengths[f].Draw(g.lengthRNG[f]))*scale + 0.5)
 			if n < 1 {
 				n = 1
 			}
@@ -148,11 +164,7 @@ func (g *Generator) rawBatchInto(b int, mb *core.MiniBatch) *core.MiniBatch {
 				n = g.cfg.Sparse[f].MaxPooled
 			}
 			for k := 0; k < n; k++ {
-				v := g.indexGen[f].Uint64()
-				if v >= uint64(hashSize) {
-					v = uint64(hashSize) - 1
-				}
-				bag.Indices = append(bag.Indices, int32(v))
+				bag.Indices = append(bag.Indices, int32(g.ids[f].Draw(g.idRNG[f])-1))
 			}
 			bag.Offsets = append(bag.Offsets, int32(len(bag.Indices)))
 		}
@@ -191,27 +203,23 @@ func (g *Generator) NextBatchInto(b int, mb *core.MiniBatch) *core.MiniBatch {
 }
 
 // Fork returns a generator that shares this generator's hidden teacher —
-// and therefore its label function — but draws features from an
-// independent stream seeded by seed. Separate training streams and
-// held-out evaluation sets must Fork one base generator so they see the
-// same planted task.
+// and therefore its label function — and its Zipf tables, but draws
+// features from an independent stream seeded by seed. Separate training
+// streams and held-out evaluation sets must Fork one base generator so
+// they see the same planted task.
 func (g *Generator) Fork(seed int64) *Generator {
-	rng := xrand.New(seed)
 	t := g.teacher
 	f := &Generator{
 		cfg:  g.cfg,
 		opts: g.opts,
-		rng:  rng,
+		rng:  xrand.New(seed),
 		// Weight-sharing clone: same label function, but private
 		// activation buffers so forks are safe on separate goroutines.
 		teacher: core.AssembleModel(t.Cfg, t.Bottom.ShareWeights(), t.Top.ShareWeights(), t.Tables),
 		bias:    g.bias,
+		lengths: g.lengths, ids: g.ids,
 	}
-	for _, s := range g.cfg.Sparse {
-		f.lengthGen = append(f.lengthGen, xrand.NewBoundedZipf(rng.Split(), g.opts.LengthSkew, s.MaxPooled))
-		ir := xrand.New(int64(rng.Uint64()))
-		f.indexGen = append(f.indexGen, ir.Zipf(g.opts.IndexSkew, uint64(s.HashSize-1)))
-	}
+	f.seedSparse()
 	return f
 }
 

@@ -12,11 +12,11 @@ import (
 // skewedBag builds a bag with heavy within-batch repetition.
 func skewedBag(rng *xrand.RNG, batch, hashSize, maxLen int) Bag {
 	per := make([][]int32, batch)
-	zipf := rng.Zipf(1.3, uint64(hashSize-1))
+	zipf := xrand.NewZipf(1.3, hashSize)
 	for i := range per {
 		n := 1 + rng.Intn(maxLen)
 		for k := 0; k < n; k++ {
-			per[i] = append(per[i], int32(zipf.Uint64()))
+			per[i] = append(per[i], int32(zipf.Draw(rng)-1))
 		}
 	}
 	return NewBag(per)

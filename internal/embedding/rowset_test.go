@@ -14,11 +14,11 @@ import (
 // 128 examples × 27 ids drawn Zipf(1.2) over 200k rows, the way the data
 // generator draws them.
 func sparseHeavyBag(seed int64) Bag {
-	zipf := xrand.New(seed).Zipf(1.2, 200_000-1)
+	zipf, rng := xrand.NewZipf(1.2, 200_000), xrand.New(seed)
 	per := make([][]int32, 128)
 	for i := range per {
 		for k := 0; k < 27; k++ {
-			per[i] = append(per[i], int32(zipf.Uint64()))
+			per[i] = append(per[i], int32(zipf.Draw(rng)-1))
 		}
 	}
 	return NewBag(per)

@@ -50,8 +50,6 @@ type Config struct {
 	Ranks     int
 	Optimizer core.OptimizerKind
 	LR        float64 // dense and embedding learning rate
-	// WarmupIters is the linear LR warmup length.
-	WarmupIters int
 	// Overlap runs the bucketed all-reduce concurrently with the
 	// sparse-gradient all-to-all and scatter. The math is identical; only
 	// the exposed communication time changes.
@@ -203,7 +201,7 @@ func New(cfg core.Config, hc Config) (*Trainer, error) {
 		HC:     hc,
 		world:  collective.NewWorldWith(hc.Ranks, hc.Link, reg),
 		tables: ref.Tables,
-		sched:  optim.WarmupSchedule{Base: hc.LR, WarmupIters: hc.WarmupIters},
+		sched:  optim.WarmupSchedule{Base: hc.LR},
 		bounds: make([]int, hc.Ranks+1),
 		reg:    reg,
 	}

@@ -433,18 +433,6 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 				}
 				return mb
 			}
-			// Hold the ring's whole batch budget (the default
-			// PrefetchDepth of 4, plus one) at once, so every MiniBatch
-			// is minted here. A consumer that never lags leaves some
-			// unminted, and one minted inside the measurement would
-			// read as a steady-state allocation.
-			var lent []*core.MiniBatch
-			for range 5 {
-				lent = append(lent, next())
-			}
-			for _, mb := range lent {
-				p.Recycle(mb)
-			}
 			for i := 0; i < c.warm; i++ { // many epochs: warm every slab, cap, and map
 				p.Recycle(next())
 			}

@@ -110,11 +110,11 @@ func prodTableSpec(n int, meanHash float64, meanLen float64, seed int64) []core.
 	}
 	scaleH := (loS + hiS) / 2
 	// Mean lengths: bounded power law, then rescale to the target mean.
-	lz := xrand.NewBoundedZipf(rng.Split(), 1.05, 64)
+	lz, lr := xrand.NewZipf(1.05, 64), rng.Split()
 	lens := make([]float64, n)
 	var sumL float64
 	for i := range lens {
-		lens[i] = float64(lz.Sample())
+		lens[i] = float64(lz.Draw(lr))
 		sumL += lens[i]
 	}
 	scaleL := meanLen * float64(n) / sumL

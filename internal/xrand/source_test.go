@@ -21,7 +21,7 @@ func TestStreamMatchesMathRand(t *testing.T) {
 		got, want := New(seed), rand.New(rand.NewSource(seed))
 		ref := &RNG{r: want} // Norm over math/rand's own source
 		for i := 0; i < draws; i++ {
-			switch i % 8 {
+			switch i % 7 {
 			case 0:
 				if g, w := got.Uint64(), want.Uint64(); g != w {
 					t.Fatalf("seed %d draw %d: Uint64 %d, math/rand %d", seed, i, g, w)
@@ -35,7 +35,7 @@ func TestStreamMatchesMathRand(t *testing.T) {
 					t.Fatalf("seed %d draw %d: Float32 %v, math/rand %v", seed, i, g, w)
 				}
 			case 3:
-				n := []int{1, 7, 1000, 1<<31 - 1, bigN}[i/8%5]
+				n := []int{1, 7, 1000, 1<<31 - 1, bigN}[i/7%5]
 				if g, w := got.Intn(n), want.Intn(n); g != w {
 					t.Fatalf("seed %d draw %d: Intn(%d) %d, math/rand %d", seed, i, n, g, w)
 				}
@@ -48,13 +48,6 @@ func TestStreamMatchesMathRand(t *testing.T) {
 					t.Fatalf("seed %d draw %d: Exp %v, math/rand %v", seed, i, g, w)
 				}
 			case 6:
-				gz, wz := got.Zipf(1.2, 1<<20), rand.NewZipf(want, 1.2, 1, 1<<20)
-				for k := 0; k < 4; k++ {
-					if g, w := gz.Uint64(), wz.Uint64(); g != w {
-						t.Fatalf("seed %d draw %d: Zipf %d, math/rand %d", seed, i, g, w)
-					}
-				}
-			case 7:
 				var gs, ws [9]int
 				for k := range gs {
 					gs[k], ws[k] = k, k

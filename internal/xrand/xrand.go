@@ -99,62 +99,76 @@ func (g *RNG) Exp(rate float64) float64 {
 	return g.r.ExpFloat64() / rate
 }
 
-// Zipf returns a sampler of Zipf-distributed values in [0, imax] with
-// exponent s > 1. It wraps math/rand's rejection-inversion implementation.
-func (g *RNG) Zipf(s float64, imax uint64) *rand.Zipf {
-	return rand.NewZipf(g.r, s, 1, imax)
-}
-
-// BoundedZipf samples integers in [1, max] following an approximate Zipf
-// law with exponent alpha via a precomputed inverse CDF. Use for small max
-// (e.g. per-feature multi-hot lengths truncated at 32).
-type BoundedZipf struct {
+// Zipf draws integers in [1, n] with P(k) ∝ k^-s, the one law behind
+// the generator's row ids and bag lengths. It is built once per (s, n)
+// and is immutable, so any number of RNGs and goroutines may draw from
+// one table: Draw takes the RNG.
+type Zipf struct {
+	// cdf[k-1] is P(K <= k), normalised so cdf[n-1] is exactly 1.
 	cdf []float64
-	g   *RNG
+	// guide[g] is a lower bound on the index Draw returns for any u with
+	// int(u*n) == g, so the search from it is a short forward scan.
+	guide []int32
+	mean  float64
 }
 
-// NewBoundedZipf builds the sampler. Values range over [1, max].
-func NewBoundedZipf(g *RNG, alpha float64, max int) *BoundedZipf {
-	if max < 1 {
-		panic("xrand: BoundedZipf max must be >= 1")
+// NewZipf builds the sampler's table: 12 bytes per value in [1, n]. It
+// panics if n < 1.
+func NewZipf(s float64, n int) *Zipf {
+	if n < 1 {
+		panic("xrand: Zipf n must be >= 1")
 	}
-	cdf := make([]float64, max)
+	cdf := make([]float64, n)
 	sum := 0.0
-	for k := 1; k <= max; k++ {
-		sum += 1 / math.Pow(float64(k), alpha)
+	for k := 1; k <= n; k++ {
+		sum += 1 / math.Pow(float64(k), s)
 		cdf[k-1] = sum
 	}
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &BoundedZipf{cdf: cdf, g: g}
+	return zipfOver(cdf)
 }
 
-// Sample draws one value in [1, len(cdf)].
-func (z *BoundedZipf) Sample() int {
-	u := z.g.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
+// zipfOver builds the sampler over a non-decreasing cdf that ends at 1.
+// One pass over k fills guide[k] and adds value k+1's share of the mean.
+//
+// guide[k] is the first i with cdf[i]*n >= k. A u in bucket k has
+// u*n >= k after rounding, and the index drawn for u, i*, has
+// cdf[i*] >= u, so cdf[i*]*n >= k after rounding too (rounding is
+// monotone). guide[k] is thus at or below i*, even where u*n rounded
+// up to k.
+func zipfOver(cdf []float64) *Zipf {
+	z := &Zipf{cdf: cdf, guide: make([]int32, len(cdf))}
+	i, prev := 0, 0.0
+	for k, c := range cdf {
+		for cdf[i]*float64(len(cdf)) < float64(k) {
+			i++
 		}
-	}
-	return lo + 1
-}
-
-// Mean returns the expected value of the sampler's distribution.
-func (z *BoundedZipf) Mean() float64 {
-	m := 0.0
-	prev := 0.0
-	for i, c := range z.cdf {
-		m += float64(i+1) * (c - prev)
+		z.guide[k] = int32(i)
+		// The explicit conversion keeps arm64 from fusing the
+		// multiply-add, so every architecture sums the same bits.
+		z.mean += float64(float64(k+1) * (c - prev))
 		prev = c
 	}
-	return m
+	return z
 }
+
+// Draw returns one value in [1, n], consuming one Float64 from g.
+func (z *Zipf) Draw(g *RNG) int { return z.index(g.Float64()) + 1 }
+
+// index returns the first i with cdf[i] >= u, for u in [0, 1): the
+// index a binary search over the cdf finds, reached from the guide.
+func (z *Zipf) index(u float64) int {
+	i := int(z.guide[int(u*float64(len(z.guide)))])
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
+}
+
+// Mean returns the expected value of a draw.
+func (z *Zipf) Mean() float64 { return z.mean }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -101,62 +101,6 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 	New(5).Exp(0)
 }
 
-func TestBoundedZipfRange(t *testing.T) {
-	g := New(6)
-	z := NewBoundedZipf(g, 1.2, 32)
-	counts := make([]int, 33)
-	for i := 0; i < 50000; i++ {
-		v := z.Sample()
-		if v < 1 || v > 32 {
-			t.Fatalf("sample %d out of [1,32]", v)
-		}
-		counts[v]++
-	}
-	// Zipf must be monotone decreasing-ish: rank 1 most common.
-	if counts[1] <= counts[2] || counts[1] <= counts[10] {
-		t.Errorf("expected rank-1 dominance, counts[1]=%d counts[2]=%d counts[10]=%d",
-			counts[1], counts[2], counts[10])
-	}
-}
-
-func TestBoundedZipfMeanMatchesEmpirical(t *testing.T) {
-	g := New(7)
-	z := NewBoundedZipf(g, 1.1, 32)
-	want := z.Mean()
-	n := 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(z.Sample())
-	}
-	got := sum / float64(n)
-	if math.Abs(got-want) > 0.1 {
-		t.Errorf("empirical mean %v, analytic mean %v", got, want)
-	}
-}
-
-func TestBoundedZipfPanicsOnBadMax(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for max < 1")
-		}
-	}()
-	NewBoundedZipf(New(8), 1.1, 0)
-}
-
-func TestZipfSkew(t *testing.T) {
-	g := New(9)
-	z := g.Zipf(1.5, 1000000)
-	small := 0
-	for i := 0; i < 10000; i++ {
-		if z.Uint64() < 10 {
-			small++
-		}
-	}
-	if small < 5000 {
-		t.Errorf("Zipf(1.5) should concentrate on small values; got %d/10000 below 10", small)
-	}
-}
-
 func TestFloat32Range(t *testing.T) {
 	f := func(seed int64) bool {
 		g := New(seed)
