@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/benchreport"
+	"repro/internal/ckpt"
+	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/hybrid"
 	"repro/internal/ingest"
 	"repro/internal/tensor"
 )
@@ -150,6 +153,87 @@ func TestIngestDigest(t *testing.T) {
 	}
 }
 
+// hybridDigests pins the bits the synchronous hybrid trainer trains at
+// the bench_step shape: the trainDigest hash of its CkptState (rank 0's
+// dense replica and every owner's tables) after digestSteps steps of the
+// data seed 2 batches, hybrid.Config{Seed: 1, LR: 0.05}. The ring sums
+// the dense gradients in an order that depends on the rank count, so
+// each rank count and wire has its own digest; one rank trains the core
+// trainer's bits (denseDigests["bench_step"]). Overlap on and off must
+// give the same digest: overlap moves the all-reduce, not the sums.
+var hybridDigests = map[string]string{
+	"ranks=2/fp32": "b1dacb77fc4f30c4b9b116fa3044edf8d8c1b2b10a6c350850f3d6bb7e0fe458",
+	"ranks=4/fp32": "c15acdf060bddcd2ba5347cae8a084a604dbdac8b61c9c09de9c02aafab81348",
+	"ranks=2/int8": "288fd47dbf3d7df290d7a26d939a9408768f822fd8d494068b76d1462066563f",
+	"ranks=4/int8": "276639d0773c329797aa43a8d1f278de61311d906f9c1c6d54019c09b25a42d3",
+}
+
+// TestHybridDigest trains the bench_step shape on the hybrid trainer at
+// 1, 2 and 4 ranks on fp32 wires, overlap on and off, and at 2 and 4
+// ranks on int8 wires with overlap on, in every kernel and GOMAXPROCS
+// configuration, and compares each run's digest with the committed one.
+func TestHybridDigest(t *testing.T) {
+	cfg := benchreport.BenchStepConfig()
+	gen := NewGenerator(cfg, 2)
+	batches := make([]*MiniBatch, digestSteps)
+	for i := range batches {
+		batches[i] = gen.NextBatch(128)
+	}
+	kernels := []bool{false}
+	if vectorKernelsOn() {
+		kernels = append(kernels, true)
+		if raceDetectorEnabled {
+			kernels = kernels[1:]
+		}
+	}
+	for _, c := range []struct {
+		ranks int
+		wire  collective.WireFormat
+	}{
+		{1, collective.WireFP32}, {2, collective.WireFP32}, {4, collective.WireFP32},
+		{2, collective.WireINT8}, {4, collective.WireINT8},
+	} {
+		want := hybridDigests[fmt.Sprintf("ranks=%d/%v", c.ranks, c.wire)]
+		if c.ranks == 1 {
+			want = denseDigests["bench_step"]
+		}
+		overlaps := []bool{false, true}
+		if c.wire != collective.WireFP32 {
+			overlaps = overlaps[1:]
+		}
+		for _, overlap := range overlaps {
+			for _, vector := range kernels {
+				for _, procs := range []int{1, 2} {
+					name := fmt.Sprintf("ranks=%d/%v/overlap=%v/vector=%v/procs=%d", c.ranks, c.wire, overlap, vector, procs)
+					t.Run(name, func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						defer tensor.SetVectorKernels(tensor.SetVectorKernels(vector))
+						ht, err := hybrid.New(cfg, hybrid.Config{
+							Ranks: c.ranks, Seed: 1, LR: 0.05, Overlap: overlap,
+							WireA2A: c.wire, WireAllReduce: c.wire,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer ht.Close()
+						step := func(mb *MiniBatch) float64 {
+							loss, _, err := ht.Step(mb)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return loss
+						}
+						got := runDigest(digestSteps, func(i int) *MiniBatch { return batches[i] }, nil, step, ht.CkptState)
+						if got != want {
+							t.Errorf("digest %s, want %s", got, want)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // vectorKernelsOn reports whether this CPU runs the vector kernels.
 func vectorKernelsOn() bool {
 	was := tensor.SetVectorKernels(true)
@@ -161,6 +245,14 @@ func vectorKernelsOn() bool {
 // each batch back after its step.
 func trainDigest(cfg ModelConfig, steps int, next func(i int) *MiniBatch, done func(*MiniBatch)) string {
 	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
+	return runDigest(steps, next, done, tr.Step, tr.CkptState)
+}
+
+// runDigest runs step on next(0) … next(steps-1) and returns a SHA-256
+// over every step's loss rounded to float32, then the dense weights and
+// accumulators and the tables and row accumulators of state().
+func runDigest(steps int, next func(i int) *MiniBatch, done func(*MiniBatch),
+	step func(*MiniBatch) float64, state func() *ckpt.ModelState) string {
 	h := sha256.New()
 	var b [4]byte
 	floats := func(xs ...float32) {
@@ -171,12 +263,12 @@ func trainDigest(cfg ModelConfig, steps int, next func(i int) *MiniBatch, done f
 	}
 	for i := range steps {
 		mb := next(i)
-		floats(float32(tr.Step(mb)))
+		floats(float32(step(mb)))
 		if done != nil {
 			done(mb)
 		}
 	}
-	st := tr.CkptState()
+	st := state()
 	for i := range st.Dense {
 		floats(st.Dense[i]...)
 		floats(st.DenseAccum[i]...)

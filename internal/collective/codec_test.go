@@ -170,8 +170,11 @@ func TestInt8CodecMatchesReference(t *testing.T) {
 				in := src[off : off+n]
 				ref := encodeInt8Reference(in)
 				for _, on := range []bool{false, true} {
-					var enc []byte
-					withVector(on, func() { enc = encodeWire(WireINT8, buf[:off], in)[off:] })
+					// The deposit's scratch starts at buf[off], so the
+					// encoding's stores are as misaligned as the input.
+					d := deposit{b: buf[off:off]}
+					withVector(on, func() { d.encode(WireINT8, in) })
+					enc := d.b
 					if string(enc) != string(ref) {
 						for i := range ref {
 							if enc[i] != ref[i] {
@@ -181,20 +184,20 @@ func TestInt8CodecMatchesReference(t *testing.T) {
 						}
 					}
 					for _, accum := range []bool{false, true} {
-						d := (off + 5) % 8
+						at := (off + 5) % 8
 						copy(got, acc)
 						copy(want, acc)
-						decodeInt8Reference(want[d:d+n], ref, accum)
+						decodeInt8Reference(want[at:at+n], ref, accum)
 						withVector(on, func() {
 							if accum {
-								decodeAccumWire(WireINT8, got[d:d+n], enc)
+								d.accumulate(WireINT8, got[at:at+n])
 							} else {
-								decodeWire(WireINT8, got[d:d+n], enc)
+								d.decode(WireINT8, got[at:at+n])
 							}
 						})
 						if i := sameFloats(got, want); i >= 0 {
 							t.Fatalf("vector=%v accum=%v mode %d n=%d off=%d: element %d = %v, scalar loop %v",
-								on, accum, mode, n, off, i-d, got[i], want[i])
+								on, accum, mode, n, off, i-at, got[i], want[i])
 						}
 					}
 				}
@@ -203,10 +206,11 @@ func TestInt8CodecMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzWireCodec runs every compressed wire format over float32 bit
-// patterns taken from the input: encode, decode and decode-accumulate
-// must not panic, the encoding must be wireBytes long, the vector and
-// generic paths must agree bit for bit, and int8 must match its
+// FuzzWireCodec runs every wire format's deposit over float32 bit
+// patterns taken from the input: encode, decode and accumulate must not
+// panic, the fp32 deposit must be the input itself and every other
+// encoding wireBytes long, the vector and generic paths must agree bit
+// for bit, fp32 must decode every bit back, and int8 must match its
 // reference encoder and round-trip every finite element to within half
 // its chunk's scale (plus float rounding).
 func FuzzWireCodec(f *testing.F) {
@@ -231,21 +235,19 @@ func FuzzWireCodec(f *testing.F) {
 			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(in[4*i:]))
 		}
 		for _, w := range wireFormats() {
-			var enc [2][]byte
+			var enc [2]*deposit
 			var dec, acc [2][]float32
 			for k, on := range []bool{false, true} {
 				withVector(on, func() {
-					enc[k] = encodeWire(w, nil, src)
+					enc[k] = encoded(w, src)
 					dec[k] = make([]float32, len(src))
-					decodeWire(w, dec[k], enc[k])
+					enc[k].decode(w, dec[k])
 					acc[k] = append([]float32(nil), src...)
-					decodeAccumWire(w, acc[k], enc[k])
+					enc[k].accumulate(w, acc[k])
 				})
 			}
-			if len(enc[0]) != wireBytes(w, len(src)) {
-				t.Fatalf("%v: %d elements encode to %dB, want %dB", w, len(src), len(enc[0]), wireBytes(w, len(src)))
-			}
-			if string(enc[0]) != string(enc[1]) {
+			checkDeposit(t, w, enc[0], src)
+			if string(enc[0].b) != string(enc[1].b) {
 				t.Fatalf("%v: vector and generic encodings differ", w)
 			}
 			if i := sameFloats(dec[1], dec[0]); i >= 0 {
@@ -254,11 +256,16 @@ func FuzzWireCodec(f *testing.F) {
 			if i := sameFloats(acc[1], acc[0]); i >= 0 {
 				t.Fatalf("%v decode-accumulate element %d: vector %v, generic %v", w, i, acc[1][i], acc[0][i])
 			}
-			if w == WireINT8 {
-				if string(enc[0]) != string(encodeInt8Reference(src)) {
+			switch w {
+			case WireFP32:
+				if i := sameFloats(dec[0], src); i >= 0 {
+					t.Fatalf("fp32 decode element %d: %v, sent %v", i, dec[0][i], src[i])
+				}
+			case WireINT8:
+				if string(enc[0].b) != string(encodeInt8Reference(src)) {
 					t.Fatal("int8 encoding differs from the reference encoder")
 				}
-				checkInt8RoundTrip(t, src, enc[0], dec[0])
+				checkInt8RoundTrip(t, src, enc[0].b, dec[0])
 			}
 		}
 	})

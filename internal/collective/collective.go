@@ -5,15 +5,16 @@
 // data-parallel MLP gradients and all-to-all(v) for the model-parallel
 // pooled-embedding exchange.
 //
-// Ranks rendezvous through a shared slot array and a reusable barrier, so
-// payloads move with plain copies under happens-before edges (race-free
-// under -race) and every reduction applies contributions in a fixed ring
-// order, making results bit-identical across runs regardless of goroutine
-// scheduling. Every operation meters the bytes that cross rank
-// boundaries and the seconds a pluggable Link (bandwidth + latency, see
-// LinkFor) would have charged for them; the meters are what ties the
-// analytic collective-volume formulas in internal/perfmodel to observed
-// traffic.
+// Ranks publish deposits (see wire.go) and rendezvous at a reusable
+// barrier, so payloads move with plain copies or codec passes under
+// happens-before edges (race-free under -race). Each collective has one
+// schedule for every wire format, and every reduction applies
+// contributions in a fixed ring order, making results bit-identical
+// across runs regardless of goroutine scheduling. Every operation meters
+// the bytes that cross rank boundaries and the seconds a pluggable Link
+// (bandwidth + latency, see LinkFor) would have charged for them; the
+// meters are what ties the analytic collective-volume formulas in
+// internal/perfmodel to observed traffic.
 package collective
 
 import (
@@ -158,12 +159,9 @@ func (w *World) Snapshot() Totals {
 // groups (the hybrid trainer overlaps its dense all-reduce with the
 // sparse-gradient all-to-all this way).
 func (w *World) NewGroup() *Group {
-	g := &Group{
-		w:       w,
-		bufs:    make([][]float32, w.n),
-		vecs:    make([][][]float32, w.n),
-		a2aWire: make([][][]byte, w.n),
-		arWire:  make([][]byte, w.n),
+	g := &Group{w: w, dep: make([][]deposit, w.n)}
+	for r := range g.dep {
+		g.dep[r] = make([]deposit, w.n)
 	}
 	g.bar.n = w.n
 	g.bar.cond = sync.NewCond(&g.bar.mu)
@@ -235,17 +233,12 @@ func (b *barrier) abort(err error) {
 type Group struct {
 	w       *World
 	bar     barrier
-	bufs    [][]float32   // scalar payload slots
-	vecs    [][][]float32 // vector payload slots (all-to-all-v)
-	unmeter bool          // see MeterWaits
-
-	// compressed wire state (see wire.go): the format, per-rank
-	// per-peer all-to-all encode slots, and per-rank all-reduce chunk
-	// slots. Scratch grows in place, so steady-state compressed
-	// collectives allocate nothing.
-	wire    WireFormat
-	a2aWire [][][]byte
-	arWire  [][]byte
+	unmeter bool       // see MeterWaits
+	wire    WireFormat // see SetWire
+	// dep[r] holds rank r's deposits: one per peer in an all-to-all,
+	// and the two ring slots 0 and 1 in an all-reduce (n ≥ 2 whenever
+	// a deposit is made).
+	dep [][]deposit
 }
 
 // MeterWaits controls whether this group's rendezvous waits feed the
@@ -278,11 +271,24 @@ func chunkRange(size, n, k int) (int, int) {
 }
 
 // AllReduce sums buf element-wise across all ranks, leaving the identical
-// reduced vector in every rank's buf. The implementation is the
-// bandwidth-optimal ring: n-1 reduce-scatter steps followed by n-1
-// all-gather steps, with contributions applied in fixed ring order so the
-// result is bit-identical on every rank and across runs. All ranks must
-// pass buffers of equal length.
+// reduced vector in every rank's buf. All ranks must pass buffers of
+// equal length. The schedule is the same on every wire format:
+//
+//   - Reduce-scatter, n-1 steps of one rendezvous each. At step s each
+//     rank deposits chunk (rank-s) in ring slot s%2, and its successor
+//     accumulates that deposit into its own chunk. The two slots
+//     alternate, so the rendezvous that publishes step s also retires
+//     the reads of step s-1. Contributions are applied in fixed ring
+//     order, so the result is bit-identical across runs.
+//   - Gather, two rendezvous. Each owner deposits its fully reduced
+//     chunk (rank+1) once and decodes its own deposit back into buf,
+//     and every peer decodes those same bytes, so the replicas stay
+//     bit-identical across ranks under a lossy wire too (the elastic
+//     trainer's replica fingerprints rely on it).
+//
+// That is n+1 rendezvous. The metered volume matches the ring's
+// analytic 2·(n-1)/n·size·bytes-per-element, and the modeled time keeps
+// its 2·(n-1) messages.
 //
 // A non-nil error means the world aborted (injected fault or AbortAll);
 // buf contents are then unspecified and the group is poisoned.
@@ -295,45 +301,33 @@ func (g *Group) AllReduce(rank int, buf []float32) error {
 		g.w.stats[OpAllReduce].add(0, 0)
 		return nil
 	}
-	if g.wire != WireFP32 {
-		return g.allReduceWire(rank, buf)
+	size := len(buf)
+	mine, prev := g.dep[rank], g.dep[(rank-1+n)%n]
+	var moved int64
+	for s := 0; s < n-1; s++ {
+		lo, hi := chunkRange(size, n, (rank-s+n)%n)
+		mine[s%2].encode(g.wire, buf[lo:hi])
+		if err := g.wait(rank); err != nil {
+			return err
+		}
+		lo, hi = chunkRange(size, n, (rank-1-s+n)%n)
+		moved += prev[s%2].accumulate(g.wire, buf[lo:hi])
 	}
-	g.bufs[rank] = buf
+	slot := (n - 1) % 2
+	lo, hi := chunkRange(size, n, (rank+1)%n)
+	mine[slot].encode(g.wire, buf[lo:hi])
+	mine[slot].decode(g.wire, buf[lo:hi])
 	if err := g.wait(rank); err != nil {
 		return err
 	}
-	prev := (rank - 1 + n) % n
-	src := g.bufs[prev]
-	if len(src) != len(buf) {
-		panic(fmt.Sprintf("collective: allreduce length mismatch (%d vs %d)", len(buf), len(src)))
-	}
-	size := len(buf)
-	var moved int64
-	// Reduce-scatter: at step s, pull chunk (rank-1-s) from the previous
-	// rank and accumulate it. After n-1 steps this rank holds the fully
-	// reduced chunk (rank+1).
-	for s := 0; s < n-1; s++ {
-		k := ((rank-1-s)%n + n) % n
-		lo, hi := chunkRange(size, n, k)
-		dst := buf[lo:hi]
-		for i, v := range src[lo:hi] {
-			dst[i] += v
-		}
-		moved += int64(hi-lo) * 4
-		if err := g.wait(rank); err != nil {
-			return err
+	for j := 0; j < n; j++ {
+		if j != rank {
+			lo, hi := chunkRange(size, n, (j+1)%n)
+			moved += g.dep[j][slot].decode(g.wire, buf[lo:hi])
 		}
 	}
-	// All-gather: at step s, pull the fully reduced chunk (rank-s) from
-	// the previous rank.
-	for s := 0; s < n-1; s++ {
-		k := ((rank-s)%n + n) % n
-		lo, hi := chunkRange(size, n, k)
-		copy(buf[lo:hi], src[lo:hi])
-		moved += int64(hi-lo) * 4
-		if err := g.wait(rank); err != nil {
-			return err
-		}
+	if err := g.wait(rank); err != nil {
+		return err
 	}
 	g.w.stats[OpAllReduce].add(moved, g.w.link.xferSec(moved, 2*(n-1)))
 	return nil
@@ -342,7 +336,11 @@ func (g *Group) AllReduce(rank int, buf []float32) error {
 // AllToAllV exchanges variable-length payloads: send[j] travels to rank
 // j, and recv[j] is filled with what rank j addressed to this rank.
 // len(recv[j]) must equal len(send[j']) as declared by rank j for this
-// rank. Self-addressed payloads are copied but not metered.
+// rank. Each rank deposits its outgoing payloads, and after one
+// rendezvous every receiver decodes its peers' deposits straight into
+// recv; a second rendezvous retires the reads. The self-addressed
+// payload is a plain fp32 copy: it never crosses a rank boundary, so it
+// is neither metered nor compressed.
 func (g *Group) AllToAllV(rank int, send, recv [][]float32) error {
 	if err := g.w.checkFault(rank); err != nil {
 		return err
@@ -351,23 +349,24 @@ func (g *Group) AllToAllV(rank int, send, recv [][]float32) error {
 	if len(send) != n || len(recv) != n {
 		panic(fmt.Sprintf("collective: alltoallv needs %d send/recv slots, got %d/%d", n, len(send), len(recv)))
 	}
-	if g.wire != WireFP32 && n > 1 {
-		return g.allToAllVWire(rank, send, recv)
+	mine := g.dep[rank]
+	for j := 0; j < n; j++ {
+		if j != rank {
+			mine[j].encode(g.wire, send[j])
+		}
 	}
-	g.vecs[rank] = send
 	if err := g.wait(rank); err != nil {
 		return err
 	}
+	if len(send[rank]) != len(recv[rank]) {
+		panic(fmt.Sprintf("collective: alltoallv rank %d self payload %d floats, recv wants %d",
+			rank, len(send[rank]), len(recv[rank])))
+	}
+	copy(recv[rank], send[rank])
 	var moved int64
 	for j := 0; j < n; j++ {
-		src := g.vecs[j][rank]
-		if len(src) != len(recv[j]) {
-			panic(fmt.Sprintf("collective: alltoallv rank %d expects %d floats from rank %d, got %d",
-				rank, len(recv[j]), j, len(src)))
-		}
-		copy(recv[j], src)
 		if j != rank {
-			moved += int64(len(src)) * 4
+			moved += g.dep[j][rank].decode(g.wire, recv[j])
 		}
 	}
 	if err := g.wait(rank); err != nil {

@@ -7,11 +7,13 @@ import (
 )
 
 // WireFormat selects the on-the-wire encoding of a group's collective
-// payloads. Compute stays fp32 on both sides; a non-fp32 format narrows
-// each payload through reusable scratch right before the rendezvous and
-// widens it right after, so the byte meters (and the Link-priced
-// modeled time) see the compressed volume. WireFP32 is the historical
-// zero-copy passthrough.
+// payloads. It is only a codec: every format runs the same collective
+// schedule, and only what a deposit holds differs. Compute stays fp32
+// on both sides; a non-fp32 format narrows each payload through
+// reusable scratch right before the rendezvous and widens it right
+// after, so the byte meters (and the Link-priced modeled time) see the
+// compressed volume. WireFP32 deposits the sender's floats themselves,
+// which peers read in place.
 type WireFormat uint8
 
 const (
@@ -84,22 +86,31 @@ func wireBytes(w WireFormat, n int) int {
 // in-flight operations).
 func (g *Group) SetWire(w WireFormat) { g.wire = w }
 
-// encodeWire appends the encoded form of src to dst (pass dst[:0] to
-// reuse capacity) and returns the extended slice. The output is sized
-// exactly once up front and filled with slice-advance stores — the
-// codec sits on the critical path of every compressed collective, and
-// per-element append bookkeeping is measurable there.
-func encodeWire(w WireFormat, dst []byte, src []float32) []byte {
-	off := len(dst)
-	need := wireBytes(w, len(src))
-	if cap(dst)-off < need {
-		grown := make([]byte, off+need)
-		copy(grown, dst)
-		dst = grown
-	} else {
-		dst = dst[:off+need]
+// deposit is what one rank publishes for its peers to read after the
+// next rendezvous. On the fp32 wire it is the sender's floats
+// themselves, read in place with no copy; on every other wire it is
+// their encoding, staged in scratch the deposit keeps and reuses, so
+// steady-state collectives allocate nothing.
+type deposit struct {
+	f []float32 // WireFP32
+	b []byte    // every other format
+}
+
+// encode publishes src in format w. The encoding is sized exactly once
+// up front and filled with slice-advance stores — the codec sits on the
+// critical path of every compressed collective, and per-element append
+// bookkeeping is measurable there.
+func (d *deposit) encode(w WireFormat, src []float32) {
+	if w == WireFP32 {
+		d.f = src
+		return
 	}
-	o := dst[off:]
+	need := wireBytes(w, len(src))
+	if cap(d.b) < need {
+		d.b = make([]byte, need)
+	}
+	d.b = d.b[:need]
+	o := d.b
 	switch w {
 	case WireFP16:
 		for _, v := range src {
@@ -131,21 +142,33 @@ func encodeWire(w WireFormat, dst []byte, src []float32) []byte {
 	case WireINT8:
 		tensor.QuantizeInt8(o, src)
 	default:
-		panic("collective: encodeWire on " + w.String())
+		panic("collective: encode on " + w.String())
 	}
-	return dst
 }
 
-// decodeWire widens src into dst, panicking when src is not the exact
-// encoding of len(dst) elements (the compressed analogue of the fp32
-// paths' length-mismatch panics).
-func decodeWire(w WireFormat, dst []float32, src []byte) {
-	if len(src) != wireBytes(w, len(dst)) {
-		panic(fmt.Sprintf("collective: %s payload %dB, want %dB for %d elements",
-			w, len(src), wireBytes(w, len(dst)), len(dst)))
+// size returns the wire bytes d carries in format w, panicking unless
+// that is the exact size of len(dst) elements (a payload-length
+// mismatch between ranks).
+func (d *deposit) size(w WireFormat, dst []float32) int64 {
+	got := len(d.b)
+	if w == WireFP32 {
+		got = 4 * len(d.f)
 	}
-	s := src
+	if want := wireBytes(w, len(dst)); got != want {
+		panic(fmt.Sprintf("collective: %s payload %dB, want %dB for %d elements", w, got, want, len(dst)))
+	}
+	return int64(got)
+}
+
+// decode widens d into dst and returns the wire bytes it read. On the
+// fp32 wire it is a copy, and none when dst is the deposit itself (an
+// owner decoding its own gather deposit back).
+func (d *deposit) decode(w WireFormat, dst []float32) int64 {
+	n := d.size(w, dst)
+	s := d.b
 	switch w {
+	case WireFP32:
+		copy(dst, d.f)
 	case WireFP16:
 		for i := range dst {
 			dst[i] = tensor.FP16ToF32(uint16(s[0]) | uint16(s[1])<<8)
@@ -165,21 +188,21 @@ func decodeWire(w WireFormat, dst []float32, src []byte) {
 			s = s[2:]
 		}
 	case WireINT8:
-		tensor.DequantizeInt8(dst, src)
+		tensor.DequantizeInt8(dst, s)
 	default:
-		panic("collective: decodeWire on " + w.String())
+		panic("collective: decode on " + w.String())
 	}
+	return n
 }
 
-// decodeAccumWire accumulates the decoded src into dst (dst[i] += v),
-// the reduce-scatter inner step of the compressed all-reduce.
-func decodeAccumWire(w WireFormat, dst []float32, src []byte) {
-	if len(src) != wireBytes(w, len(dst)) {
-		panic(fmt.Sprintf("collective: %s payload %dB, want %dB for %d elements",
-			w, len(src), wireBytes(w, len(dst)), len(dst)))
-	}
-	s := src
+// accumulate adds the decoded d into dst (dst[i] += v), the
+// reduce-scatter's inner step, and returns the wire bytes it read.
+func (d *deposit) accumulate(w WireFormat, dst []float32) int64 {
+	n := d.size(w, dst)
+	s := d.b
 	switch w {
+	case WireFP32:
+		tensor.AddTo(dst, d.f)
 	case WireFP16:
 		for i := range dst {
 			dst[i] += tensor.FP16ToF32(uint16(s[0]) | uint16(s[1])<<8)
@@ -199,113 +222,9 @@ func decodeAccumWire(w WireFormat, dst []float32, src []byte) {
 			s = s[2:]
 		}
 	case WireINT8:
-		tensor.DequantizeAddInt8(dst, src)
+		tensor.DequantizeAddInt8(dst, s)
 	default:
-		panic("collective: decodeAccumWire on " + w.String())
+		panic("collective: accumulate on " + w.String())
 	}
-}
-
-// a2aScratch returns rank's per-peer encode slots, allocating the slot
-// array on first use (inner byte slices grow in place and are reused,
-// so steady-state calls allocate nothing).
-func (g *Group) a2aScratch(rank int) [][]byte {
-	if g.a2aWire[rank] == nil {
-		g.a2aWire[rank] = make([][]byte, g.w.n)
-	}
-	return g.a2aWire[rank]
-}
-
-// allToAllVWire is the compressed AllToAllV: each rank narrows its
-// outgoing payloads into private scratch, deposits the encoded slices,
-// and every receiver widens the peer bytes straight into recv. The
-// self-addressed payload is a plain fp32 copy (it never crosses a rank
-// boundary, so compressing it would only add quantization error).
-func (g *Group) allToAllVWire(rank int, send, recv [][]float32) error {
-	n := g.w.n
-	enc := g.a2aScratch(rank)
-	for j := 0; j < n; j++ {
-		if j == rank {
-			continue
-		}
-		enc[j] = encodeWire(g.wire, enc[j][:0], send[j])
-	}
-	if err := g.wait(rank); err != nil {
-		return err
-	}
-	if len(send[rank]) != len(recv[rank]) {
-		panic(fmt.Sprintf("collective: alltoallv rank %d self payload %d floats, recv wants %d",
-			rank, len(send[rank]), len(recv[rank])))
-	}
-	copy(recv[rank], send[rank])
-	var moved int64
-	for j := 0; j < n; j++ {
-		if j == rank {
-			continue
-		}
-		src := g.a2aWire[j][rank]
-		decodeWire(g.wire, recv[j], src)
-		moved += int64(len(src))
-	}
-	if err := g.wait(rank); err != nil {
-		return err
-	}
-	g.w.stats[OpAllToAll].add(moved, g.w.link.xferSec(moved, n-1))
-	return nil
-}
-
-// allReduceWire is the compressed all-reduce. The reduce-scatter half
-// keeps the ring schedule: at step s each rank encodes the chunk it is
-// forwarding, and its successor widens and accumulates it (partial sums
-// are re-quantized per hop, like any compressed ring). The gather half
-// deliberately departs from per-hop forwarding: each fully reduced
-// chunk is encoded exactly once by its owner, the owner widens its own
-// encoding back into its buffer, and every peer widens those same
-// bytes — so all ranks decode identical payloads and the dense replicas
-// stay bit-identical across ranks, which the elastic trainer's replica
-// fingerprint checks rely on. Volume still matches the analytic
-// 2·(n-1)/n·size·bpe, and modeled time keeps the ring's 2·(n-1)
-// message count.
-func (g *Group) allReduceWire(rank int, buf []float32) error {
-	n := g.w.n
-	size := len(buf)
-	prev := (rank - 1 + n) % n
-	var moved int64
-	for s := 0; s < n-1; s++ {
-		k := ((rank-s)%n + n) % n
-		lo, hi := chunkRange(size, n, k)
-		g.arWire[rank] = encodeWire(g.wire, g.arWire[rank][:0], buf[lo:hi])
-		if err := g.wait(rank); err != nil {
-			return err
-		}
-		k = ((rank-1-s)%n + n) % n
-		lo, hi = chunkRange(size, n, k)
-		src := g.arWire[prev]
-		decodeAccumWire(g.wire, buf[lo:hi], src)
-		moved += int64(len(src))
-		if err := g.wait(rank); err != nil {
-			return err
-		}
-	}
-	// Gather: broadcast each owner's fully reduced chunk (rank+1) once.
-	k := (rank + 1) % n
-	lo, hi := chunkRange(size, n, k)
-	g.arWire[rank] = encodeWire(g.wire, g.arWire[rank][:0], buf[lo:hi])
-	decodeWire(g.wire, buf[lo:hi], g.arWire[rank])
-	if err := g.wait(rank); err != nil {
-		return err
-	}
-	for j := 0; j < n; j++ {
-		if j == rank {
-			continue
-		}
-		jlo, jhi := chunkRange(size, n, (j+1)%n)
-		src := g.arWire[j]
-		decodeWire(g.wire, buf[jlo:jhi], src)
-		moved += int64(len(src))
-	}
-	if err := g.wait(rank); err != nil {
-		return err
-	}
-	g.w.stats[OpAllReduce].add(moved, g.w.link.xferSec(moved, 2*(n-1)))
-	return nil
+	return n
 }

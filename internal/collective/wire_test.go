@@ -8,7 +8,33 @@ import (
 	"repro/internal/xrand"
 )
 
-func wireFormats() []WireFormat { return []WireFormat{WireFP16, WireBF16, WireINT8} }
+// wireFormats lists every wire format, fp32 first.
+func wireFormats() []WireFormat { return []WireFormat{WireFP32, WireFP16, WireBF16, WireINT8} }
+
+// lossyFormats lists every wire format but fp32.
+func lossyFormats() []WireFormat { return wireFormats()[1:] }
+
+// encoded returns a fresh deposit of src in format w.
+func encoded(w WireFormat, src []float32) *deposit {
+	d := new(deposit)
+	d.encode(w, src)
+	return d
+}
+
+// checkDeposit fails unless d is src published in format w: src itself
+// on fp32, an encoding of exactly wireBytes otherwise.
+func checkDeposit(t *testing.T, w WireFormat, d *deposit, src []float32) {
+	t.Helper()
+	if w == WireFP32 {
+		if len(d.f) != len(src) || len(src) > 0 && &d.f[0] != &src[0] {
+			t.Fatalf("fp32 deposit of %d elements is not the sender's floats", len(src))
+		}
+		return
+	}
+	if len(d.b) != wireBytes(w, len(src)) {
+		t.Fatalf("%v: %d elements encode to %dB, want %dB", w, len(src), len(d.b), wireBytes(w, len(src)))
+	}
+}
 
 // FuzzParseWireFormat: the -precision.wire parser returns an error rather
 // than panics, and a format it accepts parses back from its own String().
@@ -43,14 +69,23 @@ func relTol(w WireFormat) float64 {
 // passTol bounds the absolute error of one quantization pass on an
 // element of magnitude elemAbs inside a payload of magnitude payloadMax:
 // the half formats round relative to the element, int8 rounds relative
-// to its chunk's scale (payloadMax is an upper bound on it).
+// to its chunk's scale (payloadMax is an upper bound on it). The fp32
+// wire is exact.
 func passTol(w WireFormat, payloadMax, elemAbs float64) float64 {
-	if w == WireINT8 {
+	switch w {
+	case WireFP32:
+		return 0
+	case WireINT8:
 		return payloadMax/254 + 1e-6
 	}
 	return relTol(w)*elemAbs + 1e-6
 }
 
+// TestWireCodecRoundTrip runs every format's deposit: fp32 publishes the
+// sender's floats and decodes them exactly, the others encode to
+// wireBytes and decode within one quantization pass; the half formats'
+// encodings are fixed points, and accumulate adds exactly the decoded
+// values.
 func TestWireCodecRoundTrip(t *testing.T) {
 	rng := xrand.New(7)
 	for _, w := range wireFormats() {
@@ -59,16 +94,14 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			var maxAbs float64
 			for i := range src {
 				src[i] = float32(rng.Norm())
-				if a := math.Abs(float64(src[i])); a > maxAbs {
-					maxAbs = a
-				}
+				maxAbs = max(maxAbs, math.Abs(float64(src[i])))
 			}
-			enc := encodeWire(w, nil, src)
-			if len(enc) != wireBytes(w, n) {
-				t.Fatalf("%v n=%d encoded %dB, want %dB", w, n, len(enc), wireBytes(w, n))
-			}
+			enc := encoded(w, src)
+			checkDeposit(t, w, enc, src)
 			dec := make([]float32, n)
-			decodeWire(w, dec, enc)
+			if got := enc.decode(w, dec); got != int64(wireBytes(w, n)) {
+				t.Fatalf("%v n=%d: decode read %dB, want %dB", w, n, got, wireBytes(w, n))
+			}
 			for i := range src {
 				tol := passTol(w, maxAbs, math.Abs(float64(src[i])))
 				if math.Abs(float64(dec[i]-src[i])) > tol {
@@ -78,19 +111,15 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			// Re-encoding the decoded payload must be a fixed point:
 			// values already on the quantization grid stay put.
 			if w != WireINT8 {
-				enc2 := encodeWire(w, nil, dec)
-				for i := range enc {
-					if enc[i] != enc2[i] {
-						t.Fatalf("%v n=%d: re-encode differs at byte %d", w, n, i)
-					}
+				if string(encoded(w, dec).b) != string(enc.b) {
+					t.Fatalf("%v n=%d: re-encode differs", w, n)
 				}
 			}
-			// decodeAccumWire must add exactly the decoded values.
 			acc := make([]float32, n)
 			for i := range acc {
 				acc[i] = 1
 			}
-			decodeAccumWire(w, acc, enc)
+			enc.accumulate(w, acc)
 			for i := range acc {
 				if acc[i] != 1+dec[i] {
 					t.Fatalf("%v accum elem %d: got %v want %v", w, i, acc[i], 1+dec[i])
@@ -103,183 +132,10 @@ func TestWireCodecRoundTrip(t *testing.T) {
 func TestWireBytesPerElem(t *testing.T) {
 	// The analytic bytes-per-element must match the exact codec size on
 	// chunk-aligned payloads (what the perfmodel formulas assume).
-	for _, w := range []WireFormat{WireFP32, WireFP16, WireBF16, WireINT8} {
+	for _, w := range wireFormats() {
 		n := 4 * tensor.Int8ChunkLen
 		if got, want := float64(wireBytes(w, n)), w.BytesPerElem()*float64(n); got != want {
 			t.Fatalf("%v: wireBytes(%d)=%v, BytesPerElem implies %v", w, n, got, want)
-		}
-	}
-}
-
-func TestAllReduceWireBitIdenticalAcrossRanks(t *testing.T) {
-	for _, w := range wireFormats() {
-		for _, n := range []int{2, 3, 4, 7} {
-			for _, size := range []int{1, 5, 64, 257, 1000} {
-				rng := xrand.New(int64(n*1000 + size))
-				in := make([][]float32, n)
-				var want []float32
-				for r := range in {
-					in[r] = make([]float32, size)
-					for i := range in[r] {
-						in[r][i] = float32(rng.Norm())
-					}
-				}
-				world := NewWorld(n, PerfectLink())
-				g := world.NewGroup()
-				g.SetWire(w)
-				runRanks(n, func(r int) { g.AllReduce(r, in[r]) })
-				want = in[0]
-				for r := 1; r < n; r++ {
-					for i := range want {
-						if in[r][i] != want[i] {
-							t.Fatalf("%v n=%d size=%d: ranks 0 and %d disagree at %d (%v vs %v)",
-								w, n, size, r, i, want[i], in[r][i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestAllReduceWireApproximatesSum(t *testing.T) {
-	for _, w := range wireFormats() {
-		n, size := 4, 512
-		rng := xrand.New(11)
-		in := make([][]float32, n)
-		want := make([]float64, size)
-		var maxAbs float64
-		for r := range in {
-			in[r] = make([]float32, size)
-			for i := range in[r] {
-				in[r][i] = float32(rng.Norm())
-				want[i] += float64(in[r][i])
-			}
-		}
-		for _, v := range want {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		world := NewWorld(n, PerfectLink())
-		g := world.NewGroup()
-		g.SetWire(w)
-		runRanks(n, func(r int) { g.AllReduce(r, in[r]) })
-		// n-1 re-quantized hops plus the gather pass compound the
-		// per-pass error; bound it loosely but meaningfully.
-		for i := range want {
-			tol := float64(n+1) * passTol(w, maxAbs, maxAbs)
-			if math.Abs(float64(in[0][i])-want[i]) > tol {
-				t.Fatalf("%v elem %d: got %v want %v (tol %v)", w, i, in[0][i], want[i], tol)
-			}
-		}
-	}
-}
-
-func TestAllToAllVWireMatchesPayloads(t *testing.T) {
-	for _, w := range wireFormats() {
-		n := 3
-		rng := xrand.New(5)
-		send := make([][][]float32, n)
-		recv := make([][][]float32, n)
-		for r := 0; r < n; r++ {
-			send[r] = make([][]float32, n)
-			recv[r] = make([][]float32, n)
-			for j := 0; j < n; j++ {
-				// variable lengths, including a non-multiple of the
-				// int8 chunk and an empty payload
-				l := 17*r + 31*j
-				if r == 0 && j == 1 {
-					l = 0
-				}
-				send[r][j] = make([]float32, l)
-				for i := range send[r][j] {
-					send[r][j][i] = float32(rng.Norm())
-				}
-			}
-		}
-		for r := 0; r < n; r++ {
-			for j := 0; j < n; j++ {
-				recv[r][j] = make([]float32, len(send[j][r]))
-			}
-		}
-		world := NewWorld(n, PerfectLink())
-		g := world.NewGroup()
-		g.SetWire(w)
-		runRanks(n, func(r int) { g.AllToAllV(r, send[r], recv[r]) })
-		for r := 0; r < n; r++ {
-			for j := 0; j < n; j++ {
-				src := send[j][r]
-				for i := range src {
-					got, want := recv[r][j][i], src[i]
-					if j == r {
-						if got != want {
-							t.Fatalf("%v self payload must be exact: rank %d elem %d", w, r, i)
-						}
-						continue
-					}
-					var payloadMax float64
-					for _, v := range src {
-						if a := math.Abs(float64(v)); a > payloadMax {
-							payloadMax = a
-						}
-					}
-					if math.Abs(float64(got-want)) > passTol(w, payloadMax, math.Abs(float64(want))) {
-						t.Fatalf("%v rank %d from %d elem %d: got %v want %v", w, r, j, i, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// The byte meters must count encoded wire bytes, not fp32 payload
-// bytes — that is what shrinks the Link-priced modeled time.
-func TestWireMetersCountWireBytes(t *testing.T) {
-	n, size := 4, 1024
-	link := Link{Name: "test-25GbE", BandwidthBps: 25e9 / 8, LatencySec: 2e-6}
-	for _, w := range wireFormats() {
-		world := NewWorld(n, link)
-		g := world.NewGroup()
-		g.SetWire(w)
-		bufs := make([][]float32, n)
-		for r := range bufs {
-			bufs[r] = make([]float32, size)
-			for i := range bufs[r] {
-				bufs[r][i] = float32(r + i)
-			}
-		}
-		runRanks(n, func(r int) { g.AllReduce(r, bufs[r]) })
-		var want int64
-		for r := 0; r < n; r++ {
-			for s := 0; s < n; s++ { // n-1 rs chunks + n-1 gather chunks per rank
-				lo, hi := chunkRange(size, n, s)
-				if s != (r+1)%n {
-					want += int64(wireBytes(w, hi-lo)) // rs: every chunk but the owned one
-				}
-			}
-			for j := 0; j < n; j++ {
-				if j == r {
-					continue
-				}
-				lo, hi := chunkRange(size, n, (j+1)%n)
-				want += int64(wireBytes(w, hi-lo))
-			}
-		}
-		if got := world.Snapshot().AllReduce.Bytes; got != want {
-			t.Fatalf("%v allreduce meter %d bytes, want %d", w, got, want)
-		}
-		// Compression must shrink the Link-priced modeled time versus
-		// the same payload over an fp32 group on the same link.
-		ref := NewWorld(n, link)
-		gRef := ref.NewGroup()
-		refBufs := make([][]float32, n)
-		for r := range refBufs {
-			refBufs[r] = make([]float32, size)
-		}
-		runRanks(n, func(r int) { gRef.AllReduce(r, refBufs[r]) })
-		if cs, fs := world.Snapshot().AllReduce.ModelSec, ref.Snapshot().AllReduce.ModelSec; cs <= 0 || cs >= fs {
-			t.Fatalf("%v modeled time %v not below fp32's %v", w, cs, fs)
 		}
 	}
 }
@@ -288,7 +144,7 @@ func TestWireMetersCountWireBytes(t *testing.T) {
 // step budget (0 allocs) has no room for per-step encode buffers.
 func TestWireCollectivesSteadyStateAllocFree(t *testing.T) {
 	n, size := 2, 4096
-	for _, w := range wireFormats() {
+	for _, w := range lossyFormats() {
 		world := NewWorld(n, PerfectLink())
 		g := world.NewGroup()
 		g.SetWire(w)

@@ -19,47 +19,37 @@ func codecPayload() []float32 {
 	return src
 }
 
-// benchCodec times each half of a wire format's codec on the same
-// payload: encode, decode, and the reduce-scatter's decode-accumulate.
-// SetBytes counts the fp32 side, so MB/s compares directly across
-// formats and with BenchmarkWireCodecFP32's copy.
+// benchCodec times each half of a wire format's deposit on the same
+// payload: encode, decode, and the reduce-scatter's accumulate. SetBytes
+// counts the fp32 side, so MB/s compares directly across formats and
+// with fp32's, whose encode publishes the payload itself and whose
+// decode is one copy.
 func benchCodec(b *testing.B, w WireFormat) {
 	src := codecPayload()
 	dst := make([]float32, codecLen)
-	enc := encodeWire(w, nil, src)
+	var d deposit
+	d.encode(w, src)
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(4 * codecLen)
 		for b.Loop() {
-			enc = encodeWire(w, enc[:0], src)
+			d.encode(w, src)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(4 * codecLen)
 		for b.Loop() {
-			decodeWire(w, dst, enc)
+			d.decode(w, dst)
 		}
 	})
-	b.Run("decodeAccum", func(b *testing.B) {
+	b.Run("accumulate", func(b *testing.B) {
 		b.SetBytes(4 * codecLen)
 		for b.Loop() {
-			decodeAccumWire(w, dst, enc)
+			d.accumulate(w, dst)
 		}
 	})
 }
 
-// BenchmarkWireCodecFP32 is the baseline the codecs are read against:
-// the fp32 wire moves a payload with one copy.
-func BenchmarkWireCodecFP32(b *testing.B) {
-	src := codecPayload()
-	dst := make([]float32, codecLen)
-	b.Run("copy", func(b *testing.B) {
-		b.SetBytes(4 * codecLen)
-		for b.Loop() {
-			copy(dst, src)
-		}
-	})
-}
-
+func BenchmarkWireCodecFP32(b *testing.B) { benchCodec(b, WireFP32) }
 func BenchmarkWireCodecBF16(b *testing.B) { benchCodec(b, WireBF16) }
 func BenchmarkWireCodecFP16(b *testing.B) { benchCodec(b, WireFP16) }
 func BenchmarkWireCodecINT8(b *testing.B) { benchCodec(b, WireINT8) }
