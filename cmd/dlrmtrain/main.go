@@ -5,17 +5,18 @@
 // via all-reduce, model-parallel embeddings via all-to-all) and prints
 // the paper-style operator breakdown. -data=file:<dir> swaps the
 // in-memory generator for the staged ingestion pipeline over a sharded
-// on-disk dataset (-readers parallel decoders, optional RecD -dedup),
-// printing the pipeline's per-stage meters. -ckpt.dir enables durable
-// sharded checkpoints (full + incremental) every -ckpt.every iterations,
-// -resume continues from the latest one (the synthetic stream reopens at
-// the restored step), and -faults injects collective faults that the run
-// survives by rolling back to the last checkpoint and rejoining. Every
-// mode runs the same loop (internal/train); -mode only picks the trainer.
+// on-disk dataset (-readers parallel decoders, and each batch's RecD
+// dedup view built there, off the trainer), printing the pipeline's
+// per-stage meters. -ckpt.dir enables durable sharded checkpoints (full
+// + incremental) every -ckpt.every iterations, -resume continues from
+// the latest one (the synthetic stream reopens at the restored step),
+// and -faults injects collective faults that the run survives by
+// rolling back to the last checkpoint and rejoining. Every mode runs the
+// same loop (internal/train); -mode only picks the trainer.
 //
 //	dlrmtrain -dense 64 -sparse 8 -batch 256 -iters 500 -lr 0.05
 //	dlrmtrain -mode hybrid -ranks 4 -batch 256 -iters 500
-//	dlrmtrain -data file:/tmp/ds -materialize -readers 4 -dedup
+//	dlrmtrain -data file:/tmp/ds -materialize -readers 4
 //	dlrmtrain -ckpt.dir /tmp/ck -ckpt.every 100 -iters 200 && dlrmtrain -ckpt.dir /tmp/ck -resume -iters 100
 //	dlrmtrain -mode hybrid -ranks 2 -ckpt.dir /tmp/ck2 -ckpt.every 50 -faults kill:1@120
 package main
@@ -87,7 +88,6 @@ func run(args []string, out io.Writer) error {
 	platform := fs.String("platform", "BigBasin", "platform whose interconnect prices hybrid collectives")
 	dataFlag := fs.String("data", "synthetic", "batch supply: synthetic (in-memory generator) or file:<dir> (sharded on-disk dataset)")
 	readers := fs.Int("readers", 2, "parallel shard decoders in file mode")
-	dedup := fs.Bool("dedup", false, "RecD-style within-batch sparse dedup in file mode")
 	materialize := fs.Bool("materialize", false, "write the synthetic dataset to the -data dir first if it has no manifest")
 	traceFile := fs.String("telemetry.trace", "", "write a Chrome trace_event JSON of the run to this file")
 	httpAddr := fs.String("telemetry.http", "", "serve /metrics, /debug/vars and /debug/pprof on this address for the run's duration")
@@ -182,7 +182,7 @@ func run(args []string, out io.Writer) error {
 	}
 	co.faults = faultSched
 
-	fd, cfg, err := openFeed(out, cfg, *dataFlag, *batch, *readers, *dedup, *materialize, *seed, tel)
+	fd, cfg, err := openFeed(out, cfg, *dataFlag, *batch, *readers, *materialize, *seed, tel)
 	if err != nil {
 		return err
 	}
@@ -382,7 +382,7 @@ func (t *telem) finish(out io.Writer, predicted map[telemetry.Phase]float64) err
 // openFeed resolves -data. In file mode the dataset's feature space
 // (dense width, hash sizes) replaces the flag-built one so the model
 // matches what is on disk.
-func openFeed(out io.Writer, cfg core.Config, dataFlag string, batch, readers int, dedup, materialize bool, seed int64, tel *telem) (*feed, core.Config, error) {
+func openFeed(out io.Writer, cfg core.Config, dataFlag string, batch, readers int, materialize bool, seed int64, tel *telem) (*feed, core.Config, error) {
 	switch {
 	case dataFlag == "synthetic":
 		// The stream is positionable: every (re)start of the run loop
@@ -421,7 +421,7 @@ func openFeed(out io.Writer, cfg core.Config, dataFlag string, batch, readers in
 			return nil, cfg, err
 		}
 		iOpt := ingest.Options{
-			BatchSize: batch, Readers: readers, Dedup: dedup, Seed: seed + 2,
+			BatchSize: batch, Readers: readers, Dedup: true, Seed: seed + 2,
 		}
 		if tel != nil {
 			iOpt.Registry, iOpt.Trace, iOpt.TraceShard = tel.reg, tel.tracer, tel.feedShard
@@ -431,8 +431,8 @@ func openFeed(out io.Writer, cfg core.Config, dataFlag string, batch, readers in
 			ds.Close()
 			return nil, cfg, err
 		}
-		fmt.Fprintf(out, "ingest: %s (%d examples, %d shards, %s), %d readers, dedup=%v\n",
-			dir, ds.Examples(), len(ds.Manifest.Shards), core.HumanBytes(ds.Bytes()), readers, dedup)
+		fmt.Fprintf(out, "ingest: %s (%d examples, %d shards, %s), %d readers\n",
+			dir, ds.Examples(), len(ds.Manifest.Shards), core.HumanBytes(ds.Bytes()), readers)
 		// Shuffled across parallel readers, the file stream cannot seek:
 		// a resumed run reads it from the beginning.
 		open := func(int) (core.BatchSource, func(), error) { return p, func() {}, nil }

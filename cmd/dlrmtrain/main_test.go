@@ -98,17 +98,18 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 // TestRunFileModeSingle smoke-tests -data=file:<dir> with -materialize:
 // the dataset is written, then trained from disk through the staged
-// pipeline with parallel readers and dedup, in single mode.
+// pipeline with parallel readers, which build the dedup views, in single
+// mode. -dedup is gone: file mode always builds them there.
 func TestRunFileModeSingle(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	err := run([]string{"-data", "file:" + dir, "-materialize", "-readers", "2", "-dedup",
+	err := run([]string{"-data", "file:" + dir, "-materialize", "-readers", "2",
 		"-dense", "8", "-sparse", "2", "-hash", "100", "-dim", "8",
 		"-batch", "32", "-iters", "20"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"materializing", "ingest:", "2 readers", "dedup=true",
+	for _, want := range []string{"materializing", "ingest:", "2 readers",
 		"iter", "examples/sec", "ingest meters:", "dedup ratio"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -125,6 +126,9 @@ func TestRunFileModeSingle(t *testing.T) {
 	if strings.Contains(out2.String(), "materializing") {
 		t.Errorf("existing dataset re-materialized:\n%s", out2.String())
 	}
+	if err := run([]string{"-data", "file:" + dir, "-dedup"}, &strings.Builder{}); err == nil {
+		t.Error("-dedup accepted; the flag is gone")
+	}
 }
 
 // TestRunFileModeHybrid smoke-tests the on-disk pipeline feeding the
@@ -133,7 +137,7 @@ func TestRunFileModeHybrid(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
 	err := run([]string{"-mode", "hybrid", "-ranks", "2", "-data", "file:" + dir,
-		"-materialize", "-readers", "2", "-dedup",
+		"-materialize", "-readers", "2",
 		"-dense", "8", "-sparse", "4", "-hash", "200", "-dim", "8",
 		"-batch", "32", "-iters", "20"}, &out)
 	if err != nil {

@@ -83,7 +83,8 @@ func TestDenseDigest(t *testing.T) {
 // [4]/[4] MLPs, batch 256) fed by an ingest.Pipeline with one reader
 // from ingestShards shards of ingestPerShard examples written by a data
 // seed 2 generator, for ingestSteps steps. Dedup on and off must both
-// give it: the dedup view changes which rows are read, not the sums.
+// give it: on, the reader builds each batch's dedup view; off, the
+// trainer's sparse step builds it. Where it is built changes no sum.
 const (
 	ingestDigest   = "696d35e8f3064b3dcb4748dac437a915e8879bbbfd43a256f84b5e03dddcd076"
 	ingestSteps    = 50
@@ -100,7 +101,8 @@ func ingestStreamConfig() ModelConfig {
 }
 
 // TestIngestDigest trains the ingest_stream shape from disk through the
-// reader pipeline with dedup on and off, the vector kernels on and off
+// reader pipeline with dedup on and off (reader-built and step-built
+// views), the vector kernels on and off
 // and GOMAXPROCS 1 and 2, and compares every run's digest with the
 // committed one. The narrow rows (dim 2, 4-wide layers) run the sparse
 // kernels' and the GEMMs' under-8-column paths, which TestDenseDigest's

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -1303,6 +1304,106 @@ func FuzzRestoreManifest(f *testing.F) {
 				t.Fatalf("restore succeeded at step %d, want 2", restored.Step)
 			}
 			assertEqualSnapshot(t, want, restored)
+		}
+	})
+}
+
+// FuzzDecodeCkptShard feeds arbitrary bytes, as a shard file read back
+// from disk, to every shard decoder: decodeDense and decodeTable (full
+// and delta) for each table, against two fixed states, one with
+// optimizer state (Adagrad) and one without (SGD), each holding an fp32
+// and a bf16 table. Every input must return an error or decode in
+// bounds: no panic, and no parameter, accumulator or replica changes
+// length. A real shard must decode without error into the state whose
+// decoder it was written for. The seeds are real encoded shards of both
+// states (dense, full and delta tables) plus truncated and bit-flipped
+// copies.
+func FuzzDecodeCkptShard(f *testing.F) {
+	newState := func(seed int64, accum bool) *ModelState {
+		st := testState(seed)
+		rng := xrand.New(seed + 1)
+		st.Tables[1] = embedding.NewTableTyped("t", st.Tables[1].HashSize, st.Tables[1].Dim, tensor.BF16, rng)
+		if !accum {
+			st.Optimizer, st.DenseAccum, st.SparseAccum = "sgd", nil, nil
+		}
+		return st
+	}
+	// shards encodes every shard of st: the dense shard, then each table
+	// full and as a delta of three rows, each with the index of the
+	// decodeAll decoder that reads it (0 dense, 1+ti table ti).
+	type shard struct {
+		raw    []byte
+		reader int
+	}
+	shards := func(st *ModelState) []shard {
+		e := enc{buf: make([]byte, denseBytes(st))}
+		encodeDense(&e, st)
+		out := []shard{{e.buf, 0}}
+		for ti, tab := range st.Tables {
+			e := enc{buf: make([]byte, tableBytes(st, ti, true, tab.HashSize))}
+			encodeTableFull(&e, st, ti)
+			out = append(out, shard{e.buf, 1 + ti})
+			dirty := NewDirty(tab.HashSize)
+			dirty.Mark([]int32{0, int32(ti + 2), int32(tab.HashSize - 1)})
+			e = enc{buf: make([]byte, tableBytes(st, ti, false, dirty.Count()))}
+			encodeTableDelta(&e, st, ti, dirty)
+			out = append(out, shard{e.buf, 1 + ti})
+		}
+		return out
+	}
+	// decodeAll runs every decoder on raw: decodeDense, then decodeTable
+	// for each table.
+	decodeAll := func(st *ModelState, raw []byte) []error {
+		errs := []error{decodeDense(&dec{buf: raw, file: "fuzz"}, st)}
+		for ti := range st.Tables {
+			errs = append(errs, decodeTable(&dec{buf: raw, file: "fuzz"}, st, ti))
+		}
+		return errs
+	}
+	shape := func(st *ModelState) []int {
+		var n []int
+		for _, p := range st.Dense {
+			n = append(n, len(p))
+		}
+		for _, a := range st.DenseAccum {
+			n = append(n, len(a))
+		}
+		for _, tab := range st.Tables {
+			n = append(n, tab.HashSize, tab.Dim, len(tab.Weights.Data), int(tab.DType))
+		}
+		for _, a := range st.SparseAccum {
+			n = append(n, len(a))
+		}
+		return n
+	}
+
+	states := []*ModelState{newState(30, true), newState(40, false)}
+	real := map[string][2]int{} // shard bytes -> (state, decoder)
+	for si := range states {
+		for _, sh := range shards(newState(int64(50+si), si == 0)) {
+			raw := sh.raw
+			real[string(raw)] = [2]int{si, sh.reader}
+			f.Add(raw)
+			f.Add(raw[:len(raw)/2])
+			f.Add(raw[:len(raw)-1])
+			for _, bit := range []int{0, 8*4 + 3, 8*(len(raw)/2) + 7, 8*len(raw) - 1} {
+				flipped := append([]byte(nil), raw...)
+				flipped[bit/8] ^= 1 << (bit % 8)
+				f.Add(flipped)
+			}
+		}
+	}
+	want := [][]int{shape(states[0]), shape(states[1])}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for si, st := range states {
+			errs := decodeAll(st, raw)
+			if got := shape(st); fmt.Sprint(got) != fmt.Sprint(want[si]) {
+				t.Fatalf("state %d changed shape: %v, want %v", si, got, want[si])
+			}
+			if at, ok := real[string(raw)]; ok && at[0] == si && errs[at[1]] != nil {
+				t.Fatalf("a real shard failed decoder %d of state %d: %v", at[1], si, errs[at[1]])
+			}
 		}
 	})
 }

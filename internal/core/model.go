@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/embedding"
 	"repro/internal/nn"
@@ -17,21 +18,19 @@ type MiniBatch struct {
 	Labels []float32       // length B, values in {0,1}
 
 	// Dedup optionally carries the RecD-style unique-row view of each
-	// bag (aligned with Bags). When present and built, lookups and
-	// gradient scatters take the dedup kernels — bit-identical math,
-	// fewer table touches. Batch producers (internal/ingest, or
-	// AttachDedup) fill it; nil means the plain kernels run.
+	// bag (aligned with Bags), built by the batch's producer
+	// (internal/ingest, or AttachDedup) off the trainer's goroutine.
+	// Lookups and gradient scatters always run the dedup kernels; where
+	// the batch carries no built view, the sparse step builds its own,
+	// with the same bits.
 	Dedup []embedding.DedupIndex
 }
 
 // AttachDedup builds (or rebuilds, reusing storage) the per-bag dedup
-// views so consumers take the unique-row lookup path.
+// views, so the sparse step reads them instead of building its own.
 func (b *MiniBatch) AttachDedup() {
-	if cap(b.Dedup) >= len(b.Bags) {
-		b.Dedup = b.Dedup[:len(b.Bags)] // retains each view's storage
-	} else {
-		b.Dedup = make([]embedding.DedupIndex, len(b.Bags))
-	}
+	// Within capacity, the views past len keep their storage.
+	b.Dedup = slices.Grow(b.Dedup[:0], len(b.Bags))[:len(b.Bags)]
 	for i := range b.Bags {
 		b.Dedup[i].Build(b.Bags[i])
 	}

@@ -10,9 +10,15 @@ import (
 // SparseStep is the embedding half of a training step as one trainer
 // runs it: sum-pooled lookup, gradient scatter, sparse optimizer update
 // and touched-row tracking. Every trainer drives its tables through it,
-// so plain-vs-dedup kernels, the optimizer and split-SGD re-quantization
-// are chosen here and in internal/optim, never in a trainer (DESIGN.md,
-// "The sparse step").
+// so the optimizer and split-SGD re-quantization are chosen here and in
+// internal/optim, never in a trainer (DESIGN.md, "The sparse step").
+//
+// Lookup and Scatter run one kernel pair, BagForwardDedup and
+// BagBackwardDedup, over a RecD unique-row view of each bag: the batch's
+// own view when its producer built one (MiniBatch.DedupFor), else the
+// view Lookup builds into the step's views, which the next Scatter
+// reuses. So a Scatter pools through the view of the last Lookup, and
+// must follow the Lookup of the same batch.
 //
 // A table has exactly one owning step, which holds its optimizer and
 // ckpt.Dirty tracker. The step's one table loop is RunRange. Lookup,
@@ -34,7 +40,8 @@ type SparseStep struct {
 	lr     float32            // base embedding learning rate
 
 	grads   []*embedding.SparseGrad // by feature
-	scratch []*embedding.Scratch    // by feature: dedup gather slab
+	scratch []embedding.Scratch     // by feature: dedup gather slab
+	views   []embedding.DedupIndex  // by feature: Lookup's view of a bag without one
 
 	// The phase in flight, read by RunRange.
 	phase sparsePhase
@@ -72,26 +79,26 @@ func newSparseView(tables []*embedding.Table) *SparseStep {
 		opt:     make([]optim.Sparse, len(tables)),
 		dirty:   make([]*ckpt.Dirty, len(tables)),
 		grads:   make([]*embedding.SparseGrad, len(tables)),
-		scratch: make([]*embedding.Scratch, len(tables)),
+		scratch: make([]embedding.Scratch, len(tables)),
+		views:   make([]embedding.DedupIndex, len(tables)),
 	}
 	for ti, tab := range tables {
 		s.walk[ti] = ti
 		s.grads[ti] = embedding.NewSparseGrad(tab.Dim)
-		s.scratch[ti] = embedding.NewScratch()
 	}
 	return s
 }
 
 // Lookup sum-pools every walked feature of the batch into outs[feature]
-// (B×dim). A built dedup view selects the unique-row kernel: same math,
-// fewer table reads.
+// (B×dim), reading each unique row of a bag from its table once.
 func (s *SparseStep) Lookup(b *MiniBatch, outs []*tensor.Matrix) {
 	s.run(phaseLookup, s.walk, b, outs, 0)
 }
 
 // Scatter accumulates every walked feature's pooled-output gradient
 // dOuts[feature] (B×dim) into the step's SparseGrads, returned by
-// feature and valid until the next Scatter.
+// feature and valid until the next Scatter. b must be the batch of the
+// last Lookup.
 func (s *SparseStep) Scatter(b *MiniBatch, dOuts []*tensor.Matrix) []*embedding.SparseGrad {
 	s.run(phaseScatter, s.walk, b, dOuts, 0)
 	return s.grads
@@ -132,21 +139,19 @@ func (s *SparseStep) tableWork(feats []int, b *MiniBatch) int {
 func (s *SparseStep) RunRange(lo, hi int) {
 	b := s.batch
 	for _, ti := range s.feats[lo:hi] {
-		tab, sg, sc := s.tables[ti], s.grads[ti], s.scratch[ti]
+		tab, sg, sc, dd := s.tables[ti], s.grads[ti], &s.scratch[ti], b.DedupFor(ti)
+		if dd == nil {
+			dd = &s.views[ti]
+			if s.phase == phaseLookup {
+				dd.Build(b.Bags[ti])
+			}
+		}
 		switch s.phase {
 		case phaseLookup:
-			if dd := b.DedupFor(ti); dd != nil {
-				tab.BagForwardDedup(b.Bags[ti], dd, s.mats[ti], sc)
-			} else {
-				tab.BagForwardInto(b.Bags[ti], s.mats[ti], sc)
-			}
+			tab.BagForwardDedup(b.Bags[ti], dd, s.mats[ti], sc)
 		case phaseScatter:
 			sg.Reset()
-			if dd := b.DedupFor(ti); dd != nil {
-				tab.BagBackwardDedup(b.Bags[ti], dd, s.mats[ti], sg)
-			} else {
-				tab.BagBackward(b.Bags[ti], s.mats[ti], sg)
-			}
+			tab.BagBackwardDedup(b.Bags[ti], dd, s.mats[ti], sg)
 		case phaseApply:
 			s.opt[ti].SetLR(s.lr * s.scale)
 			s.opt[ti].Apply(sg)

@@ -14,110 +14,157 @@ import (
 )
 
 // TestSparseStepMatchesPublicKernels steps a SparseStep and a
-// hand-composed chain of the public kernels (BagForwardInto → BagBackward
-// → Apply → Mark) over the same batches, for every optimizer × table
-// dtype × dedup combination. The kernels are the bit-for-bit reference:
-// pooled outputs, fp32 masters, quantized replicas, optimizer
-// accumulators and dirty sets must all match exactly.
+// hand-composed chain of the reference kernels (BagForwardInto →
+// BagBackward → Apply → Mark) over the same batches, for every optimizer ×
+// table dtype × source of the dedup view (dedup=true: the batch's
+// producer built it; dedup=false: the step's Lookup builds its own) × one
+// owned table or several. As a generator does, one MiniBatch is rewritten
+// in place for every step, and between every other two steps the step
+// looks up another batch, as evaluation does through a trainer's model. The
+// kernels are the bit-for-bit reference: pooled outputs (evaluation's
+// too), gradient values and RowIDs order, fp32 masters, quantized
+// replicas, optimizer accumulators and dirty sets must all match exactly.
 func TestSparseStepMatchesPublicKernels(t *testing.T) {
-	const tables, rows, dim, batch, steps = 2, 61, 8, 16, 6
-	const lr = float32(0.1)
 	for _, kind := range []OptimizerKind{OptSGD, OptAdagrad} {
 		for _, dt := range []tensor.DType{tensor.FP32, tensor.BF16} {
 			for _, dedup := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%v/dedup=%v", kind, dt, dedup), func(t *testing.T) {
-					build := func() []*embedding.Table {
-						rng := xrand.New(3)
-						tabs := make([]*embedding.Table, tables)
-						for i := range tabs {
-							tabs[i] = embedding.NewTableTyped("t", rows, dim, dt, rng)
-						}
-						return tabs
-					}
-					owned := []int{0, 1}
-
-					got := build()
-					_, opts, err := optim.New(kind, nil, 0, got, owned, lr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					step := NewSparseStep(got, owned, opts, lr)
-
-					// The reference composes concrete optimizers by hand.
-					want := build()
-					refOpt := make([]optim.Sparse, tables)
-					refGrad := make([]*embedding.SparseGrad, tables)
-					refDirty := make([]*ckpt.Dirty, tables)
-					for i, tab := range want {
-						if kind == OptSGD {
-							refOpt[i] = &optim.SparseSGD{LR: lr, Table: tab}
-						} else {
-							refOpt[i] = optim.NewRowWiseAdagrad(tab, lr)
-						}
-						refGrad[i] = embedding.NewSparseGrad(dim)
-						refDirty[i] = ckpt.NewDirty(rows)
-					}
-					sc := embedding.NewScratch()
-
-					rng := xrand.New(9)
-					outWant := tensor.New(batch, dim)
-					outGot, dOut := make([]*tensor.Matrix, tables), make([]*tensor.Matrix, tables)
-					for ti := range outGot {
-						outGot[ti], dOut[ti] = tensor.New(batch, dim), tensor.New(batch, dim)
-					}
-					for s := 0; s < steps; s++ {
-						b := &MiniBatch{Dense: tensor.New(batch, 1)}
-						for range want {
-							per := make([][]int32, batch)
-							for i := range per {
-								for k := 1 + int(rng.Uint64()%5); k > 0; k-- {
-									per[i] = append(per[i], int32(rng.Uint64()%(rows/2))) // heavy repeats
-								}
-							}
-							b.Bags = append(b.Bags, embedding.NewBag(per))
-						}
-						if dedup {
-							b.AttachDedup()
-						}
-						scale := float32(s+1) / steps // a warmup ramp, so SetLR is exercised
-						step.Lookup(b, outGot)
-						for ti := range dOut {
-							tensor.UniformInit(dOut[ti], 1, rng)
-						}
-						step.Scatter(b, dOut)
-						step.Apply(b, scale)
-						for ti, tab := range want {
-							tab.BagForwardInto(b.Bags[ti], outWant, sc)
-							requireSameBits(t, "pooled output", outGot[ti].Data, outWant.Data)
-
-							refGrad[ti].Reset()
-							tab.BagBackward(b.Bags[ti], dOut[ti], refGrad[ti])
-							refOpt[ti].SetLR(lr * scale)
-							refOpt[ti].Apply(refGrad[ti])
-							refDirty[ti].Mark(refGrad[ti].RowIDs())
-						}
-					}
-
-					probe := allRowsBag(rows)
-					repGot, repWant := tensor.New(rows, dim), tensor.New(rows, dim)
-					for ti := range want {
-						requireSameBits(t, "master weights", got[ti].Weights.Data, want[ti].Weights.Data)
-						got[ti].BagForwardInto(probe, repGot, sc)
-						want[ti].BagForwardInto(probe, repWant, sc)
-						requireSameBits(t, "lookup replica", repGot.Data, repWant.Data)
-						if acc := step.opt[ti].Accum(); (acc == nil) != (kind == OptSGD) {
-							t.Fatalf("table %d accumulator nil=%v under %s", ti, acc == nil, kind)
-						}
-						requireSameBits(t, "accumulator", step.opt[ti].Accum(), refOpt[ti].Accum())
-						var dGot, dWant []int32
-						step.Dirty()[ti].ForEach(func(r int32) { dGot = append(dGot, r) })
-						refDirty[ti].ForEach(func(r int32) { dWant = append(dWant, r) })
-						if fmt.Sprint(dGot) != fmt.Sprint(dWant) || len(dGot) == 0 {
-							t.Fatalf("table %d dirty rows %v, reference %v", ti, dGot, dWant)
-						}
+					for _, owned := range [][]int{{1}, {0, 1, 2}} {
+						t.Run(fmt.Sprintf("owned=%d", len(owned)), func(t *testing.T) {
+							checkSparseStepAgainstKernels(t, kind, dt, dedup, owned)
+						})
 					}
 				})
 			}
+		}
+	}
+}
+
+func checkSparseStepAgainstKernels(t *testing.T, kind OptimizerKind, dt tensor.DType, dedup bool, owned []int) {
+	const tables, rows, dim, batch, evalBatch, steps = 3, 61, 8, 16, 11, 6
+	const lr = float32(0.1)
+	build := func() []*embedding.Table {
+		rng := xrand.New(3)
+		tabs := make([]*embedding.Table, tables)
+		for i := range tabs {
+			tabs[i] = embedding.NewTableTyped("t", rows, dim, dt, rng)
+		}
+		return tabs
+	}
+	got := build()
+	_, opts, err := optim.New(kind, nil, 0, got, owned, lr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := NewSparseStep(got, owned, opts, lr)
+
+	// The reference composes concrete optimizers by hand.
+	want := build()
+	refOpt := make([]optim.Sparse, tables)
+	refGrad := make([]*embedding.SparseGrad, tables)
+	refDirty := make([]*ckpt.Dirty, tables)
+	for _, ti := range owned {
+		if kind == OptSGD {
+			refOpt[ti] = &optim.SparseSGD{LR: lr, Table: want[ti]}
+		} else {
+			refOpt[ti] = optim.NewRowWiseAdagrad(want[ti], lr)
+		}
+		refGrad[ti] = embedding.NewSparseGrad(dim)
+		refDirty[ti] = ckpt.NewDirty(rows)
+	}
+	sc := embedding.NewScratch()
+
+	rng := xrand.New(9)
+	// fill rewrites b's bags in place, keeping their storage: 1..5 ids
+	// per example over half the rows (heavy repeats). Every batch of one
+	// size has the same offsets, so a view of another batch of that size
+	// has the right length and reads the wrong rows.
+	fill := func(b *MiniBatch) {
+		for ti := range b.Bags {
+			bag := &b.Bags[ti]
+			bag.Indices, bag.Offsets = bag.Indices[:0], bag.Offsets[:1]
+			for i := 0; i < b.Batch(); i++ {
+				for k := 1 + i%5; k > 0; k-- {
+					bag.Indices = append(bag.Indices, int32(rng.Intn(rows/2)))
+				}
+				bag.Offsets = append(bag.Offsets, int32(len(bag.Indices)))
+			}
+		}
+		b.DetachDedup()
+	}
+	newBatch := func(n int) *MiniBatch {
+		b := &MiniBatch{Dense: tensor.New(n, 1), Bags: make([]embedding.Bag, tables)}
+		for ti := range b.Bags {
+			b.Bags[ti].Offsets = []int32{0}
+		}
+		return b
+	}
+	mats := func(n int) []*tensor.Matrix {
+		ms := make([]*tensor.Matrix, tables)
+		for ti := range ms {
+			ms[ti] = tensor.New(n, dim)
+		}
+		return ms
+	}
+	outGot, dOut, evalOut := mats(batch), mats(batch), mats(evalBatch)
+	outWant, evalWant := tensor.New(batch, dim), tensor.New(evalBatch, dim)
+	b, eval := newBatch(batch), newBatch(evalBatch)
+	for s := 0; s < steps; s++ {
+		if s%2 == 1 {
+			fill(eval)
+			step.Lookup(eval, evalOut)
+			for _, ti := range owned {
+				want[ti].BagForwardInto(eval.Bags[ti], evalWant, sc)
+				requireSameBits(t, "evaluation output", evalOut[ti].Data, evalWant.Data)
+			}
+		}
+		fill(b)
+		if dedup {
+			b.AttachDedup()
+		}
+		scale := float32(s+1) / float32(steps) // a warmup ramp, so SetLR is exercised
+		step.Lookup(b, outGot)
+		for ti := range dOut {
+			tensor.UniformInit(dOut[ti], 1, rng)
+		}
+		grads := step.Scatter(b, dOut)
+		step.Apply(b, scale)
+		for _, ti := range owned {
+			want[ti].BagForwardInto(b.Bags[ti], outWant, sc)
+			requireSameBits(t, "pooled output", outGot[ti].Data, outWant.Data)
+
+			refGrad[ti].Reset()
+			want[ti].BagBackward(b.Bags[ti], dOut[ti], refGrad[ti])
+			if g, w := grads[ti].RowIDs(), refGrad[ti].RowIDs(); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Fatalf("step %d table %d gradient rows %v, reference %v", s, ti, g, w)
+			}
+			requireSameBits(t, "gradient", grads[ti].Slab(), refGrad[ti].Slab())
+			refOpt[ti].SetLR(lr * scale)
+			refOpt[ti].Apply(refGrad[ti])
+			refDirty[ti].Mark(refGrad[ti].RowIDs())
+		}
+		for ti := range want {
+			requireSameBits(t, "master weights", got[ti].Weights.Data, want[ti].Weights.Data)
+		}
+	}
+
+	probe := allRowsBag(rows)
+	repGot, repWant := tensor.New(rows, dim), tensor.New(rows, dim)
+	for ti := range want {
+		got[ti].BagForwardInto(probe, repGot, sc)
+		want[ti].BagForwardInto(probe, repWant, sc)
+		requireSameBits(t, "lookup replica", repGot.Data, repWant.Data)
+	}
+	for _, ti := range owned {
+		if acc := step.opt[ti].Accum(); (acc == nil) != (kind == OptSGD) {
+			t.Fatalf("table %d accumulator nil=%v under %s", ti, acc == nil, kind)
+		}
+		requireSameBits(t, "accumulator", step.opt[ti].Accum(), refOpt[ti].Accum())
+		var dGot, dWant []int32
+		step.Dirty()[ti].ForEach(func(r int32) { dGot = append(dGot, r) })
+		refDirty[ti].ForEach(func(r int32) { dWant = append(dWant, r) })
+		if fmt.Sprint(dGot) != fmt.Sprint(dWant) || len(dGot) == 0 {
+			t.Fatalf("table %d dirty rows %v, reference %v", ti, dGot, dWant)
 		}
 	}
 }

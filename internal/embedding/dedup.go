@@ -1,6 +1,10 @@
 package embedding
 
-import "repro/internal/tensor"
+import (
+	"slices"
+
+	"repro/internal/tensor"
+)
 
 // DedupIndex is the RecD-style within-batch unique-row view of a Bag.
 // Production sparse traffic repeats rows heavily inside one mini-batch
@@ -38,21 +42,34 @@ func (d *DedupIndex) Build(bag Bag) {
 // the row-set's generation off zero for good.
 func (d *DedupIndex) Built() bool { return d.rows.gen != 0 }
 
-// ensureLen grows (without shrinking) buf to n elements.
+// ensureLen grows (without shrinking) buf to n elements. It grows by
+// append's factor, not to n exactly, so a buffer whose need creeps up
+// from batch to batch (the unique rows of a bag) reallocates a
+// logarithmic number of times, not at every new maximum.
 func ensureLen[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
+	return slices.Grow(buf[:0], n)[:n]
 }
 
-// BagForwardDedup is the dedup counterpart of BagForwardInto: it gathers
-// each unique row once from the table into the scratch's staging slab,
-// then sum-pools every example from the compact staging copy. The pooled
-// result is bit-identical to BagForwardInto (same rows added in the same
-// order); the table is touched len(Unique) times instead of
-// len(Indices), which is what the lookup counter charges — the counter
-// meters physical row reads, and fewer of them is the point.
+// gatherAhead and gatherBlock are BagForwardDedup's fp32 prefetch
+// distance and block, in unique rows: those RowWiseAdagrad.Apply uses on
+// the same kind of row list. With cold caches over sparse_heavy's
+// tables, distances 16 to 128 and blocks 4 to 16 were flat within noise
+// (CHANGES.md).
+const gatherAhead, gatherBlock = 32, 8
+
+// BagForwardDedup is the training step's lookup kernel, the dedup
+// counterpart of BagForwardInto: it gathers each unique row once from
+// the table into the scratch's staging slab, then sum-pools every
+// example from the compact staging copy. The pooled result is
+// bit-identical to BagForwardInto (same rows added in the same order);
+// the table is touched len(Unique) times instead of len(Indices), which
+// is what the lookup counter charges — the counter meters physical row
+// reads, and fewer of them is the point.
+//
+// On an fp32 table it prefetches the first gatherAhead unique rows up
+// front, then at the start of each gatherBlock rows it copies, the
+// gatherBlock rows gatherAhead further on. A prefetch moves no value, so
+// the gather copies the same bits.
 func (t *Table) BagForwardDedup(bag Bag, d *DedupIndex, out *tensor.Matrix, sc *Scratch) {
 	if out.Rows != bag.Batch() || out.Cols != t.Dim {
 		panic("embedding: dedup forward output shape mismatch")
@@ -60,7 +77,11 @@ func (t *Table) BagForwardDedup(bag Bag, d *DedupIndex, out *tensor.Matrix, sc *
 	dim := t.Dim
 	sc.gather = ensureLen(sc.gather, len(d.Unique)*dim)
 	if t.DType == tensor.FP32 {
+		tensor.PrefetchRows(t.Weights.Data, d.Unique[:min(gatherAhead, len(d.Unique))], dim)
 		for u, ix := range d.Unique {
+			if a := u + gatherAhead; u%gatherBlock == 0 && a < len(d.Unique) {
+				tensor.PrefetchRows(t.Weights.Data, d.Unique[a:min(a+gatherBlock, len(d.Unique))], dim)
+			}
 			copy(sc.gather[u*dim:(u+1)*dim], t.Weights.Row(int(ix)))
 		}
 	} else {

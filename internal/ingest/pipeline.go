@@ -43,8 +43,11 @@ type Options struct {
 	// one — the explicit backpressure that keeps the hot path
 	// allocation-free.
 	PrefetchDepth int
-	// Dedup builds the RecD-style within-batch unique-row view on every
-	// assembled batch, switching both trainers onto the dedup kernels.
+	// Dedup picks where the RecD-style within-batch unique-row view is
+	// built: in the assembler, on every batch and off the trainer's
+	// goroutine, or (false) in the trainer's sparse step. Every trainer
+	// runs the dedup kernels either way, with the same bits; only the
+	// assembler's view feeds the dedup-ratio meter.
 	Dedup bool
 	// Epochs bounds dataset passes; 0 streams forever.
 	Epochs int

@@ -46,8 +46,17 @@ func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform float64 in [0, 1): math/rand's Float64,
+// computed on src without its call through the rand.Source interface.
+func (g *RNG) Float64() float64 {
+	for {
+		// A draw of 2⁶³−2⁹ or more rounds up to 1 (once in 2⁵⁴);
+		// math/rand draws again then, and so must the stream.
+		if f := float64(g.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
 
 // Float32 returns a uniform float32 in [0, 1).
 func (g *RNG) Float32() float32 { return g.r.Float32() }
